@@ -4,10 +4,13 @@ Run from the repository root:
 
     python3 bench/run.py --workload table|queries|constructions --seed N --seconds S --trace 0|1
 
-One caller runs operations back to back (a closed loop) in this process for
-S seconds; each output is checked right after its operation, outside the
-timing.  Operation times are divided by a reference kernel timed on the same
-core during the run (kernels.py).  With --trace 0 the last line of stdout is
+One caller runs the seed's operations back to back (a closed loop) in this
+process, cycling through them for S seconds and running each at least once;
+each output is checked right after its operation, outside the timing.
+`attempted` counts the distinct operations and `failed` those that gave a
+wrong output at least once, so both depend on the seed only.  Operation
+times are divided by a reference kernel timed on the same core during the
+run (kernels.py).  With --trace 0 the last line of stdout is
 the end-to-end result; with --trace 1 the same operations run once untraced
 and once traced, and the last line holds the per-layer numbers.
 The lines before it describe the machine, the checks and any failure.
@@ -20,6 +23,7 @@ import argparse
 import glob
 import hashlib
 import io
+import itertools
 import json
 import os
 import platform
@@ -40,7 +44,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 ROOT = os.getcwd()
 SRC = os.path.join(ROOT, "src")
 OUT_DIR = os.path.join(ROOT, ".bench_out")
-SETUP_REPEATS = 7
+SETUP_REPEATS = 15
 M_MMAP_THRESHOLD = -3  # glibc mallopt parameter
 MMAP_THRESHOLD = 128 * 1024  # glibc's initial value
 IMPORTTIME_REPEATS = 5
@@ -199,6 +203,7 @@ def table_csv_sha256() -> str:
 
 @dataclass
 class Record:
+    key: int  # which of the run's distinct operations this is
     op: object
     segments: list[tuple[float, float]]  # the op's clock, calibration pauses left out
     problems: list[str]
@@ -277,8 +282,9 @@ def check(op, outcome, ref: dict) -> tuple[list[str], bool]:
 
 def run_loop(blocks, seconds: float, tracer, ref: dict, calibration,
              setup_samples: list[float] | None = None) -> list[Record]:
-    """Closed loop, one caller: run whole blocks of ops, at least one, until
-    `seconds` have passed.
+    """Closed loop, one caller: cycle through the blocks of (key, op) pairs
+    until every block has run once and `seconds` have passed, ending on a
+    block boundary.
 
     Each output is checked right after its operation, outside the timing and
     with tracing paused, and then dropped.  Between operations the reference
@@ -288,10 +294,10 @@ def run_loop(blocks, seconds: float, tracer, ref: dict, calibration,
     """
     records = []
     start = perf_counter()
-    for block in blocks:
-        if records and perf_counter() - start >= seconds:
+    for i, block in enumerate(itertools.cycle(blocks)):
+        if i >= len(blocks) and perf_counter() - start >= seconds:
             break
-        for op in block:
+        for key, op in block:
             if calibration.due():
                 calibration.measure()
             if setup_samples is not None:
@@ -303,7 +309,7 @@ def run_loop(blocks, seconds: float, tracer, ref: dict, calibration,
             active, tracer.active = tracer.active, False
             problems, known = check(op, outcome, ref)
             tracer.active = active
-            records.append(Record(op, segments, problems, known))
+            records.append(Record(key, op, segments, problems, known))
     calibration.measure()
     for r in records:
         r.ref = calibration.cost(r.segments)
@@ -313,14 +319,18 @@ def run_loop(blocks, seconds: float, tracer, ref: dict, calibration,
 
 
 def failures(records: list[Record]) -> tuple[int, int, list[str]]:
-    """(failed, failed other than by the known defect, one message per failure)."""
+    """Over the distinct operations: (failed at least once, failed other than by
+    the known defect, one message per failed execution)."""
     messages = []
-    for i, r in enumerate(records):
+    failed, unexplained = set(), set()
+    for r in records:
         if r.problems:
             label = "known defect (n=22 grid misses a=1/6)" if r.known_defect else "FAIL"
-            messages.append(f"{label}: op {i} {r.op.kind} {' '.join(r.op.argv)}: {'; '.join(r.problems)}")
-    failed = sum(bool(r.problems) for r in records)
-    return failed, sum(bool(r.problems) and not r.known_defect for r in records), messages
+            messages.append(f"{label}: op {r.key} {r.op.kind} {' '.join(r.op.argv)}: {'; '.join(r.problems)}")
+            failed.add(r.key)
+            if not r.known_defect:
+                unexplained.add(r.key)
+    return len(failed), len(unexplained), messages
 
 
 def kind_latencies(records: list[Record]) -> dict[str, tuple[float, float]]:
@@ -343,14 +353,14 @@ def raw_times(records: list[Record]) -> dict:
 # --- metrics -------------------------------------------------------------------
 
 
-def end_to_end(records: list[Record], failed: int, setup_s: float) -> dict:
+def end_to_end(records: list[Record], attempted: int, failed: int, setup_s: float) -> dict:
     rel = [r.ref for r in records]
     return {
         "setup_s": (setup_s, "s"),
         "op_ref_p50": (central_mean(rel), "ref"),
         "op_ref_p90": (percentile(rel, 90), "ref"),
         "ops_per_kref": (1e3 * len(rel) / sum(rel), "1/kref"),
-        "ok_rate": (1.0 - failed / len(rel), "ratio"),
+        "ok_rate": (1.0 - failed / attempted, "ratio"),
         "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
     }
 
@@ -433,9 +443,12 @@ def main() -> int:
         fail(f"imported twodist from {twodist.__file__}, not from {SRC}")
     from kernels import KERNELS, Calibration
     from tracer import Tracer
-    from workloads import stream
+    from workloads import operations
 
-    blocks = stream(args.workload, args.seed, ref)
+    # Each distinct operation keeps its key through every pass, for failures().
+    keys = itertools.count()
+    blocks = [[(next(keys), op) for op in block] for block in operations(args.workload, args.seed, ref)]
+    attempted = sum(map(len, blocks))
     tracer = Tracer()
     calibration = Calibration(KERNELS[args.workload])
     remove_checkpoints = install_checkpoints(calibration)
@@ -446,7 +459,7 @@ def main() -> int:
         tracer.install()
         tracer.active = True
         try:
-            traced = run_loop([[r.op for r in records]], 0.0, tracer, ref, calibration)
+            traced = run_loop([[(r.key, r.op) for r in records]], 0.0, tracer, ref, calibration)
         finally:
             tracer.active = False
             tracer.uninstall()
@@ -459,7 +472,7 @@ def main() -> int:
     failed, unexplained, messages = failures(records)
     raw = raw_times(records)
     if not args.trace:
-        metrics = end_to_end(records, failed, statistics.median(setup_samples))
+        metrics = end_to_end(records, attempted, failed, statistics.median(setup_samples))
     env = environment(args.seed, mmap_threshold)
     env["table_csv_sha256"] = table_csv_sha256()
     with open(checks.GOLDEN_CSV, "rb") as fh:
@@ -470,7 +483,7 @@ def main() -> int:
 
     result = {
         "correct": unexplained == 0,
-        "attempted": len(records),
+        "attempted": attempted,
         "failed": failed,
         "metrics": {name: {"value": v, "unit": u} for name, (v, u) in metrics.items()},
     }

@@ -2,8 +2,10 @@
 
 The seed only shapes the inputs; the library sees nothing but the argv of
 each CLI call.  Each stream is an endless sequence of blocks (lists of
-operations); the runner takes whole blocks until the run's time is up, so one
-seed always gives the same prefix and every run ends on a block boundary.
+operations).  A run's operations are the first PASS_BLOCKS blocks of its
+workload's stream: the same seed always gives the same operations, however
+fast the machine is.  The runner cycles through them until the run's time is
+up, ends on a block boundary and runs each at least once.
 
 Parameter draws are stratified (cycled through seeded shuffles) rather than
 independent, so that two seeds give the same mix of cheap and expensive
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -31,6 +34,12 @@ GRID_DRAWS_PER_10 = 3
 # step below them.
 QUERY_BLOCK = {"bound": 18, "profile": 2, "delsarte": 9, "row": 11}
 CONSTRUCTION_COMMANDS = {"verify": "verify-lambda", "independence": "independence"}
+# Blocks of distinct operations in one run.  `attempted` and `failed` count
+# these, so two runs with the same seed give the same counts even when one of
+# them runs more passes.  Fifteen query blocks (600 queries, with about five
+# n = 22 rows) and one construction block (every n in 7..60) each take about
+# 25 s on a 2-vCPU machine.
+PASS_BLOCKS = {"table": 1, "queries": 15, "constructions": 1}
 
 
 @dataclass
@@ -173,6 +182,11 @@ def stream(workload: str, seed: int, ref: dict):
     if workload == "queries":
         return iter(QueryStream(seed, ref["certificate_pool"]))
     return {"table": table_stream, "constructions": construction_stream}[workload](seed)
+
+
+def operations(workload: str, seed: int, ref: dict) -> list[list[Op]]:
+    """The distinct operations of one run, in blocks."""
+    return list(islice(stream(workload, seed, ref), PASS_BLOCKS[workload]))
 
 
 def expected_rc(op: Op) -> int:
