@@ -4,7 +4,8 @@ The admissible larger inner product a runs over a closed window; the smaller
 one is forced to (k a - 1)/(k - 1).  At each a the library evaluates all five
 candidate polynomials and keeps the smallest in-domain value.  This script
 samples that curve coarsely, shows which candidate wins where, and then
-compares the coarse maximum with the refined supremum.
+compares the coarse maximum with the window maximum, which the library
+finds in closed form without sampling.
 """
 import math
 
@@ -23,11 +24,11 @@ for s in samples:
     print(f"{s.a:>12.6f} {q:>14}  {winner}")
 
 coarse = max(s.q for s in samples)
-refined = phi(N, K)
+window_max = phi(N, K)
 print()
 print(f"coarse maximum over 41 samples: {coarse:.6f}")
-print(f"refined supremum:               {refined:.6f}")
-print(f"floored bound for this window:  {math.floor(refined + 1e-9)}")
+print(f"window maximum:                 {window_max:.6f}")
+print(f"floored bound for this window:  {math.floor(window_max + 1e-9)}")
 
 # The winning index changes along the window: different ratio regimes are
 # covered by different candidates, and ties show up as multiple indices.

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -33,6 +34,10 @@ DEFAULT_TOL = 1e-9
 # Relative determinant threshold below which a 2x2 multiplier solve
 # (and the i=2 division by a+b) counts as singular.
 SINGULAR_REL_TOL = 1e-12
+# Candidates whose values agree to this relative precision all count as
+# attaining the minimum: crossings computed in floating point differ by a
+# few ulps, and 1e-9 stays far below any real gap between certificates.
+WINNER_REL_TOL = 1e-9
 
 CANDIDATE_INDICES = (1, 2, 3, 4, 5)
 
@@ -134,66 +139,75 @@ def build_candidate(i: int, pair: InnerProductPair, tol: float = DEFAULT_TOL) ->
     return CandidateBound(i, c, d, poly, expansion, in_domain, value)
 
 
+class _Form(NamedTuple):
+    """One candidate in closed form: value = P(1) / f_0, in domain when the
+    free coefficient fj >= -tol, f_0 > tol and the divisor, if any, is at
+    least SINGULAR_REL_TOL * max(1, scale()).  scale is deferred because it
+    takes absolute values, which only the float route evaluates."""
+
+    value: object
+    f0: object
+    fj: object
+    divisor: object = None
+    scale: object = None
+
+
+def _forms(n, a, b) -> tuple[_Form, ...]:
+    """The five candidates in closed form, written with + - * / only.
+
+    Evaluated on float arrays by candidate_values and on exact rational
+    functions of a by the window sweep in lrs; both routes rely on the
+    operations and their order here being the only definition.
+    """
+    s = a + b
+    p = a * b
+    at_one = (1 - a) * (1 - b)  # quadratic factor evaluated at t = 1
+    # i = 2: c zeroes f_1; undefined at s = 0
+    c2 = ((n + 2) * p + 3) / ((n + 2) * s)
+    f0_2 = p * c2 + (c2 - s) / n
+    # i = 4: quartic with f_1 = f_2 = 0
+    alpha = p + 3 / (n + 2)
+    det = alpha - s * s
+    beta = 3 * s / (n + 2)
+    gamma = -p - 6 / (n + 4)
+    c4 = (beta + s * gamma) / det
+    d4 = (alpha * gamma + s * beta) / det
+    f0_4 = p * d4 + (d4 - s * c4 + p) / n + 3 / (n * (n + 2))
+    # i = 5: quartic with f_2 = f_3 = 0, solved by c = s directly
+    d5 = s * s - p - 6 / (n + 4)
+    f0_5 = p * d5 + (d5 - s * s + p) / n + 3 / (n * (n + 2))
+    return (
+        _Form(at_one / (p + 1 / n), p + 1 / n, -s),
+        _Form(at_one * (1 + c2) / f0_2, f0_2, (c2 - s) * (n - 1) / n, s, lambda: abs(a) + abs(b)),
+        # i = 3: extra root at -(a+b) forces f_2 = 0
+        _Form(at_one * (1 + s) / (p * s), p * s, p - s * s + 3 / (n + 2)),
+        _Form(
+            at_one * (1 + c4 + d4) / f0_4, f0_4, (c4 - s) * (n - 1) / (n + 2),
+            det, lambda: np.maximum(abs(alpha), s * s),
+        ),
+        _Form(at_one * (1 + s + d5) / f0_5, f0_5, s * (p - d5)),
+    )
+
+
 def candidate_values(n: int, a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized candidate values over arrays of pairs.
 
     Returns an array of shape (5, len(a)); entry [i-1, j] is the value of
-    candidate i at (a[j], b[j]), +inf when out of domain.  Closed forms are
-    used throughout; build_candidate is the reference implementation and the
-    two routes are pinned to each other by tests.
+    candidate i at (a[j], b[j]), +inf when out of domain.  The closed forms
+    of _forms are used throughout; build_candidate is the reference
+    implementation and the two routes are pinned to each other by tests.
     """
     if n < 2:
         raise ValueError(f"dimension must satisfy n >= 2, got {n}")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    s = a + b
-    p = a * b
-    at_one = (1.0 - a) * (1.0 - b)  # quadratic factor evaluated at t = 1
     out = np.full((5,) + a.shape, np.inf)
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # i = 1
-        f0 = p + 1.0 / n
-        f1 = -s
-        dom = (f1 >= -tol) & (f0 > tol)
-        out[0] = np.where(dom, at_one / f0, np.inf)
-
-        # i = 2: c zeroes f_1; undefined at s = 0
-        defined = np.abs(s) >= SINGULAR_REL_TOL * np.maximum(1.0, np.abs(a) + np.abs(b))
-        safe_s = np.where(defined, s, 1.0)
-        c2 = ((n + 2) * p + 3.0) / ((n + 2) * safe_s)
-        f2 = (c2 - s) * (n - 1) / n
-        f0 = p * c2 + (c2 - s) / n
-        dom = defined & (f2 >= -tol) & (f0 > tol)
-        out[1] = np.where(dom, at_one * (1.0 + c2) / f0, np.inf)
-
-        # i = 3: extra root at -(a+b) forces f_2 = 0
-        f1 = p - s * s + 3.0 / (n + 2)
-        f0 = p * s
-        dom = (f1 >= -tol) & (f0 > tol)
-        out[2] = np.where(dom, at_one * (1.0 + s) / f0, np.inf)
-
-        # i = 4: quartic with f_1 = f_2 = 0
-        alpha = p + 3.0 / (n + 2)
-        det = alpha - s * s
-        nonsing = np.abs(det) >= SINGULAR_REL_TOL * np.maximum(1.0, np.maximum(np.abs(alpha), s * s))
-        safe_det = np.where(nonsing, det, 1.0)
-        beta = 3.0 * s / (n + 2)
-        gamma = -p - 6.0 / (n + 4)
-        c4 = (beta + s * gamma) / safe_det
-        d4 = (alpha * gamma + s * beta) / safe_det
-        f3 = (c4 - s) * (n - 1) / (n + 2)
-        f0 = p * d4 + (d4 - s * c4 + p) / n + 3.0 / (n * (n + 2))
-        dom = nonsing & (f3 >= -tol) & (f0 > tol)
-        out[3] = np.where(dom, at_one * (1.0 + c4 + d4) / f0, np.inf)
-
-        # i = 5: quartic with f_2 = f_3 = 0, solved by c = s directly
-        d5 = s * s - p - 6.0 / (n + 4)
-        f1 = s * (p - d5)
-        f0 = p * d5 + (d5 - s * s + p) / n + 3.0 / (n * (n + 2))
-        dom = (f1 >= -tol) & (f0 > tol)
-        out[4] = np.where(dom, at_one * (1.0 + s + d5) / f0, np.inf)
-
+        for row, form in zip(out, _forms(n, a, b)):
+            dom = (form.fj >= -tol) & (form.f0 > tol)
+            if form.divisor is not None:
+                dom &= np.abs(form.divisor) >= SINGULAR_REL_TOL * np.maximum(1.0, form.scale())
+            row[dom] = form.value[dom]
     return out
 
 
@@ -207,7 +221,7 @@ def best_bound(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[float,
     if math.isinf(best):
         return math.inf, ()
     winners = tuple(
-        c.index for c in cands if c.value - best <= 1e-9 * max(1.0, abs(best))
+        c.index for c in cands if c.value - best <= WINNER_REL_TOL * max(1.0, abs(best))
     )
     return best, winners
 
@@ -245,5 +259,11 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
 
 
 def floor_nudged(x: float, eps: float = 1e-9) -> int:
-    """Floor with a one-sided epsilon so that values a hair under an integer round up."""
+    """Floor with a one-sided epsilon so that values a hair under an integer round up.
+
+    Window maxima that sit exactly on an integer (three certificates
+    crossing at 275 for n = 22) come out of floating point a few ulps on
+    either side of it; the nudge keeps them from flooring one too low.  It
+    stays until such points are evaluated in exact rational arithmetic.
+    """
     return math.floor(x + eps)

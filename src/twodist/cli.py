@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass
 
@@ -32,11 +33,14 @@ from .constructions import (
     lambda_set,
     verify_two_distance,
 )
-from .lrs import DEFAULT_GRID, k_max, profile, table
+from .lrs import k_max, profile, table
 
 TABLE_HEADER = "n,omega_hat,rho,k_star,g_upper,conclusive"
 PROFILE_HEADER = "a,q,winning_i"
 MAX_TABLE_N = 60
+# The window sweep needs no grid, so --grid changes no result; it is accepted
+# and echoed in provenance so that existing command lines keep working.
+DEFAULT_GRID = 20001
 
 
 class UsageError(Exception):
@@ -111,7 +115,7 @@ def cmd_table(args: argparse.Namespace) -> int:
         raise UsageError(
             f"need 7 <= n-min <= n-max <= {MAX_TABLE_N}, got {args.n_min}..{args.n_max}"
         )
-    rows = table(args.n_min, args.n_max, grid=args.grid, tol=args.tol)
+    rows = table(args.n_min, args.n_max, tol=args.tol)
     p = args.precision
     if args.format == "csv":
         lines = [f"# {_provenance(args, ['n_min', 'n_max'])}", TABLE_HEADER]
@@ -418,7 +422,10 @@ _COMMANDS = {
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="sign-check tolerance")
-    common.add_argument("--grid", type=int, default=DEFAULT_GRID, help="maximization grid points")
+    common.add_argument(
+        "--grid", type=int, default=DEFAULT_GRID,
+        help="accepted for compatibility and echoed in provenance; no longer changes results",
+    )
     common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for random unit vectors")
     common.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
     common.add_argument("--precision", type=int, default=12, help="significant digits for reals")
@@ -458,8 +465,16 @@ def build_parser() -> _Parser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # argparse takes "-0.25,0.1" or "-1e-3" for an option name, not a value:
+    # attach such a value to the option before it, as "--t-values=-0.25,0.1".
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] and re.match(r"-\.?\d", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
+        if not math.isfinite(args.tol):
+            raise UsageError(f"--tol must be a finite real, got {args.tol}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,27 +11,42 @@ Maximizing the pointwise-best candidate bound over each window and
 flooring gives a cardinality bound for the whole a + b < 0 regime once it
 is combined with the 2n + 3 fallback; sets with a + b >= 0 are covered
 separately by the harmonic-independence argument, giving n(n+1)/2.
+
+Because b is affine in a, every candidate value and every domain condition
+is a rational function of a on a window.  The maximum is therefore found
+without sampling: it sits at a window end, a domain flip, a critical point
+of one candidate or a crossing of two, and those points are the real roots
+of polynomials built exactly from the closed forms in bound_polys.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
+from itertools import combinations
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
 from .bound_polys import (
     DEFAULT_TOL,
+    WINNER_REL_TOL,
     InnerProductPair,
+    _forms,
     best_bound,
     candidate_values,
     floor_nudged,
 )
 
-DEFAULT_GRID = 20001
-DEFAULT_REFINE_TOL = 1e-10
-# Value agreement threshold for "which candidate attains the minimum".
-WINNER_REL_TOL = 1e-9
+# A window end such as 1/(2k - 1) is not exact in floating point, so a
+# caller's a may sit an ulp or so outside it.
+WINDOW_SLACK = 1e-12
+# A double real root (a tangency, or an extremum of one candidate) can come
+# back from the companion matrix as a complex pair with an imaginary part
+# near sqrt(machine epsilon).  Keeping every root this close to the real
+# axis is safe: each kept point only adds a true value of the bound.
+ROOT_IMAG_TOL = 1e-6
 
 
 def b_k(k: int, a: float) -> float:
@@ -58,56 +73,101 @@ def interval(k: int) -> tuple[float, float]:
 def q_bound(n: int, k: int, a: float, tol: float = DEFAULT_TOL) -> float:
     """Best candidate value at (a, b_k(a)); +inf when no candidate applies."""
     lo, hi = interval(k)
-    if not (lo - 1e-12 <= a <= hi + 1e-12):
+    if not (lo - WINDOW_SLACK <= a <= hi + WINDOW_SLACK):
         raise ValueError(f"a={a} outside the closed window [{lo}, {hi}] for k={k}")
-    b = max(b_k(k, a), -1.0)
-    value, _ = best_bound(InnerProductPair(n, a, b), tol)
-    return value
+    return best_bound(InnerProductPair(n, a, max(b_k(k, a), -1.0)), tol)[0]
 
 
-def _q_grid(n: int, k: int, a: np.ndarray, tol: float) -> np.ndarray:
-    b = np.maximum(b_k_array(k, a), -1.0)
-    return candidate_values(n, a, b, tol).min(axis=0)
+def _check_window(n: int, k: int) -> None:
+    if n < 4:
+        raise ValueError(f"window sweep requires n >= 4, got {n}")
+    if not 2 <= k <= k_max(n):
+        raise ValueError(f"ratio index must satisfy 2 <= k <= {k_max(n)} for n={n}, got {k}")
 
 
-def b_k_array(k: int, a: np.ndarray) -> np.ndarray:
-    if k < 2:
-        raise ValueError(f"ratio index must satisfy k >= 2, got {k}")
-    return (k * np.asarray(a, dtype=float) - 1.0) / (k - 1.0)
+def _b_line(k: int, a: np.ndarray) -> np.ndarray:
+    """b_k(a) for an array of a, clipped at -1 against rounding at the left end."""
+    return np.maximum((k * a - 1.0) / (k - 1.0), -1.0)
 
 
-def _golden_max(f, lo: float, hi: float, width_tol: float) -> tuple[float, float]:
-    """Golden-section maximization of f on [lo, hi]; returns (best value, argmax)."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    best, best_x = (f1, x1) if f1 >= f2 else (f2, x2)
-    while hi - lo > width_tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
-            if f2 > best:
-                best, best_x = f2, x2
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-            if f1 > best:
-                best, best_x = f1, x1
-    return best, best_x
+def _poly(coeffs) -> tuple:
+    """Exact coefficients, lowest power first, without trailing zeros."""
+    c = [Fraction(x) for x in coeffs]
+    while len(c) > 1 and c[-1] == 0:
+        c.pop()
+    return tuple(c)
 
 
-def _inf_ranges(xs: np.ndarray, mask: np.ndarray) -> tuple[tuple[float, float], ...]:
-    """Contiguous grid stretches where the mask holds, as (a_start, a_end) pairs."""
-    idx = np.flatnonzero(mask)
-    if idx.size == 0:
-        return ()
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return tuple((float(xs[idx[s]]), float(xs[idx[e]])) for s, e in zip(starts, ends))
+class _RatFn:
+    """num(a) / den(a) with exact Fraction coefficients: just the arithmetic
+    _forms needs.  Terms over the same denominator are added and divided
+    without multiplying it in, and a scalar touches the numerator only;
+    otherwise the quartic's value would grow from degree 6/6 to 14/14 and
+    its roots would lose accuracy."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num, den=(1,)):
+        self.num, self.den = _poly(num), _poly(den)
+
+    def __add__(self, other):
+        other = other if isinstance(other, _RatFn) else _RatFn([other])
+        if self.den == other.den:
+            return _RatFn(npoly.polyadd(self.num, other.num), self.den)
+        num = npoly.polyadd(npoly.polymul(self.num, other.den), npoly.polymul(other.num, self.den))
+        return _RatFn(num, npoly.polymul(self.den, other.den))
+
+    def __mul__(self, other):
+        other = other if isinstance(other, _RatFn) else _RatFn([other])
+        return _RatFn(npoly.polymul(self.num, other.num), npoly.polymul(self.den, other.den))
+
+    def __truediv__(self, other):
+        if not isinstance(other, _RatFn):
+            return self * (1 / Fraction(other))
+        if self.den == other.den:
+            return _RatFn(self.num, other.num)
+        return _RatFn(npoly.polymul(self.num, other.den), npoly.polymul(self.den, other.num))
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+def _roots_inside(coeffs, lo: float, hi: float) -> np.ndarray:
+    """Real roots strictly inside (lo, hi) of an exact polynomial."""
+    r = npoly.polyroots(np.array(coeffs, dtype=float)) if len(coeffs) > 1 else np.empty(0)
+    r = r.real[np.abs(r.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(r.real))]
+    return r[(r > lo) & (r < hi)]
+
+
+def _cross(p, q, r, s) -> tuple:
+    """p q - r s for exact polynomials."""
+    return _poly(npoly.polysub(npoly.polymul(p, q), npoly.polymul(r, s)))
+
+
+def _window_points(n: int, k: int, tol: float, lo: float, hi: float):
+    """Domain flips and interior extremum candidates of the (n, k) window.
+
+    Returns (flips, extrema): the a where some candidate can enter or leave
+    its domain, and the a where one candidate has a critical point or two
+    candidates cross.
+    """
+    x = _RatFn([0, 1])
+    forms = _forms(Fraction(n), x, (k * x - 1) / (k - 1))
+    t = Fraction(tol)
+    conditions = [c for f in forms for c in (f.f0 - t, f.fj + t, f.divisor) if c is not None]
+    flips = [_roots_inside(poly, lo, hi) for c in conditions for poly in (c.num, c.den)]
+    values = [f.value for f in forms]
+    extrema = [_cross(npoly.polyder(v.num), v.den, v.num, npoly.polyder(v.den)) for v in values]
+    extrema += [_cross(v.num, w.den, w.num, v.den) for v, w in combinations(values, 2)]
+    return np.concatenate(flips), np.concatenate([_roots_inside(p, lo, hi) for p in extrema])
 
 
 @dataclass(frozen=True)
@@ -130,107 +190,71 @@ class KSlice:
 
 
 @lru_cache(maxsize=512)
-def k_slice(
-    n: int,
-    k: int,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> KSlice:
+def k_slice(n: int, k: int, tol: float = DEFAULT_TOL) -> KSlice:
     """Maximize Q over the closed window for (n, k) and floor the result.
 
-    A dense grid locates candidate maxima; each bracket is then tightened by
-    golden-section search down to refine_tol.  If Q is +inf anywhere on the
-    closure the slice is inconclusive: the LP machinery has no finite bound
-    for this (n, k) and the offending stretches of a are recorded.
+    The domain flips split the window into pieces on which the set of
+    in-domain candidates is fixed (read off candidate_values at each
+    piece's midpoint), so Q is the minimum of fixed rational functions
+    there.  Q is evaluated at every window end, flip, critical point and
+    crossing, once with the candidate set of each piece the point touches;
+    the largest of these values is phi.  If some piece has no candidate in
+    domain the slice is inconclusive: the LP machinery has no finite bound
+    for this (n, k), and the stretches of a without one are recorded.
     """
-    if n < 4:
-        raise ValueError(f"window sweep requires n >= 4, got {n}")
-    if not 2 <= k <= k_max(n):
-        raise ValueError(f"ratio index must satisfy 2 <= k <= {k_max(n)} for n={n}, got {k}")
-    if grid < 2:
-        raise ValueError(f"grid must have at least 2 points, got {grid}")
+    _check_window(n, k)
+    if not math.isfinite(tol):
+        raise ValueError(f"tolerance must be finite, got {tol}")
     lo, hi = interval(k)
-    xs = np.linspace(lo, hi, grid)
-    qs = _q_grid(n, k, xs, tol)
-    inf_mask = np.isinf(qs)
-    if inf_mask.any():
-        ranges = _inf_ranges(xs, inf_mask)
+    flips, extrema = _window_points(n, k, tol, lo, hi)
+    edges = np.unique(np.concatenate(([lo, hi], flips)))
+    mids = (edges[:-1] + edges[1:]) / 2
+    active = np.isfinite(candidate_values(n, mids, _b_line(k, mids), tol))
+    empty = np.flatnonzero(~active.any(axis=0))
+    if empty.size:
+        starts = empty[np.diff(empty, prepend=-2) > 1]
+        ends = empty[np.diff(empty, append=empty[-1] + 2) > 1] + 1
+        ranges = tuple((float(edges[i]), float(edges[j])) for i, j in zip(starts, ends))
         return KSlice(n, k, lo, hi, math.inf, math.nan, math.inf, False, ranges)
 
-    best_idx = int(np.argmax(qs))
-    phi_val = float(qs[best_idx])
-    a_star = float(xs[best_idx])
-
-    # Local maxima brackets (plateau-tolerant); endpoints count.
-    left = np.empty(grid)
-    left[0] = -np.inf
-    left[1:] = qs[:-1]
-    right = np.empty(grid)
-    right[-1] = -np.inf
-    right[:-1] = qs[1:]
-    peaks = np.flatnonzero((qs >= left) & (qs >= right))
-    if peaks.size > 64:
-        peaks = peaks[np.argsort(qs[peaks])[-64:]]
-
-    def q_scalar(x: float) -> float:
-        return q_bound(n, k, x, tol)
-
-    for idx in peaks:
-        b_lo = float(xs[max(idx - 1, 0)])
-        b_hi = float(xs[min(idx + 1, grid - 1)])
-        refined, arg = _golden_max(q_scalar, b_lo, b_hi, refine_tol)
-        if refined > phi_val:
-            phi_val, a_star = refined, arg
+    xs = np.unique(np.concatenate((edges, extrema)))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        raw = np.array([f.value for f in _forms(n, xs, _b_line(k, xs))])
+    raw[np.isnan(raw)] = np.inf
+    # A point on an edge touches the pieces on both sides, any other point one.
+    qs = np.maximum.reduce([
+        np.where(active[:, piece], raw, np.inf).min(axis=0)
+        for piece in (
+            np.maximum(np.searchsorted(edges, xs, side="left") - 1, 0),
+            np.minimum(np.searchsorted(edges, xs, side="right") - 1, len(edges) - 2),
+        )
+    ])
+    best = int(np.argmax(qs))
+    phi_val = float(qs[best])
     if math.isinf(phi_val):
-        # Refinement fell into an out-of-domain pocket between grid points.
+        # The only candidate of a touching piece is singular at this point.
         return KSlice(n, k, lo, hi, math.inf, math.nan, math.inf, False, ())
-    return KSlice(n, k, lo, hi, phi_val, a_star, _floor_bound(n, phi_val), True, ())
+    # Floored, but never below 2n + 3: small windows never beat the trivial bound.
+    omega = max(floor_nudged(phi_val), 2 * n + 3)
+    return KSlice(n, k, lo, hi, phi_val, float(xs[best]), omega, True, ())
 
 
-def _floor_bound(n: int, phi_val: float) -> int:
-    """max(floor(phi), 2n + 3): small windows never beat the trivial bound."""
-    return max(floor_nudged(phi_val), 2 * n + 3)
-
-
-def phi(
-    n: int,
-    k: int,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> float:
+def phi(n: int, k: int, tol: float = DEFAULT_TOL) -> float:
     """Maximum of Q over the closed window; +inf when inconclusive."""
-    return k_slice(n, k, grid, tol, refine_tol).phi
+    return k_slice(n, k, tol).phi
 
 
-def omega_hat_nk(
-    n: int,
-    k: int,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> int | float:
+def omega_hat_nk(n: int, k: int, tol: float = DEFAULT_TOL) -> int | float:
     """Cardinality bound for the (n, k) window (an integer, or +inf)."""
-    return k_slice(n, k, grid, tol, refine_tol).omega_hat_nk
+    return k_slice(n, k, tol).omega_hat_nk
 
 
-def omega_hat(
-    n: int,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> tuple[int | float, int]:
+def omega_hat(n: int, tol: float = DEFAULT_TOL) -> tuple[int | float, int]:
     """Worst (largest) window bound over k = 2..k_max(n), with the smallest k attaining it."""
     if n < 7:
         raise ValueError(f"the sweep bound requires n >= 7, got {n}")
-    best = -math.inf
-    best_k = 2
-    for k in range(2, k_max(n) + 1):
-        w = k_slice(n, k, grid, tol, refine_tol).omega_hat_nk
-        if w > best:
-            best, best_k = w, k
-    return best, best_k
+    windows = [k_slice(n, k, tol).omega_hat_nk for k in range(2, k_max(n) + 1)]
+    return max(windows), 2 + windows.index(max(windows))
 
 
 def rho(n: int) -> int:
@@ -240,14 +264,9 @@ def rho(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def g_upper(
-    n: int,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> int | float:
+def g_upper(n: int, tol: float = DEFAULT_TOL) -> int | float:
     """Upper bound for the maximum two-distance set size in R^n (n >= 7)."""
-    return max(omega_hat(n, grid, tol, refine_tol)[0], rho(n))
+    return max(omega_hat(n, tol)[0], rho(n))
 
 
 @dataclass(frozen=True)
@@ -260,22 +279,14 @@ class TableRow:
     conclusive: bool
 
 
-def table(
-    n_min: int,
-    n_max: int,
-    grid: int = DEFAULT_GRID,
-    tol: float = DEFAULT_TOL,
-    refine_tol: float = DEFAULT_REFINE_TOL,
-) -> list[TableRow]:
+def table(n_min: int, n_max: int, tol: float = DEFAULT_TOL) -> list[TableRow]:
     """Bound table rows for n_min..n_max; inconclusive rows are flagged, not fatal."""
     if not 7 <= n_min <= n_max:
         raise ValueError(f"need 7 <= n_min <= n_max, got {n_min}..{n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
-        w, ks = omega_hat(n, grid, tol, refine_tol)
-        r = rho(n)
-        conclusive = math.isfinite(w)
-        rows.append(TableRow(n, w, r, ks, max(w, r), conclusive))
+        w, ks = omega_hat(n, tol)
+        rows.append(TableRow(n, w, rho(n), ks, max(w, rho(n)), math.isfinite(w)))
     return rows
 
 
@@ -290,14 +301,9 @@ def profile(n: int, k: int, samples: int, tol: float = DEFAULT_TOL) -> list[Prof
     """Uniform samples of Q over the closed window, with the attaining candidates."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
-    if n < 4:
-        raise ValueError(f"window sweep requires n >= 4, got {n}")
-    if not 2 <= k <= k_max(n):
-        raise ValueError(f"ratio index must satisfy 2 <= k <= {k_max(n)} for n={n}, got {k}")
-    lo, hi = interval(k)
-    xs = np.linspace(lo, hi, samples)
-    b = np.maximum(b_k_array(k, xs), -1.0)
-    vals = candidate_values(n, xs, b, tol)
+    _check_window(n, k)
+    xs = np.linspace(*interval(k), samples)
+    vals = candidate_values(n, xs, _b_line(k, xs), tol)
     qs = vals.min(axis=0)
     out = []
     for j in range(samples):

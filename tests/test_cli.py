@@ -23,6 +23,25 @@ def test_table_csv_row(capsys):
     assert lines[2] == "23,277,276,3,277,true"
 
 
+def test_table_row_22_ignores_grid(capsys):
+    # --grid no longer changes results; these grids all missed a = 1/6
+    # when the sweep sampled it, and printed 274.
+    for grid in (5001, 19999, 20002, 100003):
+        argv = ["table", "--n-min", "22", "--n-max", "22", "--grid", str(grid), "--format", "csv"]
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert f"grid={grid}" in lines[0]
+        assert lines[2].startswith("22,275,")
+
+
+def test_non_finite_tolerance_is_usage_error(capsys):
+    for tol in ("nan", "inf", "oops"):
+        code, out, err = run(capsys, ["table", "--n-min", "7", "--n-max", "7", "--tol", tol])
+        assert code == 1 and out == ""
+        assert "--tol" in err
+
+
 def test_table_range_validation(capsys):
     code, _, err = run(capsys, ["table", "--n-min", "6", "--n-max", "9", "--format", "csv"])
     assert code == 1
@@ -179,6 +198,27 @@ def test_delsarte_check_accept_and_reject(capsys):
     )
     assert code == 2
     assert "rejected" in out
+
+
+def test_delsarte_check_accepts_negative_leading_values(capsys):
+    f0 = 2.0 / 63
+    f2 = 6.0 / 7
+    code, out, _ = run(
+        capsys,
+        [
+            "delsarte-check", "--n", "7",
+            "--coeffs", f"{f0!r},0,{f2!r}",
+            "--t-values", f"-{A7},{A7}",
+            "--format", "csv",
+        ],
+    )
+    assert code == 0
+    assert out.strip().splitlines()[2] == "28,true,"
+    code, out, _ = run(
+        capsys, ["delsarte-check", "--n", "7", "--coeffs", "-1,1", "--t-values", "-0.25,0.1"]
+    )
+    assert code == 2
+    assert "negative Gegenbauer coefficient f_0" in out
 
 
 def test_delsarte_check_parses_inputs(capsys):

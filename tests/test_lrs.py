@@ -1,9 +1,11 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import twodist.lrs as lrs
+from twodist.bound_polys import _forms, candidate_values
 from twodist.lrs import (
     b_k,
     g_upper,
@@ -80,17 +82,66 @@ def test_phi_matches_quoted_maxima(full_table):
 
 
 def test_phi_captures_endpoints():
-    for n, k in [(7, 2), (23, 3), (25, 3), (40, 2)]:
+    # No end or sampled point of a window may exceed its maximum: a missed
+    # peak would understate the bound.  Four windows are sampled densely,
+    # every window of the shipped range n = 7..40 more coarsely.
+    dense = [(n, k, 19999) for n, k in [(7, 2), (23, 3), (25, 3), (40, 2)]]
+    shipped = [(n, k, 2001) for n in range(7, 41) for k in range(2, k_max(n) + 1)]
+    for n, k, samples in dense + shipped:
         lo, hi = interval(k)
         p = phi(n, k)
         assert p >= q_bound(n, k, lo) - 1e-9
         assert p >= q_bound(n, k, hi) - 1e-9
+        finite = [s.q for s in profile(n, k, samples) if math.isfinite(s.q)]
+        assert p >= max(finite) * (1 - 1e-12), (n, k)
 
 
 def test_window_bound_examples():
     assert omega_hat_nk(7, 2) == 28
     assert omega_hat_nk(22, 3) == 275
     assert omega_hat_nk(25, 3) == 284
+
+
+def test_window_maxima_on_three_way_crossings():
+    # Three certificates (i = 1, 3, 4) cross exactly on an integer at
+    # a = 1/6 for (22, 3) and at a = 1/8 for (46, 4); a sampled sweep that
+    # misses the crossing floors these to 274 and 1126.
+    sl = k_slice(22, 3)
+    assert sl.omega_hat_nk == 275 and abs(sl.a_star - 1.0 / 6) < 1e-12
+    sl = k_slice(46, 4)
+    assert omega_hat_nk(46, 4) == 1127 and abs(sl.a_star - 1.0 / 8) < 1e-12
+
+
+def _exact_forms(n, k):
+    x = lrs._RatFn([0, 1])
+    return _forms(Fraction(n), x, (k * x - 1) / (k - 1))
+
+
+def _at(poly, a):
+    return sum(c * a**i for i, c in enumerate(poly))
+
+
+def test_exact_forms_match_float_forms():
+    # The sweep runs the closed forms on exact rational functions of a; they
+    # must be the same functions candidate_values evaluates in floating point.
+    for n, k in [(7, 2), (22, 3), (25, 4)]:
+        forms = _exact_forms(n, k)
+        assert [len(f.value.num) - 1 for f in forms] == [2, 4, 3, 6, 4]  # shared denominators kept
+        lo, hi = interval(k)
+        for a in np.linspace(lo, hi, 9)[1:-1]:
+            floats = candidate_values(n, a, b_k(k, a))[:, 0]
+            for form, want in zip(forms, floats):
+                if math.isfinite(want):
+                    got = _at(form.value.num, Fraction(a)) / _at(form.value.den, Fraction(a))
+                    assert abs(float(got) - want) <= 1e-12 * abs(want), (n, k, a)
+
+
+def test_three_way_crossings_are_exact_integers():
+    for n, k, a, value in [(22, 3, Fraction(1, 6), 275), (46, 4, Fraction(1, 8), 1127)]:
+        forms = _exact_forms(n, k)
+        for i in (1, 3, 4):
+            v = forms[i - 1].value
+            assert _at(v.num, a) / _at(v.den, a) == value, (n, i)
 
 
 def test_window_bound_respects_trivial_floor():
@@ -178,7 +229,7 @@ def test_profile_continuity_on_shared_winner():
     # Adjacent samples won by the same candidate sit on one rational piece;
     # at the default resolution those never jump by more than 1.
     for n, k in [(7, 2), (25, 3), (40, 2)]:
-        samples = profile(n, k, lrs.DEFAULT_GRID)
+        samples = profile(n, k, 20001)
         for s0, s1 in zip(samples, samples[1:]):
             if set(s0.winning) & set(s1.winning) and math.isfinite(s0.q) and math.isfinite(s1.q):
                 assert abs(s1.q - s0.q) <= 1.0, (n, k, s0.a)
@@ -217,4 +268,4 @@ def test_slice_validation():
     with pytest.raises(ValueError):
         k_slice(10, 3)  # k_max(10) == 2
     with pytest.raises(ValueError):
-        k_slice(10, 2, grid=1)
+        k_slice(10, 2, math.nan)
