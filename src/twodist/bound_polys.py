@@ -252,7 +252,7 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
         return DelsarteCheck(None, f"nonpositive constant coefficient f_0 = {f[0]:.6g}")
     for t in t_values:
         val = expansion(t)
-        if val > tol:
+        if not val <= tol:  # a NaN value rejects the certificate
             return DelsarteCheck(None, f"positive value f({t:.6g}) = {val:.6g} on the inner-product set")
     bound = floor_nudged(float(f.sum()) / float(f[0]))
     return DelsarteCheck(bound, None)

@@ -13,7 +13,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 
 from . import __version__
 from .bound_polys import (
@@ -50,13 +49,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # route argparse failures to exit code 1
         raise UsageError(message)
-
-
-@dataclass
-class OutputConfig:
-    format: str
-    precision: int
-    out: str | None
 
 
 def _fmt_real(x: float, precision: int) -> str:
@@ -373,9 +365,12 @@ def cmd_independence(args: argparse.Namespace) -> int:
 
 def _parse_floats(text: str, what: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"could not parse {what} as comma-separated reals: {text!r}") from exc
+    if not all(math.isfinite(x) for x in values):
+        raise UsageError(f"{what} must be finite reals, got {text!r}")
+    return values
 
 
 def cmd_delsarte_check(args: argparse.Namespace) -> int:
@@ -475,6 +470,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not math.isfinite(args.tol):
             raise UsageError(f"--tol must be a finite real, got {args.tol}")
+        if args.precision < 0:
+            raise UsageError(f"--precision must be >= 0, got {args.precision}")
         return _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

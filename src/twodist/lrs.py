@@ -90,43 +90,103 @@ def _b_line(k: int, a: np.ndarray) -> np.ndarray:
     return np.maximum((k * a - 1.0) / (k - 1.0), -1.0)
 
 
-def _poly(coeffs) -> tuple:
-    """Exact coefficients, lowest power first, without trailing zeros."""
-    c = [Fraction(x) for x in coeffs]
+def _lowest(coeffs, den: int = 1) -> tuple:
+    """(coefficients, den): integer coefficients, lowest power first and
+    without trailing zeros, over a positive integer denominator, in lowest
+    terms, so that equal polynomials have equal tuples."""
+    c = list(coeffs)
     while len(c) > 1 and c[-1] == 0:
         c.pop()
-    return tuple(c)
+    g = math.gcd(den, *c)
+    if g != 1:
+        c = [x // g for x in c]
+        den //= g
+    return tuple(c), den
+
+
+def _exact(coeffs) -> tuple:
+    """_lowest form of rational (int or Fraction) coefficients."""
+    fr = [Fraction(x) for x in coeffs]
+    den = math.lcm(*(f.denominator for f in fr))
+    return _lowest([f.numerator * (den // f.denominator) for f in fr], den)
+
+
+def _pmul(p, q) -> tuple:
+    (a, da), (b, db) = p, q
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _lowest(out, da * db)
+
+
+def _padd(p, q, sign: int = 1) -> tuple:
+    """p + sign * q."""
+    (a, da), (b, db) = p, q
+    out = [x * db for x in a] + [0] * (len(b) - len(a))
+    for i, y in enumerate(b):
+        out[i] += sign * y * da
+    return _lowest(out, da * db)
+
+
+def _pder(p) -> tuple:
+    a, d = p
+    return _lowest([i * x for i, x in enumerate(a)][1:] or [0], d)
 
 
 class _RatFn:
-    """num(a) / den(a) with exact Fraction coefficients: just the arithmetic
-    _forms needs.  Terms over the same denominator are added and divided
-    without multiplying it in, and a scalar touches the numerator only;
-    otherwise the quartic's value would grow from degree 6/6 to 14/14 and
-    its roots would lose accuracy."""
+    """num(a) / den(a), exact: just the arithmetic _forms needs.
 
-    __slots__ = ("num", "den")
+    Each polynomial is held as integer coefficients over one positive
+    integer denominator in lowest terms (see _lowest), so a product or sum
+    is a short loop over ints and one gcd, not a gcd per coefficient
+    operation; num and den read back as tuples of Fraction.  Terms over
+    the same denominator are added and divided without multiplying it in,
+    and a scalar touches the numerator only; otherwise the quartic's value
+    would grow from degree 6/6 to 14/14 and its roots would lose accuracy.
+    The root finder gets each coefficient as c / den: int true division
+    is correctly rounded, so it is the float that float(Fraction(c, den))
+    gives, and the float polynomials are the same bit for bit as with
+    Fraction coefficients."""
+
+    __slots__ = ("_num", "_den")
 
     def __init__(self, num, den=(1,)):
-        self.num, self.den = _poly(num), _poly(den)
+        self._num, self._den = _exact(num), _exact(den)
+
+    @classmethod
+    def _of(cls, num: tuple, den: tuple) -> "_RatFn":
+        out = object.__new__(cls)
+        out._num, out._den = num, den
+        return out
+
+    @property
+    def num(self) -> tuple:
+        c, d = self._num
+        return tuple(Fraction(x, d) for x in c)
+
+    @property
+    def den(self) -> tuple:
+        c, d = self._den
+        return tuple(Fraction(x, d) for x in c)
 
     def __add__(self, other):
         other = other if isinstance(other, _RatFn) else _RatFn([other])
-        if self.den == other.den:
-            return _RatFn(npoly.polyadd(self.num, other.num), self.den)
-        num = npoly.polyadd(npoly.polymul(self.num, other.den), npoly.polymul(other.num, self.den))
-        return _RatFn(num, npoly.polymul(self.den, other.den))
+        if self._den == other._den:
+            return _RatFn._of(_padd(self._num, other._num), self._den)
+        num = _padd(_pmul(self._num, other._den), _pmul(other._num, self._den))
+        return _RatFn._of(num, _pmul(self._den, other._den))
 
     def __mul__(self, other):
         other = other if isinstance(other, _RatFn) else _RatFn([other])
-        return _RatFn(npoly.polymul(self.num, other.num), npoly.polymul(self.den, other.den))
+        return _RatFn._of(_pmul(self._num, other._num), _pmul(self._den, other._den))
 
     def __truediv__(self, other):
         if not isinstance(other, _RatFn):
             return self * (1 / Fraction(other))
-        if self.den == other.den:
-            return _RatFn(self.num, other.num)
-        return _RatFn(npoly.polymul(self.num, other.den), npoly.polymul(self.den, other.num))
+        if self._den == other._den:
+            return _RatFn._of(self._num, other._num)
+        return _RatFn._of(_pmul(self._num, other._den), _pmul(self._den, other._num))
 
     def __neg__(self):
         return self * -1
@@ -140,16 +200,17 @@ class _RatFn:
     __radd__, __rmul__ = __add__, __mul__
 
 
-def _roots_inside(coeffs, lo: float, hi: float) -> np.ndarray:
+def _roots_inside(poly, lo: float, hi: float) -> np.ndarray:
     """Real roots strictly inside (lo, hi) of an exact polynomial."""
-    r = npoly.polyroots(np.array(coeffs, dtype=float)) if len(coeffs) > 1 else np.empty(0)
+    c, d = poly
+    r = npoly.polyroots(np.array([x / d for x in c])) if len(c) > 1 else np.empty(0)
     r = r.real[np.abs(r.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(r.real))]
     return r[(r > lo) & (r < hi)]
 
 
 def _cross(p, q, r, s) -> tuple:
     """p q - r s for exact polynomials."""
-    return _poly(npoly.polysub(npoly.polymul(p, q), npoly.polymul(r, s)))
+    return _padd(_pmul(p, q), _pmul(r, s), -1)
 
 
 def _window_points(n: int, k: int, tol: float, lo: float, hi: float):
@@ -163,10 +224,10 @@ def _window_points(n: int, k: int, tol: float, lo: float, hi: float):
     forms = _forms(Fraction(n), x, (k * x - 1) / (k - 1))
     t = Fraction(tol)
     conditions = [c for f in forms for c in (f.f0 - t, f.fj + t, f.divisor) if c is not None]
-    flips = [_roots_inside(poly, lo, hi) for c in conditions for poly in (c.num, c.den)]
+    flips = [_roots_inside(poly, lo, hi) for c in conditions for poly in (c._num, c._den)]
     values = [f.value for f in forms]
-    extrema = [_cross(npoly.polyder(v.num), v.den, v.num, npoly.polyder(v.den)) for v in values]
-    extrema += [_cross(v.num, w.den, w.num, v.den) for v, w in combinations(values, 2)]
+    extrema = [_cross(_pder(v._num), v._den, v._num, _pder(v._den)) for v in values]
+    extrema += [_cross(v._num, w._den, w._num, v._den) for v, w in combinations(values, 2)]
     return np.concatenate(flips), np.concatenate([_roots_inside(p, lo, hi) for p in extrema])
 
 

@@ -200,6 +200,13 @@ def test_delsarte_check_rejects_zero_constant_term():
     assert "f_0" in res.violation
 
 
+def test_delsarte_check_rejects_nan_on_support():
+    e7 = to_gegenbauer(7, npoly.polyfromroots([1.0 / 3, -1.0 / 3]))
+    res = delsarte_check(e7, [1.0 / 3, math.nan])
+    assert not res.ok and res.bound is None
+    assert "f(nan)" in res.violation
+
+
 def test_pair_validation():
     with pytest.raises(ValueError):
         InnerProductPair(7, 0.2, 0.4)  # b > a

@@ -230,6 +230,32 @@ def test_delsarte_check_parses_inputs(capsys):
     assert "comma-separated" in err
 
 
+def test_delsarte_check_rejects_non_finite_inputs(capsys):
+    # A NaN t-value used to pass the sign check and print an accepted
+    # certificate; a NaN coefficient ended in a traceback.
+    f0 = 2.0 / 63
+    f2 = 6.0 / 7
+    for coeffs, t_values in [
+        (f"{f0!r},0,{f2!r}", "nan"),
+        (f"{f0!r},0,{f2!r}", f"{A7},inf"),
+        ("1,nan", "0"),
+        ("inf,0,1", "0"),
+    ]:
+        argv = ["delsarte-check", "--n", "7", "--coeffs", coeffs, "--t-values", t_values]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", (coeffs, t_values)
+        assert "finite" in err
+
+
+def test_negative_precision_is_usage_error(capsys):
+    argv = ["bound", "--n", "7", "--a", "0.2", "--b", "-0.2", "--format", "csv"]
+    code, out, err = run(capsys, argv + ["--precision", "-1"])
+    assert code == 1 and out == ""
+    assert "--precision" in err
+    code, out, _ = run(capsys, argv + ["--precision", "0"])
+    assert code == 0 and "precision=0" in out
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, [])[0] == 1
     assert run(capsys, ["table"])[0] == 1  # required flags absent
