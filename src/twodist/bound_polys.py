@@ -245,6 +245,9 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
     set in R^n whose pairwise inner products all lie in t_values.
     """
     f = expansion.coeffs
+    if not np.all(np.isfinite(f)):
+        k = int(np.argmin(np.isfinite(f)))
+        return DelsarteCheck(None, f"non-finite Gegenbauer coefficient f_{k} = {f[k]}")
     if np.any(f < -tol):
         k = int(np.argmin(f))
         return DelsarteCheck(None, f"negative Gegenbauer coefficient f_{k} = {f[k]:.6g}")
@@ -254,8 +257,11 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
         val = expansion(t)
         if not val <= tol:  # a NaN value rejects the certificate
             return DelsarteCheck(None, f"positive value f({t:.6g}) = {val:.6g} on the inner-product set")
-    bound = floor_nudged(float(f.sum()) / float(f[0]))
-    return DelsarteCheck(bound, None)
+    with np.errstate(over="ignore"):
+        ratio = float(f.sum()) / float(f[0])
+    if not math.isfinite(ratio):  # f(1) overflows
+        return DelsarteCheck(None, f"non-finite bound f(1)/f_0 = {ratio}")
+    return DelsarteCheck(floor_nudged(ratio), None)
 
 
 def floor_nudged(x: float, eps: float = 1e-9) -> int:

@@ -2,9 +2,13 @@
 
 Subcommands: table, profile, bound, verify-lambda, independence,
 delsarte-check.  Output formats: csv (comment-row provenance, exact headers),
-json (meta object + rows/samples), pretty.  Exit codes: 0 success, 1 usage
-error, 2 verification failure, 3 inconclusive bound under --strict.
+json (meta object + rows, samples or result, and best for bound), pretty.
+Exit codes: 0 success, 1 usage error (including an --out path that cannot be
+written), 2 verification failure, 3 inconclusive bound under --strict.
 All output is deterministic for fixed flags.
+
+Each command computes its result once and returns a _Report; _render turns
+it into the one format asked for.
 """
 from __future__ import annotations
 
@@ -13,33 +17,25 @@ import json
 import math
 import re
 import sys
+from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
 from .bound_polys import (
-    CANDIDATE_INDICES,
-    DEFAULT_TOL,
-    InnerProductPair,
-    best_bound,
-    build_candidate,
-    delsarte_check,
+    CANDIDATE_INDICES, DEFAULT_TOL, InnerProductPair, best_bound, build_candidate, delsarte_check,
 )
 from .gegenbauer import GegenbauerExpansion
 from .constructions import (
-    DEFAULT_SEED,
-    gram_check,
-    independence_rank,
-    lambda_params,
-    lambda_set,
-    verify_two_distance,
+    DEFAULT_SEED, gram_check, independence_rank, lambda_params, lambda_set, verify_two_distance,
 )
-from .lrs import k_max, profile, table
+from .lrs import profile, table
 
-TABLE_HEADER = "n,omega_hat,rho,k_star,g_upper,conclusive"
-PROFILE_HEADER = "a,q,winning_i"
 MAX_TABLE_N = 60
 # The window sweep needs no grid, so --grid changes no result; it is accepted
 # and echoed in provenance so that existing command lines keep working.
 DEFAULT_GRID = 20001
+# Options every command echoes in provenance and meta, after its own.
+_COMMON = ("grid", "tol", "seed", "precision", "strict")
 
 
 class UsageError(Exception):
@@ -51,316 +47,219 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt_real(x: float, precision: int) -> str:
-    if math.isinf(x):
-        return "inf"
-    if x == int(x) and abs(x) < 1e15:
-        return str(int(x))
-    return f"{x:.{precision}g}"
+@dataclass
+class _Report:
+    """One command's result; records and pretty lines are built on demand."""
+
+    fields: tuple[str, ...]  # the command's own options, echoed
+    key: str  # JSON key of the records: rows, samples or result (one record)
+    records: Callable[[], list[dict]]  # flat records of raw values
+    pretty: Callable[[], list[str]]
+    code: int = 0
+    csv: Callable[[], list[dict]] | None = None  # CSV records, where the columns differ
+    best: dict | None = None  # JSON "best" and the CSV "# best=" trailer
 
 
-def _json_real(x: float, precision: int):
-    if math.isinf(x):
-        return "inf"
-    if x == int(x) and abs(x) < 1e15:
-        return int(x)
-    return float(f"{x:.{precision}g}")
+def _fmt(x, p: int) -> str:
+    """A scalar as CSV or pretty text; reals to p significant digits, whole reals bare."""
+    if isinstance(x, float):
+        if x.is_integer() and abs(x) < 1e15:
+            return str(int(x))
+        return "inf" if math.isinf(x) else f"{x:.{p}g}"
+    if isinstance(x, bool):
+        return str(x).lower()
+    if x is None:
+        return ""
+    if isinstance(x, (list, tuple)):
+        return "/".join(_fmt(v, p) for v in x)
+    return str(x)
 
 
-def _provenance(args: argparse.Namespace, fields: list[str]) -> str:
-    parts = [f"twodist {__version__}", f"command={args.command}"]
-    for name in fields:
-        parts.append(f"{name}={getattr(args, name)}")
-    parts += [
-        f"grid={args.grid}",
-        f"tol={args.tol}",
-        f"seed={args.seed}",
-        f"precision={args.precision}",
-        f"strict={str(args.strict).lower()}",
-    ]
-    return " ".join(parts)
+def _json(x, p: int):
+    """A value made JSON-ready: reals rounded as _fmt rounds them, inf as "inf"."""
+    if isinstance(x, float):
+        if x.is_integer() and abs(x) < 1e15:
+            return int(x)
+        return "inf" if math.isinf(x) else float(f"{x:.{p}g}")
+    if isinstance(x, dict):
+        return {k: _json(v, p) for k, v in x.items()}
+    if isinstance(x, list):
+        return [_json(v, p) for v in x]
+    return x
 
 
-def _meta(args: argparse.Namespace, fields: list[str]) -> dict:
-    opts = {name: getattr(args, name) for name in fields}
-    opts.update(
-        grid=args.grid, tol=args.tol, seed=args.seed,
-        precision=args.precision, strict=args.strict,
-    )
-    return {"tool": "twodist", "version": __version__, "command": args.command, "options": opts}
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
-        sys.stdout.write(text)
+def _render(args: argparse.Namespace, report: _Report) -> str:
+    p = args.precision
+    options = {name: getattr(args, name) for name in report.fields + _COMMON}
+    if args.format == "json":
+        records = report.records()
+        payload = {
+            "meta": {"tool": "twodist", "version": __version__, "command": args.command, "options": options},
+            report.key: _json(records[0] if report.key == "result" else records, p),
+        }
+        if report.best is not None:
+            payload["best"] = _json(report.best, p)
+        return json.dumps(payload, indent=2) + "\n"
+    if args.format == "csv":
+        records = (report.csv or report.records)()
+        echo = " ".join(f"{k}={str(v).lower() if isinstance(v, bool) else v}" for k, v in options.items())
+        lines = [f"# twodist {__version__} command={args.command} {echo}", ",".join(records[0])]
+        lines += [",".join([_fmt(v, p) for v in r.values()]) for r in records]
+        if report.best is not None:
+            best = report.best
+            lines.append(f"# best={_fmt(best['value'], p)} winning={_fmt(best['winning'], p)}")
     else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        lines = report.pretty()
+    return "\n".join(lines) + "\n"
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    _emit(json.dumps(payload, indent=2) + "\n", out)
-
-
-def cmd_table(args: argparse.Namespace) -> int:
+def cmd_table(args: argparse.Namespace) -> _Report:
     if not 7 <= args.n_min <= args.n_max <= MAX_TABLE_N:
         raise UsageError(
             f"need 7 <= n-min <= n-max <= {MAX_TABLE_N}, got {args.n_min}..{args.n_max}"
         )
     rows = table(args.n_min, args.n_max, tol=args.tol)
     p = args.precision
-    if args.format == "csv":
-        lines = [f"# {_provenance(args, ['n_min', 'n_max'])}", TABLE_HEADER]
-        for r in rows:
-            lines.append(
-                f"{r.n},{_fmt_real(r.omega_hat, p)},{r.rho},{r.k_star},"
-                f"{_fmt_real(r.g_upper, p)},{str(r.conclusive).lower()}"
-            )
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "json":
-        payload = {
-            "meta": _meta(args, ["n_min", "n_max"]),
-            "rows": [
-                {
-                    "n": r.n,
-                    "omega_hat": _json_real(r.omega_hat, p),
-                    "rho": r.rho,
-                    "k_star": r.k_star,
-                    "g_upper": _json_real(r.g_upper, p),
-                    "conclusive": r.conclusive,
-                }
-                for r in rows
-            ],
-        }
-        _emit_json(payload, args.out)
-    else:
+
+    def pretty():
         lines = [f"{'n':>4} {'omega_hat':>10} {'rho':>6} {'k':>3} {'g_upper':>8}  conclusive"]
         for r in rows:
             lines.append(
-                f"{r.n:>4} {_fmt_real(r.omega_hat, p):>10} {r.rho:>6} {r.k_star:>3} "
-                f"{_fmt_real(r.g_upper, p):>8}  {str(r.conclusive).lower()}"
+                f"{r.n:>4} {_fmt(r.omega_hat, p):>10} {r.rho:>6} {r.k_star:>3} "
+                f"{_fmt(r.g_upper, p):>8}  {_fmt(r.conclusive, p)}"
             )
-        _emit("\n".join(lines) + "\n", args.out)
-    if args.strict and any(not r.conclusive for r in rows):
-        return 3
-    return 0
+        return lines
+
+    code = 3 if args.strict and any(not r.conclusive for r in rows) else 0
+    return _Report(("n_min", "n_max"), "rows", lambda: [vars(r) for r in rows], pretty, code)
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    if args.n < 4:
-        raise UsageError(f"profile requires n >= 4, got {args.n}")
-    top = k_max(args.n)
-    if not 2 <= args.k <= top:
-        raise UsageError(f"k={args.k} outside the sweep range: K~({args.n}) = {top}")
-    if args.samples < 2:
-        raise UsageError(f"need at least 2 samples, got {args.samples}")
+def cmd_profile(args: argparse.Namespace) -> _Report:
     samples = profile(args.n, args.k, args.samples, tol=args.tol)
     p = args.precision
-    if args.format == "csv":
-        lines = [f"# {_provenance(args, ['n', 'k', 'samples'])}", PROFILE_HEADER]
-        for s in samples:
-            win = str(s.winning[0]) if s.winning else ""
-            lines.append(f"{_fmt_real(s.a, p)},{_fmt_real(s.q, p)},{win}")
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "json":
-        payload = {
-            "meta": _meta(args, ["n", "k", "samples"]),
-            "samples": [
-                {
-                    "a": _json_real(s.a, p),
-                    "q": _json_real(s.q, p),
-                    "winning_i": (s.winning[0] if s.winning else None),
-                }
-                for s in samples
-            ],
-        }
-        _emit_json(payload, args.out)
-    else:
+
+    def records():
+        return [
+            {"a": s.a, "q": s.q, "winning_i": s.winning[0] if s.winning else None}
+            for s in samples
+        ]
+
+    def pretty():
         lines = [f"{'a':>22} {'q':>18} winner"]
         for s in samples:
             win = str(s.winning[0]) if s.winning else "-"
-            lines.append(f"{_fmt_real(s.a, p):>22} {_fmt_real(s.q, p):>18} {win}")
-        _emit("\n".join(lines) + "\n", args.out)
-    if args.strict and any(math.isinf(s.q) for s in samples):
-        return 3
-    return 0
+            lines.append(f"{_fmt(s.a, p):>22} {_fmt(s.q, p):>18} {win}")
+        return lines
+
+    code = 3 if args.strict and any(math.isinf(s.q) for s in samples) else 0
+    return _Report(("n", "k", "samples"), "samples", records, pretty, code)
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
-    try:
-        pair = InnerProductPair(args.n, args.a, args.b)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+def cmd_bound(args: argparse.Namespace) -> _Report:
+    pair = InnerProductPair(args.n, args.a, args.b)
     cands = [build_candidate(i, pair, tol=args.tol) for i in CANDIDATE_INDICES]
     value, winning = best_bound(pair, tol=args.tol)
     p = args.precision
 
-    def fopt(x):
-        return _fmt_real(x, p) if x is not None else ""
+    def records():
+        return [
+            {
+                "i": cand.index, "in_domain": cand.in_domain, "c": cand.c, "d": cand.d,
+                "f": list(cand.expansion.coeffs) if cand.expansion is not None else None,
+                "value": cand.value,
+            }
+            for cand in cands
+        ]
 
-    if args.format == "csv":
-        lines = [f"# {_provenance(args, ['n', 'a', 'b'])}", "i,in_domain,c,d,value,f0,f1,f2,f3,f4"]
-        for cand in cands:
-            f = list(cand.expansion.coeffs) if cand.expansion is not None else []
-            f += [None] * (5 - len(f))
-            lines.append(
-                f"{cand.index},{str(cand.in_domain).lower()},{fopt(cand.c)},{fopt(cand.d)},"
-                f"{_fmt_real(cand.value, p)},{','.join(fopt(x) for x in f)}"
-            )
-        lines.append(f"# best={_fmt_real(value, p)} winning={'/'.join(map(str, winning))}")
-        _emit("\n".join(lines) + "\n", args.out)
-    elif args.format == "json":
-        payload = {
-            "meta": _meta(args, ["n", "a", "b"]),
-            "rows": [
-                {
-                    "i": cand.index,
-                    "in_domain": cand.in_domain,
-                    "c": (_json_real(cand.c, p) if cand.c is not None else None),
-                    "d": (_json_real(cand.d, p) if cand.d is not None else None),
-                    "f": (
-                        [_json_real(x, p) for x in cand.expansion.coeffs]
-                        if cand.expansion is not None
-                        else None
-                    ),
-                    "value": _json_real(cand.value, p),
-                }
-                for cand in cands
-            ],
-            "best": {"value": _json_real(value, p), "winning": list(winning)},
-        }
-        _emit_json(payload, args.out)
-    else:
-        lines = [f"candidate bounds for n={args.n}, a={_fmt_real(args.a, p)}, b={_fmt_real(args.b, p)}"]
+    def csv():
+        out = []
+        for r in records():
+            f = r.pop("f") or []
+            out.append(r | {f"f{j}": x for j, x in enumerate(f + [None] * (5 - len(f)))})
+        return out
+
+    def pretty():
+        lines = [f"candidate bounds for n={args.n}, a={_fmt(args.a, p)}, b={_fmt(args.b, p)}"]
         for cand in cands:
             if cand.expansion is None:
                 lines.append(f"  i={cand.index}: construction undefined")
                 continue
-            extra = ""
-            if cand.c is not None:
-                extra += f" c={_fmt_real(cand.c, p)}"
-            if cand.d is not None:
-                extra += f" d={_fmt_real(cand.d, p)}"
-            fstr = ", ".join(_fmt_real(x, p) for x in cand.expansion.coeffs)
+            extra = "".join(f" {k}={_fmt(x, p)}" for k, x in zip("cd", (cand.c, cand.d)) if x is not None)
+            fstr = ", ".join(_fmt(x, p) for x in cand.expansion.coeffs)
             lines.append(
-                f"  i={cand.index}: in_domain={str(cand.in_domain).lower()}{extra} "
-                f"f=[{fstr}] value={_fmt_real(cand.value, p)}"
+                f"  i={cand.index}: in_domain={_fmt(cand.in_domain, p)}{extra} "
+                f"f=[{fstr}] value={_fmt(cand.value, p)}"
             )
         if winning:
-            lines.append(f"best bound: {_fmt_real(value, p)} attained by i={'/'.join(map(str, winning))}")
+            lines.append(f"best bound: {_fmt(value, p)} attained by i={_fmt(winning, p)}")
         else:
             lines.append("best bound: inf (no candidate in domain)")
-        _emit("\n".join(lines) + "\n", args.out)
-    if args.strict and math.isinf(value):
-        return 3
-    return 0
+        return lines
+
+    code = 3 if args.strict and math.isinf(value) else 0
+    best = {"value": value, "winning": list(winning)}
+    return _Report(("n", "a", "b"), "rows", records, pretty, code, csv=csv, best=best)
 
 
-def cmd_verify_lambda(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise UsageError(f"verify-lambda requires n >= 2, got {args.n}")
+def cmd_verify_lambda(args: argparse.Namespace) -> _Report:
     n = args.n
     s = lambda_set(n)
     cert = verify_two_distance(s)
     psd, rank = gram_check(s)
     a_exp, b_exp = lambda_params(n)
     m_expected = n * (n + 1) // 2
-    if n == 2:
-        # Degenerate case: the three midpoints form an equilateral triangle.
-        ok = (
-            len(s) == 3
-            and not cert.valid
-            and cert.diagnostic is not None
-            and cert.diagnostic.startswith("one-distance")
-            and abs(cert.a - a_exp) < 1e-9
-            and psd
-        )
-        passed = ok
+    if n == 2:  # degenerate: the three midpoints form an equilateral triangle
+        shape = not cert.valid and (cert.diagnostic or "").startswith("one-distance")
     else:
-        passed = (
-            len(s) == m_expected
-            and cert.valid
-            and abs(cert.a - a_exp) < 1e-9
-            and abs(cert.b - b_exp) < 1e-9
-            and psd
-            and rank == n
-        )
-    p = args.precision
-    report = {
-        "n": n,
-        "points": len(s),
-        "expected_points": m_expected,
-        "a": cert.a,
-        "b": cert.b,
-        "expected_a": a_exp,
-        "expected_b": b_exp,
-        "pair_counts": list(cert.pair_counts),
-        "two_distance": cert.valid,
-        "diagnostic": cert.diagnostic,
-        "gram_psd": psd,
-        "gram_rank": rank,
-        "pass": passed,
+        shape = cert.valid and abs(cert.b - b_exp) < 1e-9 and rank == n
+    passed = len(s) == m_expected and abs(cert.a - a_exp) < 1e-9 and psd and shape
+    result = {
+        "n": n, "points": len(s), "expected_points": m_expected, "a": cert.a, "b": cert.b,
+        "expected_a": a_exp, "expected_b": b_exp, "pair_counts": list(cert.pair_counts),
+        "two_distance": cert.valid, "diagnostic": cert.diagnostic, "gram_psd": psd,
+        "gram_rank": rank, "pass": passed,
     }
-    if args.format == "csv":
-        header = "n,points,a,b,count_a,count_b,two_distance,gram_psd,gram_rank,pass"
-        row = (
-            f"{n},{len(s)},{_fmt_real(cert.a, p)},{_fmt_real(cert.b, p)},"
-            f"{cert.pair_counts[0]},{cert.pair_counts[1]},{str(cert.valid).lower()},"
-            f"{str(psd).lower()},{rank},{str(passed).lower()}"
-        )
-        _emit("\n".join([f"# {_provenance(args, ['n'])}", header, row]) + "\n", args.out)
-    elif args.format == "json":
-        for key in ("a", "b", "expected_a", "expected_b"):
-            report[key] = _json_real(report[key], p)
-        _emit_json({"meta": _meta(args, ["n"]), "result": report}, args.out)
-    else:
-        lines = [
+    count_a, count_b = cert.pair_counts
+    row = {
+        "n": n, "points": len(s), "a": cert.a, "b": cert.b, "count_a": count_a, "count_b": count_b,
+        "two_distance": cert.valid, "gram_psd": psd, "gram_rank": rank, "pass": passed,
+    }
+    p = args.precision
+
+    def pretty():
+        return [
             f"midpoint set in R^{n}: {len(s)} points (expected {m_expected})",
-            f"  inner products: a={_fmt_real(cert.a, p)} (x{cert.pair_counts[0]}), "
-            f"b={_fmt_real(cert.b, p)} (x{cert.pair_counts[1]})",
-            f"  expected:       a={_fmt_real(a_exp, p)}, b={_fmt_real(b_exp, p)}",
-            f"  two-distance: {str(cert.valid).lower()}"
+            f"  inner products: a={_fmt(cert.a, p)} (x{count_a}), "
+            f"b={_fmt(cert.b, p)} (x{count_b})",
+            f"  expected:       a={_fmt(a_exp, p)}, b={_fmt(b_exp, p)}",
+            f"  two-distance: {_fmt(cert.valid, p)}"
             + (f" ({cert.diagnostic})" if cert.diagnostic else ""),
-            f"  gram: psd={str(psd).lower()} rank={rank}",
+            f"  gram: psd={_fmt(psd, p)} rank={rank}",
             ("PASS" if passed else ("INFO: degenerate one-distance case" if n == 2 else "FAIL")),
         ]
-        _emit("\n".join(lines) + "\n", args.out)
-    if n == 2:
-        return 0
-    return 0 if passed else 2
+
+    code = 0 if passed or n == 2 else 2
+    return _Report(("n",), "result", lambda: [result], pretty, code, csv=lambda: [row])
 
 
-def cmd_independence(args: argparse.Namespace) -> int:
+def cmd_independence(args: argparse.Namespace) -> _Report:
     if args.n < 7:
-        raise UsageError(
-            f"independence requires n >= 7 (a + b >= 0 for the midpoint set), got {args.n}"
-        )
+        raise UsageError(f"independence requires n >= 7 (a + b >= 0 for the midpoint set), got {args.n}")
     n = args.n
     s = lambda_set(n)
-    a, b = lambda_params(n)
-    rank = independence_rank(s, a, b, seed=args.seed)
+    rank = independence_rank(s, *lambda_params(n), seed=args.seed)
     m = len(s)
-    expected = m + n
-    passed = rank == expected
-    if args.format == "csv":
-        header = "n,m,rank,expected,pass"
-        row = f"{n},{m},{rank},{expected},{str(passed).lower()}"
-        _emit("\n".join([f"# {_provenance(args, ['n'])}", header, row]) + "\n", args.out)
-    elif args.format == "json":
-        payload = {
-            "meta": _meta(args, ["n"]),
-            "result": {"n": n, "m": m, "rank": rank, "expected": expected, "pass": passed},
-        }
-        _emit_json(payload, args.out)
-    else:
-        lines = [
+    result = {"n": n, "m": m, "rank": rank, "expected": m + n, "pass": rank == m + n}
+
+    def pretty():
+        return [
             f"independence check for the midpoint set in R^{n}",
             f"  m = {m} quadratic functions + {n} coordinate functionals",
-            f"  measured rank {rank}, expected {expected}",
-            "PASS" if passed else "FAIL",
+            f"  measured rank {rank}, expected {m + n}",
+            "PASS" if result["pass"] else "FAIL",
         ]
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if passed else 2
+
+    return _Report(("n",), "result", lambda: [result], pretty, 0 if result["pass"] else 2)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -373,35 +272,15 @@ def _parse_floats(text: str, what: str) -> list[float]:
     return values
 
 
-def cmd_delsarte_check(args: argparse.Namespace) -> int:
-    if args.n < 2:
-        raise UsageError(f"delsarte-check requires n >= 2, got {args.n}")
+def cmd_delsarte_check(args: argparse.Namespace) -> _Report:
     coeffs = _parse_floats(args.coeffs, "--coeffs")
     t_values = _parse_floats(args.t_values, "--t-values")
     if not coeffs:
         raise UsageError("--coeffs must contain at least one coefficient")
-    expansion = GegenbauerExpansion(args.n, coeffs)
-    result = delsarte_check(expansion, t_values, tol=args.tol)
-    p = args.precision
-    if args.format == "csv":
-        header = "bound,ok,violation"
-        row = (
-            f"{result.bound if result.bound is not None else ''},"
-            f"{str(result.ok).lower()},{result.violation or ''}"
-        )
-        _emit("\n".join([f"# {_provenance(args, ['n'])}", header, row]) + "\n", args.out)
-    elif args.format == "json":
-        payload = {
-            "meta": _meta(args, ["n"]),
-            "result": {"bound": result.bound, "ok": result.ok, "violation": result.violation},
-        }
-        _emit_json(payload, args.out)
-    else:
-        if result.ok:
-            _emit(f"certificate accepted: cardinality bound {result.bound}\n", args.out)
-        else:
-            _emit(f"certificate rejected: {result.violation}\n", args.out)
-    return 0 if result.ok else 2
+    res = delsarte_check(GegenbauerExpansion(args.n, coeffs), t_values, tol=args.tol)
+    result = {"bound": res.bound, "ok": res.ok, "violation": res.violation}
+    verdict = f"accepted: cardinality bound {res.bound}" if res.ok else f"rejected: {res.violation}"
+    return _Report(("n",), "result", lambda: [result], lambda: [f"certificate {verdict}"], 0 if res.ok else 2)
 
 
 _COMMANDS = {
@@ -472,10 +351,21 @@ def main(argv=None) -> int:
             raise UsageError(f"--tol must be a finite real, got {args.tol}")
         if args.precision < 0:
             raise UsageError(f"--precision must be >= 0, got {args.precision}")
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
+        report = _COMMANDS[args.command](args)
+    except (UsageError, ValueError) as exc:  # ValueError: the library's own input checks
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    text = _render(args, report)
+    try:
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+    except OSError as exc:  # an --out path that cannot be opened or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return report.code
 
 
 def console_entry() -> None:

@@ -82,7 +82,7 @@ def _check_window(n: int, k: int) -> None:
     if n < 4:
         raise ValueError(f"window sweep requires n >= 4, got {n}")
     if not 2 <= k <= k_max(n):
-        raise ValueError(f"ratio index must satisfy 2 <= k <= {k_max(n)} for n={n}, got {k}")
+        raise ValueError(f"ratio index must satisfy 2 <= k <= K~({n}) = {k_max(n)}, got {k}")
 
 
 def _b_line(k: int, a: np.ndarray) -> np.ndarray:

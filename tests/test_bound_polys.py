@@ -13,7 +13,7 @@ from twodist.bound_polys import (
     delsarte_check,
     floor_nudged,
 )
-from twodist.gegenbauer import to_gegenbauer
+from twodist.gegenbauer import GegenbauerExpansion, to_gegenbauer
 from twodist.constructions import lambda_params
 from twodist.lrs import q_bound
 
@@ -205,6 +205,17 @@ def test_delsarte_check_rejects_nan_on_support():
     res = delsarte_check(e7, [1.0 / 3, math.nan])
     assert not res.ok and res.bound is None
     assert "f(nan)" in res.violation
+
+
+def test_delsarte_check_rejects_non_finite_coefficients():
+    for coeffs, t_values in [([1.0, math.nan], []), ([1.0, math.inf], [-0.5])]:
+        res = delsarte_check(GegenbauerExpansion(7, coeffs), t_values)
+        assert not res.ok and res.bound is None
+        assert "non-finite Gegenbauer coefficient f_1" in res.violation
+    # finite coefficients whose sum f(1) overflows
+    res = delsarte_check(GegenbauerExpansion(7, [1.0, 1e308, 1e308]), [])
+    assert not res.ok and res.bound is None
+    assert "non-finite bound" in res.violation
 
 
 def test_pair_validation():

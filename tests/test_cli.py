@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from twodist.cli import main
+import pytest
+
+from twodist.cli import console_entry, main
 
 A7 = "0.3333333333333333"
 
@@ -90,6 +92,40 @@ def test_table_out_file(capsys, tmp_path):
     )
     assert code == 0 and out == ""
     assert "7,28,28,2,28,true" in target.read_text()
+
+
+def test_out_to_unopenable_path_is_usage_error(capsys, tmp_path):
+    target = tmp_path / "missing" / "rows.csv"
+    argv = ["table", "--n-min", "7", "--n-max", "7", "--format", "csv", "--out", str(target)]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "rows.csv" in err
+    assert not target.exists()
+
+
+def test_library_input_errors_are_usage_errors(capsys):
+    # The library validates these inputs itself; its ValueError must reach
+    # the user as a one-line usage error, with nothing on stdout.
+    for argv in [
+        ["profile", "--n", "3", "--k", "2"],
+        ["profile", "--n", "25", "--k", "3", "--samples", "1"],
+        ["verify-lambda", "--n", "1"],
+        ["delsarte-check", "--n", "1", "--coeffs", "1", "--t-values", "0"],
+        ["bound", "--n", "1", "--a", "0.2", "--b", "-0.2"],
+    ]:
+        for fmt in ("csv", "json", "pretty"):
+            code, out, err = run(capsys, argv + ["--format", fmt])
+            assert code == 1 and out == "", argv
+            assert err.startswith("error:") and "Traceback" not in err, argv
+            assert len(err.strip().splitlines()) == 1, argv
+
+
+def test_console_entry_exits_with_the_command_code(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["twodist", "table", "--n-min", "7", "--n-max", "7", "--format", "csv"])
+    with pytest.raises(SystemExit) as exc:
+        console_entry()
+    assert exc.value.code == 0
+    assert "7,28,28,2,28,true" in capsys.readouterr().out
 
 
 def test_profile_csv(capsys):

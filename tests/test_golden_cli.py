@@ -30,16 +30,28 @@ ARGV = {
     ],
 }
 CASES = [(cmd, fmt) for cmd in ARGV for fmt in FORMATS]
+# Paths the cases above do not reach, with the exit code each must keep:
+# inf cells under --strict, no candidate in domain, a rejected certificate
+# and the degenerate midpoint set.
+EDGE = {
+    "table-strict": (["table", "--n-min", "44", "--n-max", "44", "--strict"], 3),
+    "bound-no-candidate": (["bound", "--n", "7", "--a", "0.9", "--b", "-0.95", "--strict"], 3),
+    "delsarte-check-rejected": (
+        ["delsarte-check", "--n", "7", "--coeffs", "1,-1", "--t-values", "0"], 2,
+    ),
+    "verify-lambda-degenerate": (["verify-lambda", "--n", "2"], 0),
+}
+EDGE_CASES = [(name, fmt) for name in EDGE for fmt in FORMATS]
 
 
 def _path(cmd: str, fmt: str) -> str:
     return os.path.join(GOLDEN, f"{cmd}.{fmt}.txt")
 
 
-def _run(cmd: str, fmt: str) -> tuple[int, str]:
+def _run(cmd: str, fmt: str, argv=None) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = main(ARGV[cmd] + ["--format", fmt])
+        code = main((argv or ARGV[cmd]) + ["--format", fmt])
     return code, out.getvalue()
 
 
@@ -51,10 +63,25 @@ def test_cli_output_is_byte_identical(cmd, fmt):
         assert text == fh.read()
 
 
+@pytest.mark.parametrize("name,fmt", EDGE_CASES)
+def test_cli_edge_output_is_byte_identical(name, fmt):
+    argv, expected_code = EDGE[name]
+    code, text = _run(name, fmt, argv)
+    assert code == expected_code
+    with open(_path(name, fmt), encoding="utf-8", newline="") as fh:
+        assert text == fh.read()
+
+
 if __name__ == "__main__":
     os.makedirs(GOLDEN, exist_ok=True)
     for cmd, fmt in CASES:
         code, text = _run(cmd, fmt)
         assert code == 0, (cmd, fmt)
         with open(_path(cmd, fmt), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    for name, fmt in EDGE_CASES:
+        argv, expected_code = EDGE[name]
+        code, text = _run(name, fmt, argv)
+        assert code == expected_code, (name, fmt)
+        with open(_path(name, fmt), "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
