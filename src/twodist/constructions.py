@@ -14,6 +14,11 @@ with a + b = (n - 7) / (2(n - 1)) >= 0 exactly when n >= 7.
 verify_two_distance and gram_check certify arbitrary unit point sets;
 independence_rank measures the dimension spanned by the associated
 quadratic functions together with the linear coordinate functionals.
+
+gram_check reads the spectrum of the n x n matrix X^T X rather than of the
+m x m Gram matrix X X^T when the m points (rows of X) outnumber n: the two
+share their nonzero eigenvalues and the rest are exactly 0, so psd and rank
+are the same, and the midpoint set (m = n(n+1)/2) costs an n x n problem.
 """
 from __future__ import annotations
 
@@ -134,11 +139,42 @@ def verify_two_distance(
 
 
 def gram_check(s: UnitPointSet, eig_tol: float = EIG_TOL) -> tuple[bool, int]:
-    """(is positive semidefinite, numerical rank) of the Gram matrix."""
-    w = np.linalg.eigvalsh(s.gram())
+    """(is positive semidefinite, numerical rank) of the Gram matrix.
+
+    The eigenvalues come from the smaller of X X^T (the m x m Gram matrix)
+    and X^T X (n x n), X being the m x n array of points.  Both have the same
+    nonzero eigenvalues and the larger one adds only exact zeros, so the
+    verdict is that of the Gram matrix itself, without the rounding noise of
+    its |m - n| zero eigenvalues.
+    """
+    x = s.points
+    m, n = x.shape
+    if m == 0:
+        raise ValueError("need at least 1 point to check the Gram matrix, got 0")
+    w = np.linalg.eigvalsh(x @ x.T if m <= n else x.T @ x)
     psd = bool(w[0] > -eig_tol)
     rank = int(np.count_nonzero(w > eig_tol))
     return psd, rank
+
+
+def _evaluation_matrix(x: np.ndarray, eval_pts: np.ndarray, a: float, b: float) -> np.ndarray:
+    """(m + n) x len(eval_pts) matrix: F(<x_i, y>) in the top m rows, y^T below.
+
+    Built in one preallocated array; the arithmetic is that of
+    (inner - a) * (inner - b) / ((1 - a)(1 - b)), operation for operation, so
+    the result is bit-identical to stacking those products over eval_pts.T.
+    The one temporary, inner - b, is freed on return, before the SVD.
+    """
+    m, n = x.shape
+    matrix = np.empty((m + n, len(eval_pts)))
+    top = matrix[:m]
+    np.matmul(x, eval_pts.T, out=top)
+    minus_b = top - b
+    top -= a
+    top *= minus_b
+    top /= (1.0 - a) * (1.0 - b)
+    matrix[m:] = eval_pts.T
+    return matrix
 
 
 def independence_rank(
@@ -162,13 +198,10 @@ def independence_rank(
             f"hypothesis violated: requires a + b >= 0, got a + b = {a + b:.6g}"
         )
     x = s.points
-    m, n = x.shape
+    n = x.shape[1]
     rng = np.random.default_rng(seed)
     extra = rng.standard_normal((n + 20, n))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-    eval_pts = np.vstack([x, extra])  # (m + n + 20, n)
-    inner = x @ eval_pts.T
-    top = (inner - a) * (inner - b) / ((1.0 - a) * (1.0 - b))
-    matrix = np.vstack([top, eval_pts.T])  # (m + n) x (m + n + 20)
+    matrix = _evaluation_matrix(x, np.vstack([x, extra]), a, b)
     sv = np.linalg.svd(matrix, compute_uv=False)
     return int(np.count_nonzero(sv > rel_tol * sv[0]))

@@ -214,6 +214,15 @@ def test_independence_csv(capsys):
     assert "n >= 7" in err
 
 
+def test_verify_lambda_n60_json(capsys):
+    code, out, _ = run(capsys, ["verify-lambda", "--n", "60", "--format", "json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["points"] == 1830
+    assert result["gram_psd"] is True and result["gram_rank"] == 60
+    assert result["pass"] is True
+
+
 def test_delsarte_check_accept_and_reject(capsys):
     f0 = 2.0 / 63
     f2 = 6.0 / 7

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from twodist.constructions import (
+    EIG_TOL,
     UnitPointSet,
+    _evaluation_matrix,
     gram_check,
     independence_rank,
     lambda_params,
@@ -90,6 +92,39 @@ def test_gram_check_detects_low_rank():
     assert psd and rank == 1
 
 
+def _gram_check_by_definition(s):
+    w = np.linalg.eigvalsh(s.gram())
+    return bool(w[0] > -EIG_TOL), int(np.count_nonzero(w > EIG_TOL))
+
+
+def _random_unit_set(rng, m, n, rank):
+    """m seeded random unit vectors in R^n spanning a random rank-dimensional subspace."""
+    basis = np.linalg.qr(rng.standard_normal((n, rank)))[0]
+    pts = rng.standard_normal((m, rank)) @ basis.T
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    return UnitPointSet(n, pts)
+
+
+def test_gram_check_matches_definition_on_midpoint_sets():
+    for n in range(2, 61):
+        s = lambda_set(n)
+        assert gram_check(s) == _gram_check_by_definition(s) == (True, n), n
+
+
+def test_gram_check_matches_definition_on_random_sets():
+    rng = np.random.default_rng(2008)
+    shapes = [(1, 1), (1, 5), (3, 7), (4, 4), (6, 6), (9, 4), (40, 12), (119, 15)]
+    for m, n in shapes:
+        for rank in range(1, min(m, n) + 1):
+            s = _random_unit_set(rng, m, n, rank)
+            assert gram_check(s) == _gram_check_by_definition(s) == (True, rank), (m, n, rank)
+
+
+def test_gram_check_rejects_empty_set():
+    with pytest.raises(ValueError, match="at least 1 point"):
+        gram_check(UnitPointSet(3, np.empty((0, 3))))
+
+
 def test_point_set_validates_unit_norms():
     with pytest.raises(ValueError):
         UnitPointSet(3, np.array([[1.0, 0.0, 0.0], [0.0, 2.0, 0.0]]))
@@ -113,6 +148,22 @@ def test_independence_rank_examples():
         a, b = lambda_params(n)
         assert independence_rank(s, a, b) == expected
         assert expected == n * (n + 1) // 2 + n
+
+
+def test_evaluation_matrix_is_bit_identical_to_stacked_products():
+    rng = np.random.default_rng(5)
+    for n in (7, 12, 30):
+        x = lambda_set(n).points
+        a, b = lambda_params(n)
+        extra = rng.standard_normal((n + 20, n))
+        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+        eval_pts = np.vstack([x, extra])
+        inner = x @ eval_pts.T
+        top = (inner - a) * (inner - b) / ((1.0 - a) * (1.0 - b))
+        expected = np.vstack([top, eval_pts.T])
+        got = _evaluation_matrix(x, eval_pts, a, b)
+        assert got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes(), n
 
 
 def test_independence_rank_rejects_negative_sum():
