@@ -16,9 +16,9 @@ independence_rank measures the dimension spanned by the associated
 quadratic functions together with the linear coordinate functionals.
 
 gram_check reads the spectrum of the n x n matrix X^T X rather than of the
-m x m Gram matrix X X^T when the m points (rows of X) outnumber n: the two
-share their nonzero eigenvalues and the rest are exactly 0, so psd and rank
-are the same, and the midpoint set (m = n(n+1)/2) costs an n x n problem.
+m x m Gram matrix X X^T, X holding the m points as rows: the two share their
+nonzero eigenvalues and the rest are exactly 0, so psd and rank are the
+same, and the midpoint set (m = n(n+1)/2) costs an n x n problem.
 """
 from __future__ import annotations
 
@@ -141,17 +141,15 @@ def verify_two_distance(
 def gram_check(s: UnitPointSet, eig_tol: float = EIG_TOL) -> tuple[bool, int]:
     """(is positive semidefinite, numerical rank) of the Gram matrix.
 
-    The eigenvalues come from the smaller of X X^T (the m x m Gram matrix)
-    and X^T X (n x n), X being the m x n array of points.  Both have the same
-    nonzero eigenvalues and the larger one adds only exact zeros, so the
-    verdict is that of the Gram matrix itself, without the rounding noise of
-    its |m - n| zero eigenvalues.
+    The eigenvalues come from X^T X (n x n), X being the m x n array of
+    points, instead of the Gram matrix X X^T (m x m).  Both have the same
+    nonzero eigenvalues and differ only in how many exact zeros they carry,
+    so the verdict is that of the Gram matrix itself.
     """
     x = s.points
-    m, n = x.shape
-    if m == 0:
+    if len(x) == 0:
         raise ValueError("need at least 1 point to check the Gram matrix, got 0")
-    w = np.linalg.eigvalsh(x @ x.T if m <= n else x.T @ x)
+    w = np.linalg.eigvalsh(x.T @ x)
     psd = bool(w[0] > -eig_tol)
     rank = int(np.count_nonzero(w > eig_tol))
     return psd, rank
