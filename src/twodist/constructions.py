@@ -19,6 +19,13 @@ gram_check reads the spectrum of the n x n matrix X^T X rather than of the
 m x m Gram matrix X X^T, X holding the m points as rows: the two share their
 nonzero eigenvalues and the rest are exactly 0, so psd and rank are the
 same, and the midpoint set (m = n(n+1)/2) costs an n x n problem.
+
+independence_rank uses the same argument the bound does: F(<x_i, x_j>) =
+delta_ij on the set, so the m x m block of F values at the set points is the
+identity, and block elimination leaves only an n x (n + 20) matrix to take
+the rank of.  It first checks that block (in row blocks, within
+IDENTITY_BLOCK_TOL) and raises ValueError when the points are not a
+two-distance set with the given a and b.
 """
 from __future__ import annotations
 
@@ -32,6 +39,8 @@ CLUSTER_DIAMETER_TOL = 1e-8
 CLUSTER_GAP_TOL = 1e-6
 EIG_TOL = 1e-8
 RANK_REL_TOL = 1e-8
+IDENTITY_BLOCK_TOL = 1e-13
+IDENTITY_CHECK_ROWS = 256
 DEFAULT_SEED = 42
 
 
@@ -48,7 +57,7 @@ class UnitPointSet:
             raise ValueError(f"points must be an (m, {self.n}) array, got shape {pts.shape}")
         norms = np.einsum("ij,ij->i", pts, pts)
         worst = float(np.max(np.abs(norms - 1.0))) if len(pts) else 0.0
-        if worst > UNIT_NORM_TOL:
+        if not worst <= UNIT_NORM_TOL:
             raise ValueError(f"points must be unit vectors; worst squared-norm error {worst:.3g}")
         object.__setattr__(self, "points", pts)
 
@@ -116,7 +125,11 @@ def verify_two_distance(
     if m < 3:
         raise ValueError(f"need at least 3 points to classify, got {m}")
     g = s.gram()
-    vals = np.sort(g[np.triu_indices(m, k=1)])
+    # The mask reads the upper triangle row by row, as triu_indices would,
+    # without its two int64 index arrays of m(m-1)/2 entries.
+    vals = g[np.triu(np.ones((m, m), dtype=bool), k=1)]
+    del g
+    vals.sort()
     if vals[-1] - vals[0] < diameter_tol:
         center = float(vals.mean())
         return TwoDistanceCertificate(
@@ -155,26 +168,6 @@ def gram_check(s: UnitPointSet, eig_tol: float = EIG_TOL) -> tuple[bool, int]:
     return psd, rank
 
 
-def _evaluation_matrix(x: np.ndarray, eval_pts: np.ndarray, a: float, b: float) -> np.ndarray:
-    """(m + n) x len(eval_pts) matrix: F(<x_i, y>) in the top m rows, y^T below.
-
-    Built in one preallocated array; the arithmetic is that of
-    (inner - a) * (inner - b) / ((1 - a)(1 - b)), operation for operation, so
-    the result is bit-identical to stacking those products over eval_pts.T.
-    The one temporary, inner - b, is freed on return, before the SVD.
-    """
-    m, n = x.shape
-    matrix = np.empty((m + n, len(eval_pts)))
-    top = matrix[:m]
-    np.matmul(x, eval_pts.T, out=top)
-    minus_b = top - b
-    top -= a
-    top *= minus_b
-    top /= (1.0 - a) * (1.0 - b)
-    matrix[m:] = eval_pts.T
-    return matrix
-
-
 def independence_rank(
     s: UnitPointSet,
     a: float,
@@ -186,20 +179,53 @@ def independence_rank(
 
     F(t) = (t - a)(t - b) / ((1 - a)(1 - b)) satisfies F(<x_i, x_j>) = delta_ij
     on a two-distance set with inner products {a, b}.  All m + n functions are
-    evaluated at the m set points plus n + 20 seeded random unit vectors, and
-    the numerical rank of the evaluation matrix is returned.  Requires
-    a + b >= 0: for a + b < 0 the functions need not be independent and the
-    argument does not apply.
+    evaluated at the m set points plus n + 20 seeded random unit vectors Y.
+    With X the m x n array of points, the evaluation matrix is
+
+        [ A    B  ]      A = F(X X^T)  (m x m),  B = F(X Y^T),
+        [ X^T  Y^T]
+
+    and A is the identity, so block elimination gives its rank as
+    m + rank(S) with S = Y^T - X^T B, an n x (n + 20) matrix.  The rank of S
+    counts the singular values above rel_tol times S's largest one.
+
+    Two things are checked, and a failure raises ValueError:
+
+    - a + b >= 0: for a + b < 0 the functions need not be independent and
+      the argument does not apply.
+    - max |A - I| <= IDENTITY_BLOCK_TOL, that is, the points form a
+      two-distance set with exactly these a and b.  Then
+      ||A - I||_2 <= m * max |A - I| = eps, and the S above differs from the
+      exact Schur complement Y^T - X^T A^{-1} B by X^T (A^{-1} - I) B, of norm
+      at most ||X||_2 ||B||_2 eps / (1 - eps).  On the midpoint sets of
+      n = 7..60, ||X||_2 ||B||_2 is at most 1.05 times S's largest singular
+      value, so with m <= 1830 the error is below 2e-10 of it, fifty times
+      under RANK_REL_TOL; the largest entry of A - I there is 3e-15.
+      A is formed IDENTITY_CHECK_ROWS rows at a time, never whole.
     """
     if a + b < 0:
         raise ValueError(
             f"hypothesis violated: requires a + b >= 0, got a + b = {a + b:.6g}"
         )
     x = s.points
-    n = x.shape[1]
+    m, n = x.shape
+
+    def f(t: np.ndarray) -> np.ndarray:
+        return (t - a) * (t - b) / ((1.0 - a) * (1.0 - b))
+
+    for start in range(0, m, IDENTITY_CHECK_ROWS):
+        block = f(x[start : start + IDENTITY_CHECK_ROWS] @ x.T)
+        rows = np.arange(len(block))
+        block[rows, start + rows] -= 1.0
+        dev = float(np.max(np.abs(block)))
+        if not dev <= IDENTITY_BLOCK_TOL:
+            raise ValueError(
+                f"hypothesis violated: the points are not a two-distance set with "
+                f"a = {a:.6g}, b = {b:.6g} (F(<x_i, x_j>) is {dev:.3g} off delta_ij)"
+            )
     rng = np.random.default_rng(seed)
     extra = rng.standard_normal((n + 20, n))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-    matrix = _evaluation_matrix(x, np.vstack([x, extra]), a, b)
-    sv = np.linalg.svd(matrix, compute_uv=False)
-    return int(np.count_nonzero(sv > rel_tol * sv[0]))
+    schur = extra.T - x.T @ f(x @ extra.T)
+    sv = np.linalg.svd(schur, compute_uv=False)
+    return m + int(np.count_nonzero(sv > rel_tol * sv[0]))

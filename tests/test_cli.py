@@ -223,6 +223,15 @@ def test_verify_lambda_n60_json(capsys):
     assert result["pass"] is True
 
 
+def test_independence_n60_json(capsys):
+    code, out, _ = run(capsys, ["independence", "--n", "60", "--format", "json"])
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert result["m"] == 1830
+    assert result["rank"] == result["expected"] == 1890
+    assert result["pass"] is True
+
+
 def test_delsarte_check_accept_and_reject(capsys):
     f0 = 2.0 / 63
     f2 = 6.0 / 7

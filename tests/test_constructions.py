@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from twodist.constructions import (
+    DEFAULT_SEED,
     EIG_TOL,
+    RANK_REL_TOL,
     UnitPointSet,
-    _evaluation_matrix,
     gram_check,
     independence_rank,
     lambda_params,
@@ -132,6 +133,12 @@ def test_point_set_validates_unit_norms():
         UnitPointSet(3, np.ones((2, 4)))
 
 
+def test_point_set_rejects_non_finite_coordinates():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="unit vectors"):
+            UnitPointSet(2, np.array([[bad, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
+
 def test_annihilator_is_identity_on_the_set():
     # F(t) = (t-a)(t-b)/((1-a)(1-b)) maps the Gram matrix to the identity
     for n in (7, 10):
@@ -150,20 +157,55 @@ def test_independence_rank_examples():
         assert expected == n * (n + 1) // 2 + n
 
 
-def test_evaluation_matrix_is_bit_identical_to_stacked_products():
-    rng = np.random.default_rng(5)
-    for n in (7, 12, 30):
-        x = lambda_set(n).points
+def _independence_rank_by_definition(s, a, b, seed=DEFAULT_SEED, rel_tol=RANK_REL_TOL):
+    """Numerical rank of the whole (m + n) x (m + n + 20) evaluation matrix."""
+    x = s.points
+    n = x.shape[1]
+    rng = np.random.default_rng(seed)
+    extra = rng.standard_normal((n + 20, n))
+    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    eval_pts = np.vstack([x, extra])
+    inner = x @ eval_pts.T
+    top = (inner - a) * (inner - b) / ((1.0 - a) * (1.0 - b))
+    sv = np.linalg.svd(np.vstack([top, eval_pts.T]), compute_uv=False)
+    return int(np.count_nonzero(sv > rel_tol * sv[0]))
+
+
+def test_independence_rank_matches_definition_on_midpoint_sets():
+    for n in [*range(7, 31), 40]:
+        s = lambda_set(n)
         a, b = lambda_params(n)
-        extra = rng.standard_normal((n + 20, n))
-        extra /= np.linalg.norm(extra, axis=1, keepdims=True)
-        eval_pts = np.vstack([x, extra])
-        inner = x @ eval_pts.T
-        top = (inner - a) * (inner - b) / ((1.0 - a) * (1.0 - b))
-        expected = np.vstack([top, eval_pts.T])
-        got = _evaluation_matrix(x, eval_pts, a, b)
-        assert got.shape == expected.shape
-        assert got.tobytes() == expected.tobytes(), n
+        rank = independence_rank(s, a, b)
+        assert rank == _independence_rank_by_definition(s, a, b) == len(s) + n, n
+
+
+def test_independence_rank_matches_definition_on_midpoint_subsets():
+    # Any subset of a midpoint set is two-distance with the same (a, b).
+    rng = np.random.default_rng(1977)
+    for n in (7, 9, 12, 16, 20):
+        s = lambda_set(n)
+        a, b = lambda_params(n)
+        for size in (1, 3, n, len(s) // 2, len(s) - 1):
+            rows = np.sort(rng.choice(len(s), size=size, replace=False))
+            sub = UnitPointSet(n, s.points[rows])
+            for seed in (DEFAULT_SEED, 5):
+                rank = independence_rank(sub, a, b, seed=seed)
+                assert rank == _independence_rank_by_definition(sub, a, b, seed=seed), (n, size)
+
+
+def test_independence_rank_rejects_sets_that_are_not_two_distance_with_a_b():
+    with pytest.raises(ValueError, match="not a two-distance set"):
+        independence_rank(lambda_set(9), *lambda_params(8))
+    s = lambda_set(12)
+    pts = s.points.copy()
+    pts[5] += 1e-6 * np.arange(12)
+    pts[5] /= np.linalg.norm(pts[5])
+    with pytest.raises(ValueError, match="not a two-distance set"):
+        independence_rank(UnitPointSet(12, pts), *lambda_params(12))
+    a, b = lambda_params(7)
+    for bad_a, bad_b in ((math.nan, b), (a, math.nan)):
+        with pytest.raises(ValueError, match="not a two-distance set"):
+            independence_rank(lambda_set(7), bad_a, bad_b)
 
 
 def test_independence_rank_rejects_negative_sum():
