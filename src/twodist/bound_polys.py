@@ -38,6 +38,9 @@ SINGULAR_REL_TOL = 1e-12
 # attaining the minimum: crossings computed in floating point differ by a
 # few ulps, and 1e-9 stays far below any real gap between certificates.
 WINNER_REL_TOL = 1e-9
+# floor_nudged adds this before flooring: far above the few ulps by which an
+# integer-valued bound misses its integer, far below any real fractional part.
+FLOOR_NUDGE = 1e-9
 
 CANDIDATE_INDICES = (1, 2, 3, 4, 5)
 
@@ -216,14 +219,17 @@ def best_bound(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[float,
 
     Returns (+inf, ()) when no candidate is in domain.
     """
-    cands = [build_candidate(i, pair, tol) for i in CANDIDATE_INDICES]
-    best = min(c.value for c in cands)
+    return best_of([build_candidate(i, pair, tol).value for i in CANDIDATE_INDICES])
+
+
+def best_of(values) -> tuple[float, tuple[int, ...]]:
+    """Minimum of the five candidate values, in index order, and the indices
+    whose values lie within WINNER_REL_TOL of it; (+inf, ()) when none is finite."""
+    best = min(values)
     if math.isinf(best):
         return math.inf, ()
-    winners = tuple(
-        c.index for c in cands if c.value - best <= WINNER_REL_TOL * max(1.0, abs(best))
-    )
-    return best, winners
+    slack = WINNER_REL_TOL * max(1.0, abs(best))
+    return best, tuple(i for i, v in zip(CANDIDATE_INDICES, values) if v - best <= slack)
 
 
 @dataclass(frozen=True)
@@ -264,12 +270,12 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
     return DelsarteCheck(floor_nudged(ratio), None)
 
 
-def floor_nudged(x: float, eps: float = 1e-9) -> int:
-    """Floor with a one-sided epsilon so that values a hair under an integer round up.
+def floor_nudged(x: float) -> int:
+    """Floor with a one-sided FLOOR_NUDGE so that values a hair under an integer round up.
 
     Window maxima that sit exactly on an integer (three certificates
     crossing at 275 for n = 22) come out of floating point a few ulps on
     either side of it; the nudge keeps them from flooring one too low.  It
     stays until such points are evaluated in exact rational arithmetic.
     """
-    return math.floor(x + eps)
+    return math.floor(x + FLOOR_NUDGE)

@@ -1,11 +1,17 @@
 """Command-line front end.
 
 Subcommands: table, profile, bound, verify-lambda, independence,
-delsarte-check.  Output formats: csv (comment-row provenance, exact headers),
-json (meta object + rows, samples or result, and best for bound), pretty.
-Exit codes: 0 success, 1 usage error (including an --out path that cannot be
-written), 2 verification failure, 3 inconclusive bound under --strict.
-All output is deterministic for fixed flags.
+delsarte-check.  Each takes only the options it reads (listed in _COMMANDS);
+any other option is a usage error.  table's --grid and --seed change no
+result and are kept so that existing command lines keep working.
+
+Output formats: csv (comment-row provenance, exact headers), json (meta
+object + rows, samples or result, and best for bound), pretty.  The
+provenance row and meta.options echo every option the command took, as
+parsed, except --format and --out.  Exit codes: 0 success, 1 usage error
+(including an --out path that cannot be written), 2 verification failure,
+3 inconclusive bound under --strict.  All output is deterministic for fixed
+flags.
 
 Each command computes its result once and returns a _Report; _render turns
 it into the one format asked for.
@@ -16,13 +22,14 @@ import argparse
 import json
 import math
 import re
+import shlex
 import sys
 from dataclasses import dataclass
 from typing import Callable
 
 from . import __version__
 from .bound_polys import (
-    CANDIDATE_INDICES, DEFAULT_TOL, InnerProductPair, best_bound, build_candidate, delsarte_check,
+    CANDIDATE_INDICES, DEFAULT_TOL, InnerProductPair, best_of, build_candidate, delsarte_check,
 )
 from .gegenbauer import GegenbauerExpansion
 from .constructions import (
@@ -31,11 +38,16 @@ from .constructions import (
 from .lrs import profile, table
 
 MAX_TABLE_N = 60
-# The window sweep needs no grid, so --grid changes no result; it is accepted
-# and echoed in provenance so that existing command lines keep working.
+# The window sweep needs no grid, so table's --grid changes no result; it is
+# accepted and echoed in provenance so that existing command lines keep working.
 DEFAULT_GRID = 20001
-# Options every command echoes in provenance and meta, after its own.
-_COMMON = ("grid", "tol", "seed", "precision", "strict")
+# verify-lambda's cluster centers are means of computed Gram entries and lie
+# within 3e-16 of the exact (a, b) for n = 3..60; a and b move by at least
+# 2.8e-4 from one n to the next, so this admits rounding and nothing else.
+CENTER_TOL = 1e-9
+# Namespace entries left out of provenance: the subcommand's name, and the
+# options that only direct the output.
+_NOT_ECHOED = ("command", "format", "out")
 
 
 class UsageError(Exception):
@@ -51,7 +63,6 @@ class _Parser(argparse.ArgumentParser):
 class _Report:
     """One command's result; records and pretty lines are built on demand."""
 
-    fields: tuple[str, ...]  # the command's own options, echoed
     key: str  # JSON key of the records: rows, samples or result (one record)
     records: Callable[[], list[dict]]  # flat records of raw values
     pretty: Callable[[], list[str]]
@@ -90,7 +101,9 @@ def _json(x, p: int):
 
 def _render(args: argparse.Namespace, report: _Report) -> str:
     p = args.precision
-    options = {name: getattr(args, name) for name in report.fields + _COMMON}
+    # The namespace holds exactly the options the subcommand declares, in
+    # declaration order.
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     if args.format == "json":
         records = report.records()
         payload = {
@@ -102,7 +115,10 @@ def _render(args: argparse.Namespace, report: _Report) -> str:
         return json.dumps(payload, indent=2) + "\n"
     if args.format == "csv":
         records = (report.csv or report.records)()
-        echo = " ".join(f"{k}={str(v).lower() if isinstance(v, bool) else v}" for k, v in options.items())
+        # Quoted as a shell would need, so that "--coeffs '1, 0, 1'" stays one field.
+        echo = " ".join(
+            f"{k}={shlex.quote(str(v).lower() if isinstance(v, bool) else str(v))}" for k, v in options.items()
+        )
         lines = [f"# twodist {__version__} command={args.command} {echo}", ",".join(records[0])]
         lines += [",".join([_fmt(v, p) for v in r.values()]) for r in records]
         if report.best is not None:
@@ -131,7 +147,7 @@ def cmd_table(args: argparse.Namespace) -> _Report:
         return lines
 
     code = 3 if args.strict and any(not r.conclusive for r in rows) else 0
-    return _Report(("n_min", "n_max"), "rows", lambda: [vars(r) for r in rows], pretty, code)
+    return _Report("rows", lambda: [vars(r) for r in rows], pretty, code)
 
 
 def cmd_profile(args: argparse.Namespace) -> _Report:
@@ -152,13 +168,13 @@ def cmd_profile(args: argparse.Namespace) -> _Report:
         return lines
 
     code = 3 if args.strict and any(math.isinf(s.q) for s in samples) else 0
-    return _Report(("n", "k", "samples"), "samples", records, pretty, code)
+    return _Report("samples", records, pretty, code)
 
 
 def cmd_bound(args: argparse.Namespace) -> _Report:
     pair = InnerProductPair(args.n, args.a, args.b)
     cands = [build_candidate(i, pair, tol=args.tol) for i in CANDIDATE_INDICES]
-    value, winning = best_bound(pair, tol=args.tol)
+    value, winning = best_of([cand.value for cand in cands])
     p = args.precision
 
     def records():
@@ -198,7 +214,7 @@ def cmd_bound(args: argparse.Namespace) -> _Report:
 
     code = 3 if args.strict and math.isinf(value) else 0
     best = {"value": value, "winning": list(winning)}
-    return _Report(("n", "a", "b"), "rows", records, pretty, code, csv=csv, best=best)
+    return _Report("rows", records, pretty, code, csv=csv, best=best)
 
 
 def cmd_verify_lambda(args: argparse.Namespace) -> _Report:
@@ -211,8 +227,8 @@ def cmd_verify_lambda(args: argparse.Namespace) -> _Report:
     if n == 2:  # degenerate: the three midpoints form an equilateral triangle
         shape = not cert.valid and (cert.diagnostic or "").startswith("one-distance")
     else:
-        shape = cert.valid and abs(cert.b - b_exp) < 1e-9 and rank == n
-    passed = len(s) == m_expected and abs(cert.a - a_exp) < 1e-9 and psd and shape
+        shape = cert.valid and abs(cert.b - b_exp) < CENTER_TOL and rank == n
+    passed = len(s) == m_expected and abs(cert.a - a_exp) < CENTER_TOL and psd and shape
     result = {
         "n": n, "points": len(s), "expected_points": m_expected, "a": cert.a, "b": cert.b,
         "expected_a": a_exp, "expected_b": b_exp, "pair_counts": list(cert.pair_counts),
@@ -239,7 +255,7 @@ def cmd_verify_lambda(args: argparse.Namespace) -> _Report:
         ]
 
     code = 0 if passed or n == 2 else 2
-    return _Report(("n",), "result", lambda: [result], pretty, code, csv=lambda: [row])
+    return _Report("result", lambda: [result], pretty, code, csv=lambda: [row])
 
 
 def cmd_independence(args: argparse.Namespace) -> _Report:
@@ -259,7 +275,7 @@ def cmd_independence(args: argparse.Namespace) -> _Report:
             "PASS" if result["pass"] else "FAIL",
         ]
 
-    return _Report(("n",), "result", lambda: [result], pretty, 0 if result["pass"] else 2)
+    return _Report("result", lambda: [result], pretty, 0 if result["pass"] else 2)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -280,60 +296,74 @@ def cmd_delsarte_check(args: argparse.Namespace) -> _Report:
     res = delsarte_check(GegenbauerExpansion(args.n, coeffs), t_values, tol=args.tol)
     result = {"bound": res.bound, "ok": res.ok, "violation": res.violation}
     verdict = f"accepted: cardinality bound {res.bound}" if res.ok else f"rejected: {res.violation}"
-    return _Report(("n",), "result", lambda: [result], lambda: [f"certificate {verdict}"], 0 if res.ok else 2)
+    return _Report("result", lambda: [result], lambda: [f"certificate {verdict}"], 0 if res.ok else 2)
 
 
+def _finite_real(text: str) -> float:
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not math.isfinite(x):
+        raise argparse.ArgumentTypeError(f"must be a finite real, got {text!r}")
+    return x
+
+
+def _parent(flag: str, **kwargs) -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(add_help=False)
+    parser.add_argument(flag, **kwargs)
+    return parser
+
+
+# Every option is a parent parser built once, at import: composing a
+# subcommand of them costs less than adding its options anew on each main().
+_OPTIONS = {
+    "--n": _parent("--n", type=int, required=True),
+    "--n-min": _parent("--n-min", type=int, required=True),
+    "--n-max": _parent("--n-max", type=int, required=True),
+    "--grid": _parent(
+        "--grid", type=int, default=DEFAULT_GRID,
+        help="accepted for compatibility and echoed in provenance; no longer changes results",
+    ),
+    "--k": _parent("--k", type=int, required=True),
+    "--samples": _parent("--samples", type=int, default=1001),
+    "--a": _parent("--a", type=float, required=True),
+    "--b": _parent("--b", type=float, required=True),
+    "--coeffs": _parent("--coeffs", required=True, help="comma-separated Gegenbauer coefficients f_0,f_1,..."),
+    "--t-values": _parent("--t-values", required=True, help="comma-separated inner products"),
+    "--tol": _parent("--tol", type=_finite_real, default=DEFAULT_TOL, help="sign-check tolerance"),
+    "--seed": _parent("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for random unit vectors"),
+    "--format": _parent("--format", choices=("csv", "json", "pretty"), default="pretty"),
+    "--precision": _parent("--precision", type=int, default=12, help="significant digits for reals"),
+    "--out": _parent("--out", default=None, help="output path (default stdout)"),
+    "--strict": _parent("--strict", action="store_true", help="exit 3 on any inconclusive bound"),
+}
+_OUTPUT = "--format --precision --out"
+
+# name: (command, help, the options it takes in the order provenance echoes them)
 _COMMANDS = {
-    "table": cmd_table,
-    "profile": cmd_profile,
-    "bound": cmd_bound,
-    "verify-lambda": cmd_verify_lambda,
-    "independence": cmd_independence,
-    "delsarte-check": cmd_delsarte_check,
+    "table": (
+        cmd_table, "bound table over a dimension range",
+        f"--n-min --n-max --grid --tol --seed {_OUTPUT} --strict",
+    ),
+    "profile": (
+        cmd_profile, "bound curve samples over one (n, k) window",
+        f"--n --k --samples --tol {_OUTPUT} --strict",
+    ),
+    "bound": (cmd_bound, "candidate bounds for one pair (a, b)", f"--n --a --b --tol {_OUTPUT} --strict"),
+    "verify-lambda": (cmd_verify_lambda, "certify the midpoint construction", f"--n {_OUTPUT}"),
+    "independence": (cmd_independence, "harmonic-independence rank check", f"--n --seed {_OUTPUT}"),
+    "delsarte-check": (
+        cmd_delsarte_check, "check an explicit expansion", f"--n --coeffs --t-values --tol {_OUTPUT}",
+    ),
 }
 
 
 def build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--tol", type=float, default=DEFAULT_TOL, help="sign-check tolerance")
-    common.add_argument(
-        "--grid", type=int, default=DEFAULT_GRID,
-        help="accepted for compatibility and echoed in provenance; no longer changes results",
-    )
-    common.add_argument("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for random unit vectors")
-    common.add_argument("--format", choices=("csv", "json", "pretty"), default="pretty")
-    common.add_argument("--precision", type=int, default=12, help="significant digits for reals")
-    common.add_argument("--out", default=None, help="output path (default stdout)")
-    common.add_argument("--strict", action="store_true", help="exit 3 on any inconclusive bound")
-
     parser = _Parser(prog="twodist", description="Two-distance set bounds and constructions")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-
-    t = sub.add_parser("table", parents=[common], help="bound table over a dimension range")
-    t.add_argument("--n-min", type=int, required=True, dest="n_min")
-    t.add_argument("--n-max", type=int, required=True, dest="n_max")
-
-    pr = sub.add_parser("profile", parents=[common], help="bound curve samples over one (n, k) window")
-    pr.add_argument("--n", type=int, required=True)
-    pr.add_argument("--k", type=int, required=True)
-    pr.add_argument("--samples", type=int, default=1001)
-
-    b = sub.add_parser("bound", parents=[common], help="candidate bounds for one pair (a, b)")
-    b.add_argument("--n", type=int, required=True)
-    b.add_argument("--a", type=float, required=True)
-    b.add_argument("--b", type=float, required=True)
-
-    v = sub.add_parser("verify-lambda", parents=[common], help="certify the midpoint construction")
-    v.add_argument("--n", type=int, required=True)
-
-    ind = sub.add_parser("independence", parents=[common], help="harmonic-independence rank check")
-    ind.add_argument("--n", type=int, required=True)
-
-    dc = sub.add_parser("delsarte-check", parents=[common], help="check an explicit expansion")
-    dc.add_argument("--n", type=int, required=True)
-    dc.add_argument("--coeffs", required=True, help="comma-separated Gegenbauer coefficients f_0,f_1,...")
-    dc.add_argument("--t-values", required=True, dest="t_values", help="comma-separated inner products")
-
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        sub.add_parser(name, parents=[_OPTIONS[flag] for flag in flags.split()], help=help_text)
     return parser
 
 
@@ -347,11 +377,9 @@ def main(argv=None) -> int:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
-        if not math.isfinite(args.tol):
-            raise UsageError(f"--tol must be a finite real, got {args.tol}")
         if args.precision < 0:
             raise UsageError(f"--precision must be >= 0, got {args.precision}")
-        report = _COMMANDS[args.command](args)
+        report = _COMMANDS[args.command][0](args)
     except (UsageError, ValueError) as exc:  # ValueError: the library's own input checks
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -115,11 +115,7 @@ class TwoDistanceCertificate:
     diagnostic: str | None = None
 
 
-def verify_two_distance(
-    s: UnitPointSet,
-    diameter_tol: float = CLUSTER_DIAMETER_TOL,
-    gap_tol: float = CLUSTER_GAP_TOL,
-) -> TwoDistanceCertificate:
+def verify_two_distance(s: UnitPointSet) -> TwoDistanceCertificate:
     """Split sorted off-diagonal Gram entries at the largest gap and test the clusters."""
     m = len(s)
     if m < 3:
@@ -130,7 +126,7 @@ def verify_two_distance(
     vals = g[np.triu(np.ones((m, m), dtype=bool), k=1)]
     del g
     vals.sort()
-    if vals[-1] - vals[0] < diameter_tol:
+    if vals[-1] - vals[0] < CLUSTER_DIAMETER_TOL:
         center = float(vals.mean())
         return TwoDistanceCertificate(
             center, center, (len(vals), 0), False, "one-distance set: a single inner product"
@@ -144,14 +140,14 @@ def verify_two_distance(
     a = float(high.mean())
     b = float(low.mean())
     counts = (len(high), len(low))
-    if diam_low < diameter_tol and diam_high < diameter_tol and gap > gap_tol:
+    if diam_low < CLUSTER_DIAMETER_TOL and diam_high < CLUSTER_DIAMETER_TOL and gap > CLUSTER_GAP_TOL:
         return TwoDistanceCertificate(a, b, counts, True)
     return TwoDistanceCertificate(
         a, b, counts, False, "not two-distance: more than two inner-product clusters"
     )
 
 
-def gram_check(s: UnitPointSet, eig_tol: float = EIG_TOL) -> tuple[bool, int]:
+def gram_check(s: UnitPointSet) -> tuple[bool, int]:
     """(is positive semidefinite, numerical rank) of the Gram matrix.
 
     The eigenvalues come from X^T X (n x n), X being the m x n array of
@@ -163,18 +159,12 @@ def gram_check(s: UnitPointSet, eig_tol: float = EIG_TOL) -> tuple[bool, int]:
     if len(x) == 0:
         raise ValueError("need at least 1 point to check the Gram matrix, got 0")
     w = np.linalg.eigvalsh(x.T @ x)
-    psd = bool(w[0] > -eig_tol)
-    rank = int(np.count_nonzero(w > eig_tol))
+    psd = bool(w[0] > -EIG_TOL)
+    rank = int(np.count_nonzero(w > EIG_TOL))
     return psd, rank
 
 
-def independence_rank(
-    s: UnitPointSet,
-    a: float,
-    b: float,
-    seed: int = DEFAULT_SEED,
-    rel_tol: float = RANK_REL_TOL,
-) -> int:
+def independence_rank(s: UnitPointSet, a: float, b: float, seed: int = DEFAULT_SEED) -> int:
     """Rank of {F(<x, x_i>)}_i together with the n coordinate functionals.
 
     F(t) = (t - a)(t - b) / ((1 - a)(1 - b)) satisfies F(<x_i, x_j>) = delta_ij
@@ -187,7 +177,7 @@ def independence_rank(
 
     and A is the identity, so block elimination gives its rank as
     m + rank(S) with S = Y^T - X^T B, an n x (n + 20) matrix.  The rank of S
-    counts the singular values above rel_tol times S's largest one.
+    counts the singular values above RANK_REL_TOL times S's largest one.
 
     Two things are checked, and a failure raises ValueError:
 
@@ -228,4 +218,4 @@ def independence_rank(
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
     schur = extra.T - x.T @ f(x @ extra.T)
     sv = np.linalg.svd(schur, compute_uv=False)
-    return m + int(np.count_nonzero(sv > rel_tol * sv[0]))
+    return m + int(np.count_nonzero(sv > RANK_REL_TOL * sv[0]))

@@ -31,10 +31,10 @@ from numpy.polynomial import polynomial as npoly
 
 from .bound_polys import (
     DEFAULT_TOL,
-    WINNER_REL_TOL,
     InnerProductPair,
     _forms,
     best_bound,
+    best_of,
     candidate_values,
     floor_nudged,
 )
@@ -208,6 +208,31 @@ def _roots_inside(poly, lo: float, hi: float) -> np.ndarray:
     return r[(r > lo) & (r < hi)]
 
 
+def _vanishes(poly, x: Fraction) -> bool:
+    """Whether an exact polynomial is zero at the rational x, in integers."""
+    c, _ = poly
+    p, q, deg = x.numerator, x.denominator, len(c) - 1
+    return sum(ci * p**i * q ** (deg - i) for i, ci in enumerate(c)) == 0
+
+
+def _flip_roots(poly, lo: float, hi: float, ends: tuple[Fraction, Fraction]) -> np.ndarray:
+    """_roots_inside, less the roots that are a window end.
+
+    A domain condition can vanish exactly at an end (a + b = 0 at
+    a = 1/(2k - 1)), and its float root may land an ulp inside.  Kept, it
+    would cut off a sliver piece whose candidate set is read at the
+    degenerate point itself.  Only roots within WINDOW_SLACK of an end are
+    checked, in exact arithmetic, so that the check costs next to nothing.
+    """
+    r = _roots_inside(poly, lo, hi)
+    if r.size and (r.min() - lo <= WINDOW_SLACK or hi - r.max() <= WINDOW_SLACK):
+        for x, end in zip((lo, hi), ends):
+            near = np.abs(r - x) <= WINDOW_SLACK
+            if near.any() and _vanishes(poly, end):
+                r = r[~near]
+    return r
+
+
 def _cross(p, q, r, s) -> tuple:
     """p q - r s for exact polynomials."""
     return _padd(_pmul(p, q), _pmul(r, s), -1)
@@ -224,7 +249,8 @@ def _window_points(n: int, k: int, tol: float, lo: float, hi: float):
     forms = _forms(Fraction(n), x, (k * x - 1) / (k - 1))
     t = Fraction(tol)
     conditions = [c for f in forms for c in (f.f0 - t, f.fj + t, f.divisor) if c is not None]
-    flips = [_roots_inside(poly, lo, hi) for c in conditions for poly in (c._num, c._den)]
+    ends = (Fraction(2 - k, k), Fraction(1, 2 * k - 1))
+    flips = [_flip_roots(poly, lo, hi, ends) for c in conditions for poly in (c._num, c._den)]
     values = [f.value for f in forms]
     extrema = [_cross(_pder(v._num), v._den, v._num, _pder(v._den)) for v in values]
     extrema += [_cross(v._num, w._den, w._num, v._den) for v, w in combinations(values, 2)]
@@ -365,14 +391,4 @@ def profile(n: int, k: int, samples: int, tol: float = DEFAULT_TOL) -> list[Prof
     _check_window(n, k)
     xs = np.linspace(*interval(k), samples)
     vals = candidate_values(n, xs, _b_line(k, xs), tol)
-    qs = vals.min(axis=0)
-    out = []
-    for j in range(samples):
-        q = float(qs[j])
-        if math.isinf(q):
-            winning: tuple[int, ...] = ()
-        else:
-            close = vals[:, j] - q <= WINNER_REL_TOL * max(1.0, abs(q))
-            winning = tuple(int(i) + 1 for i in np.flatnonzero(close))
-        out.append(ProfileSample(float(xs[j]), q, winning))
-    return out
+    return [ProfileSample(x, *best_of(col.tolist())) for x, col in zip(xs.tolist(), vals.T)]

@@ -1,9 +1,12 @@
 import json
+import shlex
 import subprocess
 import sys
 
 import pytest
 
+import twodist.bound_polys
+import twodist.cli
 from twodist.cli import console_entry, main
 
 A7 = "0.3333333333333333"
@@ -325,3 +328,78 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "7,28,28,2,28,true" in proc.stdout
+
+
+# The options each subcommand accepts, besides --format and --out, in the
+# order its provenance echoes them; and the shortest argv that runs it.
+ACCEPTED = {
+    "table": (["table", "--n-min", "7", "--n-max", "7"],
+              ["n_min", "n_max", "grid", "tol", "seed", "precision", "strict"]),
+    "profile": (["profile", "--n", "25", "--k", "3", "--samples", "3"],
+                ["n", "k", "samples", "tol", "precision", "strict"]),
+    "bound": (["bound", "--n", "23", "--a", "0.2", "--b", "-0.2"], ["n", "a", "b", "tol", "precision", "strict"]),
+    "verify-lambda": (["verify-lambda", "--n", "7"], ["n", "precision"]),
+    "independence": (["independence", "--n", "7"], ["n", "seed", "precision"]),
+    "delsarte-check": (["delsarte-check", "--n", "7", "--coeffs", "1,0,1", "--t-values", "0.5"],
+                       ["n", "coeffs", "t_values", "tol", "precision"]),
+}
+# The options some subcommands take and others do not, with a value to pass.
+SHARED_VALUES = {"grid": "5001", "tol": "1e-6", "seed": "3", "strict": None}
+
+
+@pytest.mark.parametrize("command", ACCEPTED)
+def test_provenance_echoes_exactly_the_accepted_options(capsys, command):
+    argv, accepted = ACCEPTED[command]
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code in (0, 2)
+    header = out.splitlines()[0].split()
+    assert header[3] == f"command={command}"
+    assert [item.split("=", 1)[0] for item in header[4:]] == accepted
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert list(json.loads(out)["meta"]["options"]) == accepted
+
+
+def test_provenance_keeps_a_spaced_value_in_one_field(capsys):
+    argv = ["delsarte-check", "--n", "7", "--coeffs", "1, 0, 1", "--t-values", "0.5", "--format", "csv"]
+    code, out, _ = run(capsys, argv)
+    assert code in (0, 2)
+    fields = dict(item.split("=", 1) for item in shlex.split(out.splitlines()[0])[3:])
+    assert fields["coeffs"] == "1, 0, 1" and fields["t_values"] == "0.5"
+
+
+@pytest.mark.parametrize("command", ACCEPTED)
+def test_options_a_command_does_not_read_are_usage_errors(capsys, command):
+    argv, accepted = ACCEPTED[command]
+    for name, value in SHARED_VALUES.items():
+        if name in accepted:
+            continue
+        extra = [f"--{name}"] + ([value] if value is not None else [])
+        code, out, err = run(capsys, argv + extra)
+        assert code == 1 and out == "", (command, name)
+        assert err.startswith("error:") and len(err.strip().splitlines()) == 1, (command, name)
+
+
+def test_table_grid_and_seed_change_no_bytes(capsys):
+    argv = ["table", "--n-min", "20", "--n-max", "23", "--format", "csv"]
+    _, plain, _ = run(capsys, argv)
+    code, flagged, _ = run(capsys, argv + ["--grid", "5001", "--seed", "3"])
+    assert code == 0
+    assert flagged.splitlines()[1:] == plain.splitlines()[1:]
+    assert flagged.splitlines()[0] == plain.splitlines()[0].replace("grid=20001", "grid=5001").replace(
+        "seed=42", "seed=3"
+    )
+
+
+def test_bound_builds_each_candidate_once(capsys, monkeypatch):
+    calls = []
+    build = twodist.bound_polys.build_candidate
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(twodist.cli, "build_candidate", counting)
+    monkeypatch.setattr(twodist.bound_polys, "build_candidate", counting)
+    code, out, _ = run(capsys, ["bound", "--n", "23", "--a", "0.2", "--b", "-0.2", "--format", "csv"])
+    assert code == 0 and out.splitlines()[-1].startswith("# best=276")
+    assert sorted(calls) == [1, 2, 3, 4, 5]

@@ -269,3 +269,12 @@ def test_slice_validation():
         k_slice(10, 3)  # k_max(10) == 2
     with pytest.raises(ValueError):
         k_slice(10, 2, math.nan)
+
+
+def test_zero_tolerance_table_matches_default():
+    # a + b = 0 exactly at the right end 1/(2k - 1) of every window; its float
+    # root used to land an ulp inside and cut off a sliver piece whose
+    # candidate set was read at the degenerate point (n = 15 gave 398).
+    zero, default = table(7, 60, tol=0.0), table(7, 60)
+    assert [r.omega_hat for r in zero] == [r.omega_hat for r in default]
+    assert zero == default
