@@ -31,6 +31,11 @@ from numpy.polynomial import polynomial as npoly
 from .gegenbauer import GegenbauerExpansion, as_monomial, to_gegenbauer
 
 DEFAULT_TOL = 1e-9
+# Largest sign-check tolerance accepted.  The tolerance only absorbs rounding
+# in the computed f_k, and the default 1e-9 sits far below this limit; a
+# larger one (or a negative one, which lets f_0 > tol pass f_0 <= 0) would
+# accept certificates that do not bound anything.
+MAX_TOL = 1e-6
 # Relative determinant threshold below which a 2x2 multiplier solve
 # (and the i=2 division by a+b) counts as singular.
 SINGULAR_REL_TOL = 1e-12
@@ -248,8 +253,11 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
     """Certificate check: all f_k >= 0, f_0 > 0, and f <= 0 on the given t set.
 
     On success the integer floor(f(1) / f_0) bounds the size of any spherical
-    set in R^n whose pairwise inner products all lie in t_values.
+    set in R^n whose pairwise inner products all lie in t_values.  tol
+    must satisfy 0 <= tol <= MAX_TOL.
     """
+    if not 0 <= tol <= MAX_TOL:
+        raise ValueError(f"tolerance must satisfy 0 <= tol <= {MAX_TOL:g}, got {tol}")
     f = expansion.coeffs
     if not np.all(np.isfinite(f)):
         k = int(np.argmin(np.isfinite(f)))

@@ -19,6 +19,7 @@ it into the one format asked for.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -29,7 +30,7 @@ from typing import Callable
 
 from . import __version__
 from .bound_polys import (
-    CANDIDATE_INDICES, DEFAULT_TOL, InnerProductPair, best_of, build_candidate, delsarte_check,
+    CANDIDATE_INDICES, DEFAULT_TOL, MAX_TOL, InnerProductPair, best_of, build_candidate, delsarte_check,
 )
 from .gegenbauer import GegenbauerExpansion
 from .constructions import (
@@ -299,13 +300,15 @@ def cmd_delsarte_check(args: argparse.Namespace) -> _Report:
     return _Report("result", lambda: [result], lambda: [f"certificate {verdict}"], 0 if res.ok else 2)
 
 
-def _finite_real(text: str) -> float:
+def _tolerance(text: str) -> float:
     try:
         x = float(text)
     except ValueError:
         x = math.nan
     if not math.isfinite(x):
         raise argparse.ArgumentTypeError(f"must be a finite real, got {text!r}")
+    if not 0 <= x <= MAX_TOL:
+        raise argparse.ArgumentTypeError(f"must satisfy 0 <= tol <= {MAX_TOL:g}, got {text!r}")
     return x
 
 
@@ -331,7 +334,9 @@ _OPTIONS = {
     "--b": _parent("--b", type=float, required=True),
     "--coeffs": _parent("--coeffs", required=True, help="comma-separated Gegenbauer coefficients f_0,f_1,..."),
     "--t-values": _parent("--t-values", required=True, help="comma-separated inner products"),
-    "--tol": _parent("--tol", type=_finite_real, default=DEFAULT_TOL, help="sign-check tolerance"),
+    "--tol": _parent(
+        "--tol", type=_tolerance, default=DEFAULT_TOL, help=f"sign-check tolerance, 0 to {MAX_TOL:g}",
+    ),
     "--seed": _parent("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for random unit vectors"),
     "--format": _parent("--format", choices=("csv", "json", "pretty"), default="pretty"),
     "--precision": _parent("--precision", type=int, default=12, help="significant digits for reals"),
@@ -367,8 +372,17 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """build_parser(), built on the first main() call and reused by later
+    ones: parsing keeps no state in the parser, and building it is half
+    the time of a short in-process query.  Not built at import, so that
+    importing the package costs no more."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     # argparse takes "-0.25,0.1" or "-1e-3" for an option name, not a value:
     # attach such a value to the option before it, as "--t-values=-0.25,0.1".

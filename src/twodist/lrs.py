@@ -27,7 +27,6 @@ from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .bound_polys import (
     DEFAULT_TOL,
@@ -134,6 +133,9 @@ def _pder(p) -> tuple:
     return _lowest([i * x for i, x in enumerate(a)][1:] or [0], d)
 
 
+_ONE = ((1,), 1)  # the constant polynomial 1 in _lowest form
+
+
 class _RatFn:
     """num(a) / den(a), exact: just the arithmetic _forms needs.
 
@@ -142,12 +144,13 @@ class _RatFn:
     is a short loop over ints and one gcd, not a gcd per coefficient
     operation; num and den read back as tuples of Fraction.  Terms over
     the same denominator are added and divided without multiplying it in,
-    and a scalar touches the numerator only; otherwise the quartic's value
-    would grow from degree 6/6 to 14/14 and its roots would lose accuracy.
-    The root finder gets each coefficient as c / den: int true division
-    is correctly rounded, so it is the float that float(Fraction(c, den))
-    gives, and the float polynomials are the same bit for bit as with
-    Fraction coefficients."""
+    and a scalar operand is a constant over the constant one (_scalar), so
+    it touches the numerator only; otherwise the quartic's value would grow
+    from degree 6/6 to 14/14 and its roots would lose accuracy.
+    _real_roots, which solves all polynomials of a window together, gets
+    each coefficient as c / den: int true division is correctly rounded,
+    so it is the float that float(Fraction(c, den)) gives, and the float
+    polynomials are the same bit for bit as with Fraction coefficients."""
 
     __slots__ = ("_num", "_den")
 
@@ -160,6 +163,12 @@ class _RatFn:
         out._num, out._den = num, den
         return out
 
+    @classmethod
+    def _scalar(cls, x) -> "_RatFn":
+        """The constant x, built without _exact: a Fraction is in lowest terms."""
+        f = Fraction(x)
+        return cls._of(((f.numerator,), f.denominator), _ONE)
+
     @property
     def num(self) -> tuple:
         c, d = self._num
@@ -171,14 +180,14 @@ class _RatFn:
         return tuple(Fraction(x, d) for x in c)
 
     def __add__(self, other):
-        other = other if isinstance(other, _RatFn) else _RatFn([other])
+        other = other if isinstance(other, _RatFn) else _RatFn._scalar(other)
         if self._den == other._den:
             return _RatFn._of(_padd(self._num, other._num), self._den)
         num = _padd(_pmul(self._num, other._den), _pmul(other._num, self._den))
         return _RatFn._of(num, _pmul(self._den, other._den))
 
     def __mul__(self, other):
-        other = other if isinstance(other, _RatFn) else _RatFn([other])
+        other = other if isinstance(other, _RatFn) else _RatFn._scalar(other)
         return _RatFn._of(_pmul(self._num, other._num), _pmul(self._den, other._den))
 
     def __truediv__(self, other):
@@ -200,14 +209,6 @@ class _RatFn:
     __radd__, __rmul__ = __add__, __mul__
 
 
-def _roots_inside(poly, lo: float, hi: float) -> np.ndarray:
-    """Real roots strictly inside (lo, hi) of an exact polynomial."""
-    c, d = poly
-    r = npoly.polyroots(np.array([x / d for x in c])) if len(c) > 1 else np.empty(0)
-    r = r.real[np.abs(r.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(r.real))]
-    return r[(r > lo) & (r < hi)]
-
-
 def _vanishes(poly, x: Fraction) -> bool:
     """Whether an exact polynomial is zero at the rational x, in integers."""
     c, _ = poly
@@ -215,27 +216,79 @@ def _vanishes(poly, x: Fraction) -> bool:
     return sum(ci * p**i * q ** (deg - i) for i, ci in enumerate(c)) == 0
 
 
-def _flip_roots(poly, lo: float, hi: float, ends: tuple[Fraction, Fraction]) -> np.ndarray:
-    """_roots_inside, less the roots that are a window end.
+def _real_roots(polys: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots strictly inside (lo, hi) of exact polynomials, and for each
+    root the index in polys of the polynomial it belongs to.
+
+    A root is an eigenvalue of the polynomial's companion matrix, built as
+    numpy.polynomial.polynomial.polycompanion builds it from the float
+    coefficients c / den; a linear polynomial's root is -c0/c1.  The
+    matrices of each degree go to one stacked eigvals call, which runs the
+    same LAPACK routine on each of them, so every root is the double that
+    polyroots gives for that polynomial alone.
+    """
+    by_degree: dict[int, list[int]] = {}
+    for i, (c, _) in enumerate(polys):
+        if len(c) > 1:
+            by_degree.setdefault(len(c) - 1, []).append(i)
+    roots, owner = [np.empty(0)], [np.empty(0, dtype=np.intp)]
+    for deg, idx in by_degree.items():
+        c = np.array([[x / polys[i][1] for x in polys[i][0]] for i in idx])
+        if deg == 1:
+            r = -c[:, 0] / c[:, 1]
+        else:
+            mat = np.zeros((len(idx), deg, deg))
+            mat[:, np.arange(1, deg), np.arange(deg - 1)] = 1
+            mat[:, :, -1] -= c[:, :-1] / c[:, -1:]
+            r = np.linalg.eigvals(mat)
+        roots.append(r.ravel())
+        owner.append(np.repeat(idx, deg))
+    r, owner = np.concatenate(roots), np.concatenate(owner)
+    keep = np.abs(r.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(r.real))
+    x = r.real
+    keep &= (x > lo) & (x < hi)
+    return x[keep], owner[keep]
+
+
+def _flip_roots(roots, owner, polys: list, lo: float, hi: float, ends: tuple[Fraction, Fraction]):
+    """The roots of domain conditions, less those that are a window end.
 
     A domain condition can vanish exactly at an end (a + b = 0 at
     a = 1/(2k - 1)), and its float root may land an ulp inside.  Kept, it
     would cut off a sliver piece whose candidate set is read at the
     degenerate point itself.  Only roots within WINDOW_SLACK of an end are
-    checked, in exact arithmetic, so that the check costs next to nothing.
+    checked, each against its own polynomial in exact arithmetic, so that
+    the check costs next to nothing.
     """
-    r = _roots_inside(poly, lo, hi)
-    if r.size and (r.min() - lo <= WINDOW_SLACK or hi - r.max() <= WINDOW_SLACK):
-        for x, end in zip((lo, hi), ends):
-            near = np.abs(r - x) <= WINDOW_SLACK
-            if near.any() and _vanishes(poly, end):
-                r = r[~near]
-    return r
+    drop = np.zeros(roots.size, dtype=bool)
+    for x, end in zip((lo, hi), ends):
+        for i in np.flatnonzero(np.abs(roots - x) <= WINDOW_SLACK):
+            drop[i] = _vanishes(polys[owner[i]], end)
+    return roots[~drop]
 
 
 def _cross(p, q, r, s) -> tuple:
     """p q - r s for exact polynomials."""
     return _padd(_pmul(p, q), _pmul(r, s), -1)
+
+
+def _window_polys(n: int, k: int, tol: float) -> tuple[list, list]:
+    """The exact polynomials of the (n, k) window, as (domain, extrema).
+
+    domain holds the numerators and denominators of every domain condition,
+    whose roots are where a candidate can enter or leave its domain;
+    extrema holds the critical-point polynomial of each candidate and the
+    crossing polynomial of each pair.
+    """
+    x = _RatFn([0, 1])
+    forms = _forms(Fraction(n), x, (k * x - 1) / (k - 1))
+    t = Fraction(tol)
+    conditions = [c for f in forms for c in (f.f0 - t, f.fj + t, f.divisor) if c is not None]
+    domain = [poly for c in conditions for poly in (c._num, c._den)]
+    values = [f.value for f in forms]
+    extrema = [_cross(_pder(v._num), v._den, v._num, _pder(v._den)) for v in values]
+    extrema += [_cross(v._num, w._den, w._num, v._den) for v, w in combinations(values, 2)]
+    return domain, extrema
 
 
 def _window_points(n: int, k: int, tol: float, lo: float, hi: float):
@@ -245,16 +298,17 @@ def _window_points(n: int, k: int, tol: float, lo: float, hi: float):
     its domain, and the a where one candidate has a critical point or two
     candidates cross.
     """
-    x = _RatFn([0, 1])
-    forms = _forms(Fraction(n), x, (k * x - 1) / (k - 1))
-    t = Fraction(tol)
-    conditions = [c for f in forms for c in (f.f0 - t, f.fj + t, f.divisor) if c is not None]
+    domain, extrema = _window_polys(n, k, tol)
+    # Equal polynomials have equal tuples (see _lowest): each is solved once.
+    polys = list(dict.fromkeys(domain + extrema))
+    index = {poly: i for i, poly in enumerate(polys)}
+    roots, owner = _real_roots(polys, lo, hi)
+    is_flip, is_extremum = np.zeros((2, len(polys)), dtype=bool)
+    is_flip[[index[poly] for poly in domain]] = True
+    is_extremum[[index[poly] for poly in extrema]] = True
+    flip = is_flip[owner]
     ends = (Fraction(2 - k, k), Fraction(1, 2 * k - 1))
-    flips = [_flip_roots(poly, lo, hi, ends) for c in conditions for poly in (c._num, c._den)]
-    values = [f.value for f in forms]
-    extrema = [_cross(_pder(v._num), v._den, v._num, _pder(v._den)) for v in values]
-    extrema += [_cross(v._num, w._den, w._num, v._den) for v, w in combinations(values, 2)]
-    return np.concatenate(flips), np.concatenate([_roots_inside(p, lo, hi) for p in extrema])
+    return _flip_roots(roots[flip], owner[flip], polys, lo, hi, ends), roots[is_extremum[owner]]
 
 
 @dataclass(frozen=True)

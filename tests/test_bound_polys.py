@@ -6,6 +6,7 @@ from numpy.polynomial import polynomial as npoly
 
 from twodist.bound_polys import (
     CANDIDATE_INDICES,
+    MAX_TOL,
     InnerProductPair,
     best_bound,
     build_candidate,
@@ -229,3 +230,14 @@ def test_pair_validation():
         InnerProductPair(1, 0.2, -0.2)  # dimension
     with pytest.raises(ValueError):
         build_candidate(6, InnerProductPair(7, 0.2, -0.4))
+
+
+def test_delsarte_check_tolerance_range():
+    # A tolerance of 1 accepted f_1 = -0.9 and gave "cardinality bound 0";
+    # a negative one lets f_0 > tol pass f_0 <= 0.
+    e = GegenbauerExpansion(7, [1.01, -0.9])
+    for tol in (1.0, 1e-5, -1e-12, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tolerance"):
+            delsarte_check(e, [0.5], tol=tol)
+    for tol in (0.0, 1e-9, MAX_TOL):
+        assert "negative Gegenbauer coefficient f_1" in delsarte_check(e, [0.5], tol=tol).violation

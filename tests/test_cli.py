@@ -403,3 +403,40 @@ def test_bound_builds_each_candidate_once(capsys, monkeypatch):
     code, out, _ = run(capsys, ["bound", "--n", "23", "--a", "0.2", "--b", "-0.2", "--format", "csv"])
     assert code == 0 and out.splitlines()[-1].startswith("# best=276")
     assert sorted(calls) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("tol", ["1", "-1", "1e-5", "-1e-12"])
+def test_tolerance_outside_its_range_is_usage_error(capsys, tol):
+    # With --tol 1 this printed "certificate accepted: cardinality bound 0", exit 0.
+    argv = ["delsarte-check", "--n", "7", "--coeffs=1.01,-0.9", "--t-values", "0.5", "--tol", tol]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: argument --tol:") and len(err.strip().splitlines()) == 1
+    for command in (["table", "--n-min", "7", "--n-max", "7"], ["bound", "--n", "7", "--a", A7, "--b", "-" + A7]):
+        code, out, err = run(capsys, command + ["--tol", tol])
+        assert code == 1 and out == "" and err.startswith("error: argument --tol:")
+
+
+def test_tolerance_range_ends_are_accepted(capsys):
+    argv = ["delsarte-check", "--n", "7", "--coeffs=1.01,-0.9", "--t-values", "0.5"]
+    code, default, _ = run(capsys, argv)
+    assert code == 2 and default == "certificate rejected: negative Gegenbauer coefficient f_1 = -0.9\n"
+    for tol in ("0", "1e-6"):
+        assert run(capsys, argv + ["--tol", tol])[:2] == (2, default)
+
+
+def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
+    built = []
+    build = twodist.cli.build_parser
+    monkeypatch.setattr(twodist.cli, "build_parser", lambda: built.append(build()) or built[-1])
+    twodist.cli._parser.cache_clear()
+    try:
+        argv = ["table", "--n-min", "44", "--n-max", "44"]
+        assert run(capsys, argv + ["--strict"])[0] == 3
+        assert run(capsys, argv)[0] == 0
+        assert run(capsys, ["bound", "--n", "7", "--a", A7, "--b", "-" + A7, "--tol", "oops"])[0] == 1
+        code, out, _ = run(capsys, argv + ["--format", "csv"])
+        assert code == 0 and "strict=false" in out.splitlines()[0] and "tol=1e-09" in out.splitlines()[0]
+        assert len(built) == 1 and twodist.cli._parser() is built[0]
+    finally:
+        twodist.cli._parser.cache_clear()

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
 import twodist.lrs as lrs
-from twodist.bound_polys import _forms, candidate_values
+from twodist.bound_polys import DEFAULT_TOL, _forms, candidate_values
 from twodist.lrs import (
     b_k,
     g_upper,
@@ -278,3 +279,60 @@ def test_zero_tolerance_table_matches_default():
     zero, default = table(7, 60, tol=0.0), table(7, 60)
     assert [r.omega_hat for r in zero] == [r.omega_hat for r in default]
     assert zero == default
+
+
+def _polyroots_inside(poly, lo, hi):
+    """Reference root finder, one polynomial at a time: sorted float.hex of
+    the npoly.polyroots roots that pass the same filters as the sweep's."""
+    c, d = poly
+    if len(c) < 2:
+        return []
+    r = npoly.polyroots(np.array([x / d for x in c]))
+    r = r.real[np.abs(r.imag) <= lrs.ROOT_IMAG_TOL * np.maximum(1.0, np.abs(r.real))]
+    return sorted(x.hex() for x in r[(r > lo) & (r < hi)].tolist())
+
+
+def test_batched_roots_match_polyroots_bit_for_bit():
+    found = 0
+    for n in range(7, 61):
+        for k in range(2, k_max(n) + 1):
+            lo, hi = interval(k)
+            domain, extrema = lrs._window_polys(n, k, DEFAULT_TOL)
+            polys = list(dict.fromkeys(domain + extrema))
+            roots, owner = lrs._real_roots(polys, lo, hi)
+            for i, poly in enumerate(polys):
+                got = sorted(x.hex() for x in roots[owner == i].tolist())
+                assert got == _polyroots_inside(poly, lo, hi), (n, k, i)
+            found += roots.size
+    assert found > 1000
+
+
+def test_cold_table_solves_each_degree_once_per_window(monkeypatch):
+    windows = [(n, k) for n in range(7, 41) for k in range(2, k_max(n) + 1)]
+    degrees = 0
+    for n, k in windows:
+        domain, extrema = lrs._window_polys(n, k, DEFAULT_TOL)
+        degrees += len({len(c) - 1 for c, _ in domain + extrema if len(c) > 2})
+    eigvals, shapes = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: shapes.append(m.shape) or eigvals(m))
+    k_slice.cache_clear()
+    rows = table(7, 40)
+    assert [r.n for r in rows] == list(range(7, 41))
+    # One call per distinct degree of at least 2 per window, each on a stack of
+    # companion matrices; the per-polynomial finder made 2106 calls here.
+    assert len(shapes) <= degrees <= 624
+    assert all(len(shape) == 3 for shape in shapes)
+
+
+@pytest.mark.parametrize(
+    "x", [0, -1, -12, 7, Fraction(3, 4), Fraction(-5, 12), Fraction(1e-9), Fraction(-1, 3)]
+)
+def test_scalar_operand_equals_exact_constant(x):
+    fast, exact = lrs._RatFn._scalar(x), lrs._RatFn([x])
+    assert (fast._num, fast._den) == (exact._num, exact._den)
+    f = lrs._RatFn([Fraction(1, 2), -3], [2, 0, Fraction(5, 7)])
+    for got, want in [
+        (f + x, f + exact), (x + f, exact + f), (f * x, f * exact), (x * f, exact * f),
+        (f - x, f - exact), (x - f, exact - f),
+    ]:
+        assert (got._num, got._den) == (want._num, want._den)
