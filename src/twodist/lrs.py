@@ -119,6 +119,12 @@ def _pmul(p, q) -> tuple:
     return _lowest(out, da * db)
 
 
+def _pscale(p, f: Fraction) -> tuple:
+    """p * f for a rational scalar f: _pmul(p, ((f.numerator,), f.denominator))."""
+    a, d = p
+    return _lowest([x * f.numerator for x in a], d * f.denominator)
+
+
 def _padd(p, q, sign: int = 1) -> tuple:
     """p + sign * q."""
     (a, da), (b, db) = p, q
@@ -144,9 +150,10 @@ class _RatFn:
     is a short loop over ints and one gcd, not a gcd per coefficient
     operation; num and den read back as tuples of Fraction.  Terms over
     the same denominator are added and divided without multiplying it in,
-    and a scalar operand is a constant over the constant one (_scalar), so
-    it touches the numerator only; otherwise the quartic's value would grow
-    from degree 6/6 to 14/14 and its roots would lose accuracy.
+    and a scalar operand touches the numerator only (_pscale): the result
+    has the tuples that the constant _RatFn([x]) over one would give,
+    without a product by the constant one.  Otherwise the quartic's value
+    would grow from degree 6/6 to 14/14 and its roots would lose accuracy.
     _real_roots, which solves all polynomials of a window together, gets
     each coefficient as c / den: int true division is correctly rounded,
     so it is the float that float(Fraction(c, den)) gives, and the float
@@ -163,12 +170,6 @@ class _RatFn:
         out._num, out._den = num, den
         return out
 
-    @classmethod
-    def _scalar(cls, x) -> "_RatFn":
-        """The constant x, built without _exact: a Fraction is in lowest terms."""
-        f = Fraction(x)
-        return cls._of(((f.numerator,), f.denominator), _ONE)
-
     @property
     def num(self) -> tuple:
         c, d = self._num
@@ -180,14 +181,16 @@ class _RatFn:
         return tuple(Fraction(x, d) for x in c)
 
     def __add__(self, other):
-        other = other if isinstance(other, _RatFn) else _RatFn._scalar(other)
+        if not isinstance(other, _RatFn):
+            return _RatFn._of(_padd(self._num, _pscale(self._den, Fraction(other))), self._den)
         if self._den == other._den:
             return _RatFn._of(_padd(self._num, other._num), self._den)
         num = _padd(_pmul(self._num, other._den), _pmul(other._num, self._den))
         return _RatFn._of(num, _pmul(self._den, other._den))
 
     def __mul__(self, other):
-        other = other if isinstance(other, _RatFn) else _RatFn._scalar(other)
+        if not isinstance(other, _RatFn):
+            return _RatFn._of(_pscale(self._num, Fraction(other)), self._den)
         return _RatFn._of(_pmul(self._num, other._num), _pmul(self._den, other._den))
 
     def __truediv__(self, other):
@@ -198,7 +201,8 @@ class _RatFn:
         return _RatFn._of(_pmul(self._num, other._den), _pmul(self._den, other._num))
 
     def __neg__(self):
-        return self * -1
+        c, d = self._num
+        return _RatFn._of((tuple(-x for x in c), d), self._den)
 
     def __sub__(self, other):
         return self + -other

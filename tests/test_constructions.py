@@ -1,12 +1,19 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import twodist.constructions as constructions
 from twodist.constructions import (
+    CLUSTER_DIAMETER_TOL,
+    CLUSTER_GAP_TOL,
     DEFAULT_SEED,
     EIG_TOL,
+    GRAM_BLOCK_ROWS,
     RANK_REL_TOL,
+    TwoDistanceCertificate,
     UnitPointSet,
     gram_check,
     independence_rank,
@@ -78,6 +85,108 @@ def test_verify_requires_three_points():
     pts = np.eye(4)[:2]
     with pytest.raises(ValueError):
         verify_two_distance(UnitPointSet(4, pts))
+
+
+def _verify_by_full_gram(s):
+    """verify_two_distance read through the whole Gram matrix and an m x m mask."""
+    m = len(s)
+    vals = s.gram()[np.triu(np.ones((m, m), dtype=bool), k=1)]
+    vals.sort()
+    if vals[-1] - vals[0] < CLUSTER_DIAMETER_TOL:
+        center = float(vals.mean())
+        return TwoDistanceCertificate(
+            center, center, (len(vals), 0), False, "one-distance set: a single inner product"
+        )
+    gaps = np.diff(vals)
+    split = int(np.argmax(gaps))
+    low, high = vals[: split + 1], vals[split + 1 :]
+    valid = (
+        low[-1] - low[0] < CLUSTER_DIAMETER_TOL
+        and high[-1] - high[0] < CLUSTER_DIAMETER_TOL
+        and gaps[split] > CLUSTER_GAP_TOL
+    )
+    diagnostic = None if valid else "not two-distance: more than two inner-product clusters"
+    return TwoDistanceCertificate(
+        float(high.mean()), float(low.mean()), (len(high), len(low)), bool(valid), diagnostic
+    )
+
+
+def _assert_same_verdict(s, exact_centers=False):
+    got, want = verify_two_distance(s), _verify_by_full_gram(s)
+    assert (got.valid, got.pair_counts, got.diagnostic) == (want.valid, want.pair_counts, want.diagnostic)
+    for x, y in ((got.a, want.a), (got.b, want.b)):
+        if exact_centers:
+            assert x == y
+        else:
+            # A block's dot products may round differently from the whole Gram's.
+            assert abs(x - y) <= 4 * np.spacing(max(abs(x), abs(y))), (x, y)
+
+
+def _half_integer_set(rows):
+    """Unit vectors of (+-1/2)^4: every inner product is exact, in {-1, -1/2, 0, 1/2, 1},
+    so the sorted entries have several largest gaps of exactly 1/2."""
+    cube = np.array(list(itertools.product((-0.5, 0.5), repeat=4)))
+    return UnitPointSet(4, cube[rows])
+
+
+def test_verify_matches_full_gram_on_midpoint_sets():
+    for n in range(3, 61):
+        _assert_same_verdict(lambda_set(n), exact_centers=True)
+
+
+def test_verify_matches_full_gram_on_subsets_across_block_edges():
+    rng = np.random.default_rng(1966)
+    s = lambda_set(24)  # 300 points
+    sizes = (3, 10, GRAM_BLOCK_ROWS - 1, GRAM_BLOCK_ROWS, GRAM_BLOCK_ROWS + 1, 3 * GRAM_BLOCK_ROWS + 5, 299)
+    for size in sizes:
+        rows = np.sort(rng.choice(len(s), size=size, replace=False))
+        _assert_same_verdict(UnitPointSet(24, s.points[rows]))
+
+
+def test_verify_matches_full_gram_on_sets_that_are_not_two_distance():
+    rng = np.random.default_rng(1977)
+    _assert_same_verdict(_simplex(5), exact_centers=True)
+    rows = GRAM_BLOCK_ROWS
+    for m, n in ((3, 6), (rows - 1, 5), (rows, 8), (rows + 1, 3), (4 * rows + 3, 12)):
+        _assert_same_verdict(_random_unit_set(rng, m, n, n))
+    pts = lambda_set(12).points.copy()
+    pts[5] += 1e-6 * np.arange(12)
+    pts[5] /= np.linalg.norm(pts[5])
+    _assert_same_verdict(UnitPointSet(12, pts))
+
+
+@pytest.mark.parametrize("block_rows", [1, 2, 3, GRAM_BLOCK_ROWS])
+def test_verify_keeps_the_first_of_tied_largest_gaps(monkeypatch, block_rows):
+    # Small blocks cut the sorted entries into many gap chunks, so that tied
+    # gaps fall in different chunks and at their edges.
+    monkeypatch.setattr(constructions, "GRAM_BLOCK_ROWS", block_rows)
+    cert = verify_two_distance(_half_integer_set([15, 14, 12, 8]))  # entries -1/2, 0, 0, 1/2 x 3
+    assert cert == TwoDistanceCertificate(
+        0.3, -0.5, (5, 1), False, "not two-distance: more than two inner-product clusters"
+    )
+    rng = np.random.default_rng(1973)
+    for size in (3, 4, 5, 7, 9, 12, 16):
+        for _ in range(4):
+            rows = np.sort(rng.choice(16, size=size, replace=False))
+            _assert_same_verdict(_half_integer_set(rows), exact_centers=True)
+    _assert_same_verdict(lambda_set(9), exact_centers=True)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificates_never_hold_an_m_by_m_array():
+    s = lambda_set(60)
+    a, b = lambda_params(60)
+    m = len(s)
+    assert _traced_peak(lambda: verify_two_distance(s)) < 1.3 * 8 * m * (m - 1) / 2
+    assert _traced_peak(lambda: independence_rank(s, a, b)) < 8e6
 
 
 def test_gram_check_midpoint_sets():

@@ -328,11 +328,42 @@ def test_cold_table_solves_each_degree_once_per_window(monkeypatch):
     "x", [0, -1, -12, 7, Fraction(3, 4), Fraction(-5, 12), Fraction(1e-9), Fraction(-1, 3)]
 )
 def test_scalar_operand_equals_exact_constant(x):
-    fast, exact = lrs._RatFn._scalar(x), lrs._RatFn([x])
-    assert (fast._num, fast._den) == (exact._num, exact._den)
+    exact = lrs._RatFn([x])
+    assert (lrs._pscale(lrs._ONE, Fraction(x)), lrs._ONE) == (exact._num, exact._den)
     f = lrs._RatFn([Fraction(1, 2), -3], [2, 0, Fraction(5, 7)])
     for got, want in [
         (f + x, f + exact), (x + f, exact + f), (f * x, f * exact), (x * f, exact * f),
         (f - x, f - exact), (x - f, exact - f),
     ]:
         assert (got._num, got._den) == (want._num, want._den)
+
+
+def _random_ratfn(rng):
+    def coeffs(deg):
+        return [Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13))) for _ in range(deg + 1)]
+
+    num = coeffs(int(rng.integers(0, 5)))
+    # A third have denominator one, so the same-denominator shortcuts run too.
+    den = [1] if rng.random() < 1 / 3 else coeffs(int(rng.integers(0, 4)))
+    if all(c == 0 for c in den):
+        den = [1]
+    return lrs._RatFn(num, den)
+
+
+def test_scalar_and_negation_paths_match_the_general_path():
+    rng = np.random.default_rng(2026)
+    scalars = [0, 1, -1, 3, -17, Fraction(2, 3), Fraction(-7, 4), Fraction(5, 11)]
+    for _ in range(60):
+        f = _random_ratfn(rng)
+        for x in scalars:
+            c = lrs._RatFn([x])
+            pairs = [
+                (f + x, f + c), (x + f, c + f), (f - x, f - c), (x - f, c - f),
+                (f * x, f * c), (x * f, c * f), (-f, f * lrs._RatFn([-1])),
+            ]
+            if x != 0:
+                # f / x is f times the constant 1/x; f / _RatFn([x]) would
+                # instead fold x into the denominator.
+                pairs.append((f / x, f * lrs._RatFn([1 / Fraction(x)])))
+            for got, want in pairs:
+                assert (got._num, got._den) == (want._num, want._den), (f.num, f.den, x)
