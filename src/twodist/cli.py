@@ -100,45 +100,6 @@ def _json(x, p: int):
     return x
 
 
-_LEAVES = {str, int, float, bool, type(None)}
-
-
-def _records_text(x, indent: str) -> str | None:
-    """json.dumps(x, indent=2), nested at indent, if x is a list of records
-    (non-empty dicts of str, int, float, bool or None); else None.
-
-    json indents with its pure-Python encoder, slow on a long list; this is
-    one C-encoder call whose item separator holds the newline and indent of
-    a record's fields, and one replace that re-indents the record
-    boundaries.  The encoder writes a newline only in a separator, never in
-    a string, so the replace touches nothing else."""
-    if not (type(x) is list and x and all(type(r) is dict and r for r in x)):
-        return None
-    if not {type(v) for r in x for v in r.values()} <= _LEAVES:
-        return None
-    inner, deeper = indent + "  ", indent + "    "
-    text = json.dumps(x, separators=(",\n" + deeper, ": "))[2:-2]
-    text = text.replace(f"}},\n{deeper}{{", f"\n{inner}}},\n{inner}{{\n{deeper}")
-    return f"[\n{inner}{{\n{deeper}{text}\n{inner}}}\n{indent}]"
-
-
-def _json_text(x) -> str:
-    """json.dumps(x, indent=2), byte for byte, for a payload with str keys.
-
-    A list of records that is a value of the payload dict goes through
-    _records_text; the rest goes to json.dumps, shifted right under its key.
-    """
-    if type(x) is dict:
-        texts = [_records_text(v, "  ") for v in x.values()]
-        if any(texts):
-            items = []
-            for (k, v), t in zip(x.items(), texts):
-                t = t or json.dumps(v, indent=2).replace("\n", "\n  ")
-                items.append(f"  {json.dumps(k)}: {t}")
-            return "{\n" + ",\n".join(items) + "\n}"
-    return json.dumps(x, indent=2)
-
-
 def _render(args: argparse.Namespace, report: _Report) -> str:
     p = args.precision
     # The namespace holds exactly the options the subcommand declares, in
@@ -152,7 +113,7 @@ def _render(args: argparse.Namespace, report: _Report) -> str:
         }
         if report.best is not None:
             payload["best"] = _json(report.best, p)
-        return _json_text(payload) + "\n"
+        return json.dumps(payload, indent=2) + "\n"
     if args.format == "csv":
         records = (report.csv or report.records)()
         # Quoted as a shell would need, so that "--coeffs '1, 0, 1'" stays one field.

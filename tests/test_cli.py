@@ -440,43 +440,3 @@ def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
         assert len(built) == 1 and twodist.cli._parser() is built[0]
     finally:
         twodist.cli._parser.cache_clear()
-
-
-JSON_EDGES = {
-    "empty": [[], {}, (), [[]], [{}], [{}, {"a": 1}]],
-    "leaves": [None, True, False, 0, -7, 3.0, -0.0, 1e300, 2.5e-8, float("inf"), float("-inf"), float("nan")],
-    "text": ["", "plain", "näive ✓ 深", "quote \" backslash \\ newline \n tab \t", "}, {"],
-    "records": [
-        {"n": 7, "a": 0.5, "ok": True, "note": None},
-        {"n": 8, "a": 1.0, "ok": False, "note": "é"},
-        {"n": 9, "a": -0.0, "ok": True, "note": "},\n    {"},
-    ],
-    "clé ✓": [{"x": 1}],
-    "nested records": [{"pair": [1, 2]}, {"pair": (3, 4), "inner": {"x": {}}}],
-    "tuple": (1, "two", None),
-}
-
-
-@pytest.mark.parametrize("payload", [JSON_EDGES, *JSON_EDGES.values(), [], {}, None, "solo", 1.0])
-def test_json_text_matches_json_dumps_on_edge_values(payload):
-    assert twodist.cli._json_text(payload) == json.dumps(payload, indent=2)
-
-
-def test_json_text_matches_json_dumps_on_every_payload(capsys, monkeypatch):
-    payloads, writer = [], twodist.cli._json_text
-
-    def spy(x):
-        payloads.append(x)
-        return writer(x)
-
-    monkeypatch.setattr(twodist.cli, "_json_text", spy)
-    argvs = [argv for argv, _ in ACCEPTED.values()]
-    argvs += [
-        ["profile", "--n", "40", "--k", "3", "--samples", "5001"],
-        ["bound", "--n", "7", "--a", "0.9", "--b", "0.8"],
-    ]
-    for argv in argvs:
-        code, out, _ = run(capsys, [*argv, "--format", "json"])
-        assert code in (0, 2)
-        assert out == json.dumps(payloads[-1], indent=2) + "\n"
-    assert len(payloads) == len(argvs)

@@ -111,15 +111,13 @@ def _verify_by_full_gram(s):
     )
 
 
-def _assert_same_verdict(s, exact_centers=False):
+def _assert_same_verdict(s):
     got, want = verify_two_distance(s), _verify_by_full_gram(s)
     assert (got.valid, got.pair_counts, got.diagnostic) == (want.valid, want.pair_counts, want.diagnostic)
     for x, y in ((got.a, want.a), (got.b, want.b)):
-        if exact_centers:
-            assert x == y
-        else:
-            # A block's dot products may round differently from the whole Gram's.
-            assert abs(x - y) <= 4 * np.spacing(max(abs(x), abs(y))), (x, y)
+        # A block's dot products (gemm) may round differently from the whole
+        # Gram's (syrk on some BLAS builds); the CLI's bytes are pinned by the goldens.
+        assert abs(x - y) <= 4 * np.spacing(max(abs(x), abs(y))), (x, y)
 
 
 def _half_integer_set(rows):
@@ -131,7 +129,7 @@ def _half_integer_set(rows):
 
 def test_verify_matches_full_gram_on_midpoint_sets():
     for n in range(3, 61):
-        _assert_same_verdict(lambda_set(n), exact_centers=True)
+        _assert_same_verdict(lambda_set(n))
 
 
 def test_verify_matches_full_gram_on_subsets_across_block_edges():
@@ -145,7 +143,7 @@ def test_verify_matches_full_gram_on_subsets_across_block_edges():
 
 def test_verify_matches_full_gram_on_sets_that_are_not_two_distance():
     rng = np.random.default_rng(1977)
-    _assert_same_verdict(_simplex(5), exact_centers=True)
+    _assert_same_verdict(_simplex(5))
     rows = GRAM_BLOCK_ROWS
     for m, n in ((3, 6), (rows - 1, 5), (rows, 8), (rows + 1, 3), (4 * rows + 3, 12)):
         _assert_same_verdict(_random_unit_set(rng, m, n, n))
@@ -168,8 +166,8 @@ def test_verify_keeps_the_first_of_tied_largest_gaps(monkeypatch, block_rows):
     for size in (3, 4, 5, 7, 9, 12, 16):
         for _ in range(4):
             rows = np.sort(rng.choice(16, size=size, replace=False))
-            _assert_same_verdict(_half_integer_set(rows), exact_centers=True)
-    _assert_same_verdict(lambda_set(9), exact_centers=True)
+            _assert_same_verdict(_half_integer_set(rows))
+    _assert_same_verdict(lambda_set(9))
 
 
 def _traced_peak(fn):
