@@ -85,6 +85,12 @@ class CandidateBound:
     value: float
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless 0 <= tol <= MAX_TOL; NaN fails too."""
+    if not 0 <= tol <= MAX_TOL:
+        raise ValueError(f"tolerance must satisfy 0 <= tol <= {MAX_TOL:g}, got {tol}")
+
+
 def _undefined(index: int) -> CandidateBound:
     return CandidateBound(index, None, None, None, None, False, math.inf)
 
@@ -163,9 +169,10 @@ class _Form(NamedTuple):
 def _forms(n, a, b) -> tuple[_Form, ...]:
     """The five candidates in closed form, written with + - * / only.
 
-    Evaluated on float arrays by candidate_values and on exact rational
-    functions of a by the window sweep in lrs; both routes rely on the
-    operations and their order here being the only definition.
+    Evaluated on float arrays by candidate_values and the window sweep in
+    lrs (which passes n as an array), and on exact rational functions of a
+    by the sweep; all routes rely on the operations and their order here
+    being the only definition.
     """
     s = a + b
     p = a * b
@@ -209,6 +216,15 @@ def candidate_values(n: int, a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
         raise ValueError(f"dimension must satisfy n >= 2, got {n}")
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
+    return _in_domain_values(n, a, b, tol)
+
+
+def _in_domain_values(n, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """The (5, len(a)) candidate values of candidate_values, +inf where a
+    candidate is out of domain, for float arrays a and b.  n is a scalar or
+    a float array of a's shape: the window sweep evaluates the pairs of many
+    dimensions in one pass, and small integers n are exact either way, so
+    each value is the same double."""
     out = np.full((5,) + a.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for row, form in zip(out, _forms(n, a, b)):
@@ -256,8 +272,7 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
     set in R^n whose pairwise inner products all lie in t_values.  tol
     must satisfy 0 <= tol <= MAX_TOL.
     """
-    if not 0 <= tol <= MAX_TOL:
-        raise ValueError(f"tolerance must satisfy 0 <= tol <= {MAX_TOL:g}, got {tol}")
+    check_tol(tol)
     f = expansion.coeffs
     if not np.all(np.isfinite(f)):
         k = int(np.argmin(np.isfinite(f)))

@@ -17,14 +17,22 @@ is a rational function of a on a window.  The maximum is therefore found
 without sampling: it sits at a window end, a domain flip, a critical point
 of one candidate or a crossing of two, and those points are the real roots
 of polynomials built exactly from the closed forms in bound_polys.
+
+Windows are swept in batches by one engine, _sweep: k_slice sweeps one
+window, omega_hat the windows of one n and table every window of its
+range.  The roots of all polynomials of a batch are found with one stacked
+eigvals call per degree, and the closed forms are evaluated in float on all
+points of the batch together; a window's result does not depend on the
+batch it is swept in.
 """
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, groupby
 
 import numpy as np
 
@@ -32,9 +40,11 @@ from .bound_polys import (
     DEFAULT_TOL,
     InnerProductPair,
     _forms,
+    _in_domain_values,
     best_bound,
     best_of,
     candidate_values,
+    check_tol,
     floor_nudged,
 )
 
@@ -71,6 +81,7 @@ def interval(k: int) -> tuple[float, float]:
 
 def q_bound(n: int, k: int, a: float, tol: float = DEFAULT_TOL) -> float:
     """Best candidate value at (a, b_k(a)); +inf when no candidate applies."""
+    check_tol(tol)
     lo, hi = interval(k)
     if not (lo - WINDOW_SLACK <= a <= hi + WINDOW_SLACK):
         raise ValueError(f"a={a} outside the closed window [{lo}, {hi}] for k={k}")
@@ -220,16 +231,18 @@ def _vanishes(poly, x: Fraction) -> bool:
     return sum(ci * p**i * q ** (deg - i) for i, ci in enumerate(c)) == 0
 
 
-def _real_roots(polys: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+def _real_roots(polys: list, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Real roots strictly inside (lo, hi) of exact polynomials, and for each
-    root the index in polys of the polynomial it belongs to.
+    root the index in polys of the polynomial it belongs to.  lo and hi are
+    floats, or arrays holding one bound per polynomial.
 
     A root is an eigenvalue of the polynomial's companion matrix, built as
     numpy.polynomial.polynomial.polycompanion builds it from the float
     coefficients c / den; a linear polynomial's root is -c0/c1.  The
-    matrices of each degree go to one stacked eigvals call, which runs the
-    same LAPACK routine on each of them, so every root is the double that
-    polyroots gives for that polynomial alone.
+    matrices of each degree go to one stacked eigvals call, however many
+    windows polys comes from; it runs the same LAPACK routine on each
+    matrix, so every root is the double that polyroots gives for that
+    polynomial alone.
     """
     by_degree: dict[int, list[int]] = {}
     for i, (c, _) in enumerate(polys):
@@ -250,25 +263,34 @@ def _real_roots(polys: list, lo: float, hi: float) -> tuple[np.ndarray, np.ndarr
     r, owner = np.concatenate(roots), np.concatenate(owner)
     keep = np.abs(r.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(r.real))
     x = r.real
-    keep &= (x > lo) & (x < hi)
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (len(polys),)) for v in (lo, hi))
+    keep &= (x > lo[owner]) & (x < hi[owner])
     return x[keep], owner[keep]
 
 
-def _flip_roots(roots, owner, polys: list, lo: float, hi: float, ends: tuple[Fraction, Fraction]):
-    """The roots of domain conditions, less those that are a window end.
+def _exact_interval(k: int) -> tuple[Fraction, Fraction]:
+    """interval(k) in exact arithmetic."""
+    return Fraction(2 - k, k), Fraction(1, 2 * k - 1)
 
-    A domain condition can vanish exactly at an end (a + b = 0 at
-    a = 1/(2k - 1)), and its float root may land an ulp inside.  Kept, it
-    would cut off a sliver piece whose candidate set is read at the
-    degenerate point itself.  Only roots within WINDOW_SLACK of an end are
-    checked, each against its own polynomial in exact arithmetic, so that
-    the check costs next to nothing.
+
+def _flip_roots(roots, owner, polys: list, lo, hi, k):
+    """The roots of domain conditions, less those that are an end of their
+    window; returns (roots, owner) for the roots kept.
+
+    lo, hi and k hold the window of each polynomial in polys.  A domain
+    condition can vanish exactly at an end (a + b = 0 at a = 1/(2k - 1)),
+    and its float root may land an ulp inside.  Kept, it would cut off a
+    sliver piece whose candidate set is read at the degenerate point
+    itself.  Only roots within WINDOW_SLACK of an end are checked, each
+    against its own polynomial in exact arithmetic, so that the check
+    costs next to nothing.
     """
     drop = np.zeros(roots.size, dtype=bool)
-    for x, end in zip((lo, hi), ends):
-        for i in np.flatnonzero(np.abs(roots - x) <= WINDOW_SLACK):
-            drop[i] = _vanishes(polys[owner[i]], end)
-    return roots[~drop]
+    for side, ends in enumerate((lo, hi)):
+        for i in np.flatnonzero(np.abs(roots - ends[owner]) <= WINDOW_SLACK):
+            j = owner[i]
+            drop[i] = _vanishes(polys[j], _exact_interval(int(k[j]))[side])
+    return roots[~drop], owner[~drop]
 
 
 def _cross(p, q, r, s) -> tuple:
@@ -295,24 +317,62 @@ def _window_polys(n: int, k: int, tol: float) -> tuple[list, list]:
     return domain, extrema
 
 
-def _window_points(n: int, k: int, tol: float, lo: float, hi: float):
-    """Domain flips and interior extremum candidates of the (n, k) window.
+def _split(values: np.ndarray, window: np.ndarray, count: int) -> list[np.ndarray]:
+    """values grouped by the window index of each, one array per window 0..count-1."""
+    order = np.argsort(window, kind="stable")
+    return np.split(values[order], np.searchsorted(window[order], np.arange(1, count)))
 
-    Returns (flips, extrema): the a where some candidate can enter or leave
-    its domain, and the a where one candidate has a critical point or two
-    candidates cross.
+
+def _candidate_points(windows: list, tol: float) -> tuple[list, list]:
+    """Domain flips and interior extremum candidates of each window.
+
+    Returns (flips, extrema), one array per window: the a where some
+    candidate can enter or leave its domain, and the a where one candidate
+    has a critical point or two candidates cross.  The polynomials of all
+    windows are solved together by one _real_roots call.
     """
-    domain, extrema = _window_polys(n, k, tol)
-    # Equal polynomials have equal tuples (see _lowest): each is solved once.
-    polys = list(dict.fromkeys(domain + extrema))
-    index = {poly: i for i, poly in enumerate(polys)}
+    polys, kinds, owner_window = [], [], []
+    for w, (n, k) in enumerate(windows):
+        domain, extrema = _window_polys(n, k, tol)
+        # Equal polynomials have equal tuples (see _lowest): each is solved
+        # once per window.
+        own = dict.fromkeys(domain + extrema)
+        flip, extremum = set(domain), set(extrema)
+        polys += own
+        kinds += [(p in flip, p in extremum) for p in own]
+        owner_window += [w] * len(own)
+    window = np.array(owner_window, dtype=np.intp)
+    is_flip, is_extremum = np.array(kinds, dtype=bool).reshape(-1, 2).T
+    ks = np.array([k for _, k in windows])[window]
+    lo, hi = np.array([interval(k) for _, k in windows]).reshape(-1, 2)[window].T
     roots, owner = _real_roots(polys, lo, hi)
-    is_flip, is_extremum = np.zeros((2, len(polys)), dtype=bool)
-    is_flip[[index[poly] for poly in domain]] = True
-    is_extremum[[index[poly] for poly in extrema]] = True
-    flip = is_flip[owner]
-    ends = (Fraction(2 - k, k), Fraction(1, 2 * k - 1))
-    return _flip_roots(roots[flip], owner[flip], polys, lo, hi, ends), roots[is_extremum[owner]]
+    flip, extremum = is_flip[owner], is_extremum[owner]
+    flips, flip_owner = _flip_roots(roots[flip], owner[flip], polys, lo, hi, ks)
+    return (
+        _split(flips, window[flip_owner], len(windows)),
+        _split(roots[extremum], window[owner[extremum]], len(windows)),
+    )
+
+
+def _evaluate(windows: list, points: list, fn) -> list[np.ndarray]:
+    """fn(n, a, b) on the points of every window in one float pass, split
+    back into one (5, len(points[i])) array per window.  b lies on the
+    window's line, and n is a float array (exact for integers, so every
+    double is the one a scalar n gives)."""
+    if not points:
+        return []
+    sizes = [p.size for p in points]
+    n, k = (np.repeat(np.array(v, dtype=float), sizes) for v in zip(*windows))
+    a = np.concatenate(points)
+    return np.split(fn(n, a, _b_line(k, a)), np.cumsum(sizes)[:-1], axis=1)
+
+
+def _raw_values(n, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The five closed-form values with no domain check, NaN read as +inf."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        raw = np.array([f.value for f in _forms(n, a, b)])
+    raw[np.isnan(raw)] = np.inf
+    return raw
 
 
 @dataclass(frozen=True)
@@ -334,38 +394,21 @@ class KSlice:
         return self.lo, self.hi
 
 
-@lru_cache(maxsize=512)
-def k_slice(n: int, k: int, tol: float = DEFAULT_TOL) -> KSlice:
-    """Maximize Q over the closed window for (n, k) and floor the result.
-
-    The domain flips split the window into pieces on which the set of
-    in-domain candidates is fixed (read off candidate_values at each
-    piece's midpoint), so Q is the minimum of fixed rational functions
-    there.  Q is evaluated at every window end, flip, critical point and
-    crossing, once with the candidate set of each piece the point touches;
-    the largest of these values is phi.  If some piece has no candidate in
-    domain the slice is inconclusive: the LP machinery has no finite bound
-    for this (n, k), and the stretches of a without one are recorded.
-    """
-    _check_window(n, k)
-    if not math.isfinite(tol):
-        raise ValueError(f"tolerance must be finite, got {tol}")
-    lo, hi = interval(k)
-    flips, extrema = _window_points(n, k, tol, lo, hi)
-    edges = np.unique(np.concatenate(([lo, hi], flips)))
-    mids = (edges[:-1] + edges[1:]) / 2
-    active = np.isfinite(candidate_values(n, mids, _b_line(k, mids), tol))
+def _no_candidate(n: int, k: int, edges: np.ndarray, active: np.ndarray) -> KSlice | None:
+    """The inconclusive slice, with its stretches of a that have no
+    candidate in domain, if some piece has none; otherwise None."""
     empty = np.flatnonzero(~active.any(axis=0))
-    if empty.size:
-        starts = empty[np.diff(empty, prepend=-2) > 1]
-        ends = empty[np.diff(empty, append=empty[-1] + 2) > 1] + 1
-        ranges = tuple((float(edges[i]), float(edges[j])) for i, j in zip(starts, ends))
-        return KSlice(n, k, lo, hi, math.inf, math.nan, math.inf, False, ranges)
+    if not empty.size:
+        return None
+    starts = empty[np.diff(empty, prepend=-2) > 1]
+    ends = empty[np.diff(empty, append=empty[-1] + 2) > 1] + 1
+    ranges = tuple((float(edges[i]), float(edges[j])) for i, j in zip(starts, ends))
+    return KSlice(n, k, *interval(k), math.inf, math.nan, math.inf, False, ranges)
 
-    xs = np.unique(np.concatenate((edges, extrema)))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        raw = np.array([f.value for f in _forms(n, xs, _b_line(k, xs))])
-    raw[np.isnan(raw)] = np.inf
+
+def _window_max(n: int, k: int, edges, active, xs: np.ndarray, raw: np.ndarray) -> KSlice:
+    """The slice of a window whose every piece has a candidate: the largest
+    Q over the points xs, given the raw candidate values there."""
     # A point on an edge touches the pieces on both sides, any other point one.
     qs = np.maximum.reduce([
         np.where(active[:, piece], raw, np.inf).min(axis=0)
@@ -378,10 +421,58 @@ def k_slice(n: int, k: int, tol: float = DEFAULT_TOL) -> KSlice:
     phi_val = float(qs[best])
     if math.isinf(phi_val):
         # The only candidate of a touching piece is singular at this point.
-        return KSlice(n, k, lo, hi, math.inf, math.nan, math.inf, False, ())
+        return KSlice(n, k, *interval(k), math.inf, math.nan, math.inf, False, ())
     # Floored, but never below 2n + 3: small windows never beat the trivial bound.
     omega = max(floor_nudged(phi_val), 2 * n + 3)
-    return KSlice(n, k, lo, hi, phi_val, float(xs[best]), omega, True, ())
+    return KSlice(n, k, *interval(k), phi_val, float(xs[best]), omega, True, ())
+
+
+def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
+    """Maximize Q over each closed (n, k) window of windows and floor the
+    result; one KSlice per window, in order.  Every sweep goes through here.
+
+    The domain flips split a window into pieces on which the set of
+    in-domain candidates is fixed (read off the closed forms at each
+    piece's midpoint), so Q is the minimum of fixed rational functions
+    there.  Q is evaluated at every window end, flip, critical point and
+    crossing, once with the candidate set of each piece the point touches;
+    the largest of these values is phi.  If some piece has no candidate in
+    domain the slice is inconclusive: the LP machinery has no finite bound
+    for this (n, k), and the stretches of a without one are recorded.
+
+    Each window builds its exact polynomials alone.  Their roots are found
+    for the whole batch, and the closed forms are evaluated in two float
+    passes, one over the piece midpoints of every window and one over the
+    points of every conclusive window.  A window's result is the same, bit
+    for bit, in any batch.
+    """
+    check_tol(tol)
+    for n, k in windows:
+        _check_window(n, k)
+    flips, extrema = _candidate_points(windows, tol)
+    edges = [np.unique(np.concatenate((interval(k), f))) for (_, k), f in zip(windows, flips)]
+    actives = _evaluate(
+        windows, [(e[:-1] + e[1:]) / 2 for e in edges],
+        lambda n, a, b: np.isfinite(_in_domain_values(n, a, b, tol)),
+    )
+    slices = [_no_candidate(*w, e, act) for w, e, act in zip(windows, edges, actives)]
+    todo = [i for i, sl in enumerate(slices) if sl is None]
+    points = [np.unique(np.concatenate((edges[i], extrema[i]))) for i in todo]
+    raws = _evaluate([windows[i] for i in todo], points, _raw_values)
+    for i, xs, raw in zip(todo, points, raws):
+        slices[i] = _window_max(*windows[i], edges[i], actives[i], xs, raw)
+    return slices
+
+
+@lru_cache(maxsize=512)
+def k_slice(n: int, k: int, tol: float = DEFAULT_TOL) -> KSlice:
+    """Maximize Q over the closed window for (n, k) and floor the result.
+
+    A batch of one window for _sweep; omega_hat and table sweep their
+    windows as one batch and do not go through this cache.  tol must
+    satisfy 0 <= tol <= MAX_TOL.
+    """
+    return _sweep(((n, k),), tol)[0]
 
 
 def phi(n: int, k: int, tol: float = DEFAULT_TOL) -> float:
@@ -398,8 +489,18 @@ def omega_hat(n: int, tol: float = DEFAULT_TOL) -> tuple[int | float, int]:
     """Worst (largest) window bound over k = 2..k_max(n), with the smallest k attaining it."""
     if n < 7:
         raise ValueError(f"the sweep bound requires n >= 7, got {n}")
-    windows = [k_slice(n, k, tol).omega_hat_nk for k in range(2, k_max(n) + 1)]
-    return max(windows), 2 + windows.index(max(windows))
+    return _worst(_sweep(_windows(n), tol))
+
+
+def _windows(n: int) -> list[tuple[int, int]]:
+    """The (n, k) windows of dimension n, k = 2..k_max(n)."""
+    return [(n, k) for k in range(2, k_max(n) + 1)]
+
+
+def _worst(slices: list[KSlice]) -> tuple[int | float, int]:
+    """Largest window bound among the slices of one n, with the smallest k attaining it."""
+    bounds = [sl.omega_hat_nk for sl in slices]
+    return max(bounds), slices[bounds.index(max(bounds))].k
 
 
 def rho(n: int) -> int:
@@ -425,12 +526,15 @@ class TableRow:
 
 
 def table(n_min: int, n_max: int, tol: float = DEFAULT_TOL) -> list[TableRow]:
-    """Bound table rows for n_min..n_max; inconclusive rows are flagged, not fatal."""
+    """Bound table rows for n_min..n_max; inconclusive rows are flagged, not fatal.
+
+    Every window of the range is swept in one batch."""
     if not 7 <= n_min <= n_max:
         raise ValueError(f"need 7 <= n_min <= n_max, got {n_min}..{n_max}")
+    slices = _sweep([w for n in range(n_min, n_max + 1) for w in _windows(n)], tol)
     rows = []
-    for n in range(n_min, n_max + 1):
-        w, ks = omega_hat(n, tol)
+    for n, group in groupby(slices, key=lambda sl: sl.n):
+        w, ks = _worst(list(group))
         rows.append(TableRow(n, w, rho(n), ks, max(w, rho(n)), math.isfinite(w)))
     return rows
 
@@ -447,6 +551,7 @@ def profile(n: int, k: int, samples: int, tol: float = DEFAULT_TOL) -> list[Prof
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     _check_window(n, k)
+    check_tol(tol)
     xs = np.linspace(*interval(k), samples)
     vals = candidate_values(n, xs, _b_line(k, xs), tol)
     return [ProfileSample(x, *best_of(col.tolist())) for x, col in zip(xs.tolist(), vals.T)]

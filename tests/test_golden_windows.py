@@ -12,17 +12,21 @@ import json
 import math
 import os
 
-from twodist.lrs import k_max, k_slice
+from twodist.lrs import KSlice, k_max, k_slice
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden", "windows.json")
 WINDOWS = [(n, k) for n in range(7, 61) for k in range(2, k_max(n) + 1)]
 
 
-def _record(n: int, k: int) -> dict:
-    sl = k_slice(n, k)
+def load() -> list[dict]:
+    with open(PATH, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def record(sl: KSlice) -> dict:
     return {
-        "n": n,
-        "k": k,
+        "n": sl.n,
+        "k": sl.k,
         "phi": sl.phi.hex(),
         "a_star": sl.a_star.hex(),
         "omega_hat_nk": sl.omega_hat_nk if math.isfinite(sl.omega_hat_nk) else "inf",
@@ -32,14 +36,13 @@ def _record(n: int, k: int) -> dict:
 
 
 def test_windows_are_bit_identical():
-    with open(PATH, encoding="utf-8") as fh:
-        want = json.load(fh)
+    want = load()
     assert [(w["n"], w["k"]) for w in want] == WINDOWS
     for expected in want:
-        assert _record(expected["n"], expected["k"]) == expected
+        assert record(k_slice(expected["n"], expected["k"])) == expected
 
 
 if __name__ == "__main__":
     with open(PATH, "w", encoding="utf-8", newline="") as fh:
-        json.dump([_record(n, k) for n, k in WINDOWS], fh, indent=1)
+        json.dump([record(k_slice(n, k)) for n, k in WINDOWS], fh, indent=1)
         fh.write("\n")

@@ -6,8 +6,10 @@ import pytest
 from numpy.polynomial import polynomial as npoly
 
 import twodist.lrs as lrs
-from twodist.bound_polys import DEFAULT_TOL, _forms, candidate_values
+from test_golden_windows import load as load_golden_windows, record
+from twodist.bound_polys import DEFAULT_TOL, MAX_TOL, _forms, candidate_values
 from twodist.lrs import (
+    TableRow,
     b_k,
     g_upper,
     interval,
@@ -272,6 +274,43 @@ def test_slice_validation():
         k_slice(10, 2, math.nan)
 
 
+@pytest.mark.parametrize("entry", [
+    lambda tol: k_slice(22, 3, tol),
+    lambda tol: omega_hat(22, tol),
+    lambda tol: g_upper(22, tol),
+    lambda tol: table(7, 9, tol),
+    lambda tol: profile(22, 3, 5, tol),
+    lambda tol: q_bound(22, 3, 0.1, tol),
+], ids=["k_slice", "omega_hat", "g_upper", "table", "profile", "q_bound"])
+def test_tolerance_outside_range_is_rejected(entry):
+    # A negative tol let (22, 3) report phi = 4.3e14 as conclusive, and
+    # tol = 0.5 gave all-inf table rows: both with no error.
+    for tol in (-1e-3, -1e-12, 0.5, 2 * MAX_TOL, math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"tolerance must satisfy 0 <= tol <= 1e-06"):
+            entry(tol)
+    entry(MAX_TOL)
+
+
+def test_one_batch_equals_the_golden_windows():
+    # Every window of n = 7..60 in one _sweep, in order and shuffled, must
+    # give each window the record it has when swept alone.
+    want = {(w["n"], w["k"]): w for w in load_golden_windows()}
+    windows = list(want)
+    shuffled = [windows[i] for i in np.random.default_rng(10).permutation(len(windows))]
+    for batch in (windows, shuffled):
+        slices = lrs._sweep(batch, DEFAULT_TOL)
+        assert [(sl.n, sl.k) for sl in slices] == batch
+        for sl in slices:
+            assert record(sl) == want[(sl.n, sl.k)]
+    assert any(w["inf_ranges"] for w in want.values())
+
+
+def test_table_equals_rows_from_omega_hat():
+    for row in table(7, 60):
+        w, ks = omega_hat(row.n)
+        assert row == TableRow(row.n, w, rho(row.n), ks, max(w, rho(row.n)), math.isfinite(w))
+
+
 def test_zero_tolerance_table_matches_default():
     # a + b = 0 exactly at the right end 1/(2k - 1) of every window; its float
     # root used to land an ulp inside and cut off a sliver piece whose
@@ -367,3 +406,44 @@ def test_scalar_and_negation_paths_match_the_general_path():
                 pairs.append((f / x, f * lrs._RatFn([1 / Fraction(x)])))
             for got, want in pairs:
                 assert (got._num, got._den) == (want._num, want._den), (f.num, f.den, x)
+
+
+def _count_eigvals(monkeypatch) -> list:
+    eigvals, shapes = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: shapes.append(m.shape) or eigvals(m))
+    return shapes
+
+
+def _distinct_degrees(windows) -> int:
+    """Distinct polynomial degrees of at least 2 over all windows together."""
+    degrees = set()
+    for n, k in windows:
+        domain, extrema = lrs._window_polys(n, k, DEFAULT_TOL)
+        degrees |= {len(c) - 1 for c, _ in domain + extrema if len(c) > 2}
+    return len(degrees)
+
+
+@pytest.mark.parametrize("n_min, n_max", [(7, 40), (7, 7), (25, 25), (45, 45)])
+def test_cold_table_solves_each_degree_once_per_batch(monkeypatch, n_min, n_max):
+    windows = [(n, k) for n in range(n_min, n_max + 1) for k in range(2, k_max(n) + 1)]
+    shapes = _count_eigvals(monkeypatch)
+    k_slice.cache_clear()
+    table(n_min, n_max)
+    # The window-by-window sweep made 624 calls for 7..40.
+    assert len(shapes) <= _distinct_degrees(windows) <= 8
+    assert all(len(shape) == 3 for shape in shapes)
+
+
+def test_cold_table_stays_cold(monkeypatch):
+    # A memo of roots or of exact polynomials that outlived a call would make
+    # the second table solve smaller stacks or multiply fewer polynomials.
+    shapes = _count_eigvals(monkeypatch)
+    pmul, products = lrs._pmul, []
+    monkeypatch.setattr(lrs, "_pmul", lambda p, q: products.append(1) or pmul(p, q))
+    runs = []
+    for _ in range(2):
+        k_slice.cache_clear()
+        del shapes[:], products[:]
+        runs.append((table(7, 40), list(shapes), len(products)))
+    assert runs[0] == runs[1]
+    assert runs[0][1] and runs[0][2]
