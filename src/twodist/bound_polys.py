@@ -14,9 +14,13 @@ The five shapes:
     i=4  (t - a)(t - b)(t^2 + c t + d)  with (c, d) solving f_1 = f_2 = 0
     i=5  (t - a)(t - b)(t^2 + c t + d)  with (c, d) solving f_2 = f_3 = 0
 
-For i=2 the multiplier is undefined when a + b = 0; for i=4/i=5 a singular
-linear system likewise puts the candidate out of domain.  Out-of-domain
-candidates carry the value +inf so that minima over candidates are always
+Each multiplier, each domain verdict and each value has a closed form in
+n, a and b (_forms), and every route evaluates those forms: build_candidate
+and best_bound on one pair, candidate_values on arrays of pairs, and the
+window sweep in lrs on arrays and on exact rational functions of a.  The
+i=2 multiplier is undefined when a + b = 0 and the i=4 one when its 2x2
+system is singular; such candidates, like every other one outside its
+domain, carry the value +inf so that minima over candidates are always
 well defined.
 """
 from __future__ import annotations
@@ -36,8 +40,9 @@ DEFAULT_TOL = 1e-9
 # larger one (or a negative one, which lets f_0 > tol pass f_0 <= 0) would
 # accept certificates that do not bound anything.
 MAX_TOL = 1e-6
-# Relative determinant threshold below which a 2x2 multiplier solve
-# (and the i=2 division by a+b) counts as singular.
+# A closed form's divisor (a + b for i=2, the 2x2 determinant for i=4)
+# counts as singular below this times max(1, its scale): the multiplier is
+# then undefined and the candidate out of domain.
 SINGULAR_REL_TOL = 1e-12
 # Candidates whose values agree to this relative precision all count as
 # attaining the minimum: crossings computed in floating point differ by a
@@ -95,84 +100,30 @@ def _undefined(index: int) -> CandidateBound:
     return CandidateBound(index, None, None, None, None, False, math.inf)
 
 
-def _solve_multiplier(n: int, quad: np.ndarray, rows: tuple[int, int]):
-    """Solve for (c, d) in (t-a)(t-b)(t^2 + c t + d) zeroing two expansion rows.
-
-    The expansion is affine in (c, d):  E(c, d) = E0 + c * Ec + d * Ed, where
-    the three terms come from t^2 * quad, t * quad and quad.
-    """
-    e0 = to_gegenbauer(n, npoly.polymul(quad, [0.0, 0.0, 1.0])).coeffs
-    ec = np.zeros(5)
-    ed = np.zeros(5)
-    ec[:4] = to_gegenbauer(n, npoly.polymul(quad, [0.0, 1.0])).coeffs
-    ed[:3] = to_gegenbauer(n, quad).coeffs
-    r0, r1 = rows
-    m00, m01 = ec[r0], ed[r0]
-    m10, m11 = ec[r1], ed[r1]
-    det = m00 * m11 - m01 * m10
-    scale = max(1.0, abs(m00 * m11), abs(m01 * m10))
-    if abs(det) < SINGULAR_REL_TOL * scale:
-        return None
-    rhs0, rhs1 = -e0[r0], -e0[r1]
-    c = (rhs0 * m11 - m01 * rhs1) / det
-    d = (m00 * rhs1 - rhs0 * m10) / det
-    return c, d
-
-
-def build_candidate(i: int, pair: InnerProductPair, tol: float = DEFAULT_TOL) -> CandidateBound:
-    """Construct candidate i for the pair and run its domain check."""
-    if i not in CANDIDATE_INDICES:
-        raise ValueError(f"candidate index must be one of {CANDIDATE_INDICES}, got {i}")
-    n, a, b = pair.n, pair.a, pair.b
-    quad = npoly.polyfromroots([a, b])
-    c: float | None = None
-    d: float | None = None
-    if i == 1:
-        poly = quad
-    elif i == 2:
-        s = a + b
-        if abs(s) < SINGULAR_REL_TOL * max(1.0, abs(a) + abs(b)):
-            return _undefined(i)
-        c = ((n + 2) * a * b + 3.0) / ((n + 2) * s)
-        poly = npoly.polymul(quad, [c, 1.0])
-    elif i == 3:
-        c = a + b
-        poly = npoly.polymul(quad, [c, 1.0])
-    else:
-        rows = (1, 2) if i == 4 else (2, 3)
-        solved = _solve_multiplier(n, quad, rows)
-        if solved is None:
-            return _undefined(i)
-        c, d = solved
-        poly = npoly.polymul(quad, [d, c, 1.0])
-    poly = as_monomial(poly)
-    expansion = to_gegenbauer(n, poly)
-    f = expansion.coeffs
-    in_domain = bool(f[0] > tol and np.all(f >= -tol))
-    value = float(npoly.polyval(1.0, poly) / f[0]) if in_domain else math.inf
-    return CandidateBound(i, c, d, poly, expansion, in_domain, value)
-
-
 class _Form(NamedTuple):
-    """One candidate in closed form: value = P(1) / f_0, in domain when the
-    free coefficient fj >= -tol, f_0 > tol and the divisor, if any, is at
-    least SINGULAR_REL_TOL * max(1, scale()).  scale is deferred because it
-    takes absolute values, which only the float route evaluates."""
+    """One candidate in closed form.  P is (t - a)(t - b) times 1, t + c or
+    t^2 + c t + d (c and d are None where the shape lacks them), value is
+    P(1) / f_0 and fj is the one expansion coefficient besides f_0 and the
+    top one that the construction leaves free.  _in_domain holds the domain
+    rule; scale is deferred because it takes absolute values, which only
+    the float routes evaluate."""
 
     value: object
     f0: object
     fj: object
     divisor: object = None
     scale: object = None
+    c: object = None
+    d: object = None
 
 
 def _forms(n, a, b) -> tuple[_Form, ...]:
     """The five candidates in closed form, written with + - * / only.
 
     Evaluated on float arrays by candidate_values and the window sweep in
-    lrs (which passes n as an array), and on exact rational functions of a
-    by the sweep; all routes rely on the operations and their order here
-    being the only definition.
+    lrs (which passes n as an array), on float scalars by build_candidate,
+    and on exact rational functions of a by the sweep; all routes rely on
+    the operations and their order here being the only definition.
     """
     s = a + b
     p = a * b
@@ -193,27 +144,75 @@ def _forms(n, a, b) -> tuple[_Form, ...]:
     f0_5 = p * d5 + (d5 - s * s + p) / n + 3 / (n * (n + 2))
     return (
         _Form(at_one / (p + 1 / n), p + 1 / n, -s),
-        _Form(at_one * (1 + c2) / f0_2, f0_2, (c2 - s) * (n - 1) / n, s, lambda: abs(a) + abs(b)),
+        _Form(
+            at_one * (1 + c2) / f0_2, f0_2, (c2 - s) * (n - 1) / n,
+            s, lambda: abs(a) + abs(b), c=c2,
+        ),
         # i = 3: extra root at -(a+b) forces f_2 = 0
-        _Form(at_one * (1 + s) / (p * s), p * s, p - s * s + 3 / (n + 2)),
+        _Form(at_one * (1 + s) / (p * s), p * s, p - s * s + 3 / (n + 2), c=s),
         _Form(
             at_one * (1 + c4 + d4) / f0_4, f0_4, (c4 - s) * (n - 1) / (n + 2),
-            det, lambda: np.maximum(abs(alpha), s * s),
+            det, lambda: np.maximum(abs(alpha), s * s), c=c4, d=d4,
         ),
-        _Form(at_one * (1 + s + d5) / f0_5, f0_5, s * (p - d5)),
+        _Form(at_one * (1 + s + d5) / f0_5, f0_5, s * (p - d5), c=s, d=d5),
     )
+
+
+# Expansion coefficients that candidate i sets to zero by construction.
+_ZEROED = {1: [], 2: [1], 3: [2], 4: [1, 2], 5: [2, 3]}
+
+
+def _regular(form: _Form):
+    """False where the form divides by a singular divisor: one below
+    SINGULAR_REL_TOL * max(1, scale())."""
+    if form.divisor is None:
+        return True
+    return np.abs(form.divisor) >= SINGULAR_REL_TOL * np.maximum(1.0, form.scale())
+
+
+def _in_domain(form: _Form, tol: float):
+    """The domain rule: f_0 > tol, fj >= -tol and a regular divisor."""
+    return (form.fj >= -tol) & (form.f0 > tol) & _regular(form)
+
+
+def build_candidate(i: int, pair: InnerProductPair, tol: float = DEFAULT_TOL) -> CandidateBound:
+    """Candidate i for the pair, read from the closed forms of _forms.
+
+    c, d, in_domain and value are the form's, so value is bit for bit the
+    entry candidate_values gives.  poly and its Gegenbauer expansion are
+    built from c and d for display; the expansion coefficients that the
+    construction zeroes are exact zeros.
+    """
+    if i not in CANDIDATE_INDICES:
+        raise ValueError(f"candidate index must be one of {CANDIDATE_INDICES}, got {i}")
+    check_tol(tol)
+    n = pair.n
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        form = _forms(n, np.float64(pair.a), np.float64(pair.b))[i - 1]
+        if not _regular(form):
+            return _undefined(i)
+        in_domain = bool(_in_domain(form, tol))
+    c = None if form.c is None else float(form.c)
+    d = None if form.d is None else float(form.d)
+    extra = [1.0] if c is None else [c, 1.0] if d is None else [d, c, 1.0]
+    poly = as_monomial(npoly.polymul(npoly.polyfromroots([pair.a, pair.b]), extra))
+    expansion = to_gegenbauer(n, poly)
+    expansion.coeffs[_ZEROED[i]] = 0.0
+    value = float(form.value) if in_domain else math.inf
+    return CandidateBound(i, c, d, poly, expansion, in_domain, value)
 
 
 def candidate_values(n: int, a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Vectorized candidate values over arrays of pairs.
 
     Returns an array of shape (5, len(a)); entry [i-1, j] is the value of
-    candidate i at (a[j], b[j]), +inf when out of domain.  The closed forms
-    of _forms are used throughout; build_candidate is the reference
-    implementation and the two routes are pinned to each other by tests.
+    candidate i at (a[j], b[j]), +inf when out of domain.  Every value
+    comes from the closed forms of _forms, as do build_candidate's, so the
+    two agree bit for bit.  tol must satisfy 0 <= tol <= MAX_TOL.
     """
     if n < 2:
         raise ValueError(f"dimension must satisfy n >= 2, got {n}")
+    check_tol(tol)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
     return _in_domain_values(n, a, b, tol)
@@ -228,19 +227,18 @@ def _in_domain_values(n, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray
     out = np.full((5,) + a.shape, np.inf)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for row, form in zip(out, _forms(n, a, b)):
-            dom = (form.fj >= -tol) & (form.f0 > tol)
-            if form.divisor is not None:
-                dom &= np.abs(form.divisor) >= SINGULAR_REL_TOL * np.maximum(1.0, form.scale())
+            dom = _in_domain(form, tol)
             row[dom] = form.value[dom]
     return out
 
 
 def best_bound(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[float, tuple[int, ...]]:
-    """Minimum candidate value for the pair and the indices attaining it.
+    """Minimum candidate value for the pair and the indices attaining it,
+    read from candidate_values.
 
     Returns (+inf, ()) when no candidate is in domain.
     """
-    return best_of([build_candidate(i, pair, tol).value for i in CANDIDATE_INDICES])
+    return best_of(candidate_values(pair.n, pair.a, pair.b, tol)[:, 0].tolist())
 
 
 def best_of(values) -> tuple[float, tuple[int, ...]]:

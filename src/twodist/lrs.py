@@ -81,7 +81,6 @@ def interval(k: int) -> tuple[float, float]:
 
 def q_bound(n: int, k: int, a: float, tol: float = DEFAULT_TOL) -> float:
     """Best candidate value at (a, b_k(a)); +inf when no candidate applies."""
-    check_tol(tol)
     lo, hi = interval(k)
     if not (lo - WINDOW_SLACK <= a <= hi + WINDOW_SLACK):
         raise ValueError(f"a={a} outside the closed window [{lo}, {hi}] for k={k}")
@@ -551,7 +550,6 @@ def profile(n: int, k: int, samples: int, tol: float = DEFAULT_TOL) -> list[Prof
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     _check_window(n, k)
-    check_tol(tol)
     xs = np.linspace(*interval(k), samples)
     vals = candidate_values(n, xs, _b_line(k, xs), tol)
     return [ProfileSample(x, *best_of(col.tolist())) for x, col in zip(xs.tolist(), vals.T)]

@@ -6,9 +6,12 @@ from numpy.polynomial import polynomial as npoly
 
 from twodist.bound_polys import (
     CANDIDATE_INDICES,
+    DEFAULT_TOL,
     MAX_TOL,
     InnerProductPair,
+    _forms,
     best_bound,
+    best_of,
     build_candidate,
     candidate_values,
     delsarte_check,
@@ -73,17 +76,34 @@ def test_candidates_vanish_at_both_inner_products():
             assert abs(npoly.polyval(pair.b, cand.poly)) < 1e-9
 
 
+# Expansion rows that candidate i zeroes by construction.
+ZEROED = {1: (), 2: (1,), 3: (2,), 4: (1, 2), 5: (2, 3)}
+
+
 def test_constructed_coefficients_vanish_by_index():
-    targets = {2: (1,), 3: (2,), 4: (1, 2), 5: (2, 3)}
+    # Recomputed from the polynomial: cand.expansion holds exact zeros there.
     rng = np.random.default_rng(12)
     for _ in range(60):
         pair = _random_pair(rng)
-        for i, rows in targets.items():
+        for i, rows in ZEROED.items():
             cand = build_candidate(i, pair)
-            if cand.expansion is None:
+            if cand.poly is None:
                 continue
+            f = to_gegenbauer(pair.n, cand.poly).coeffs
             for r in rows:
-                assert abs(cand.expansion.coeffs[r]) < 1e-9, (pair, i, r)
+                assert abs(f[r]) < 1e-9, (pair, i, r)
+
+
+def test_zeroed_expansion_entries_are_exact_zeros():
+    rng = np.random.default_rng(16)
+    for _ in range(200):
+        pair = _random_pair(rng)
+        for i, rows in ZEROED.items():
+            cand = build_candidate(i, pair)
+            if cand.expansion is not None:
+                for r in rows:
+                    x = cand.expansion.coeffs[r]
+                    assert x == 0.0 and math.copysign(1.0, x) == 1.0, (pair, i, r)  # +0.0, prints "0"
 
 
 def test_out_of_domain_when_sum_of_roots_positive():
@@ -106,18 +126,70 @@ def test_in_domain_value_is_positive():
                 assert np.all(f >= -1e-9)
 
 
-def test_vectorized_values_match_reference_route():
+def test_candidates_meet_their_definition():
+    # Recompute each candidate's expansion from its polynomial: the closed-form
+    # c and d must zero the constructed rows, and f_0, the value and the
+    # domain verdict must follow the definition.
     rng = np.random.default_rng(14)
-    for _ in range(200):
+    tol = DEFAULT_TOL
+    checked = 0
+    for _ in range(300):
         pair = _random_pair(rng)
-        vec = candidate_values(pair.n, [pair.a], [pair.b])[:, 0]
+        forms = _forms(pair.n, np.float64(pair.a), np.float64(pair.b))
         for i in CANDIDATE_INDICES:
-            ref = build_candidate(i, pair).value
-            got = float(vec[i - 1])
-            if math.isinf(ref):
-                assert math.isinf(got), (pair, i)
-            else:
-                assert abs(ref - got) <= 1e-9 * max(1.0, abs(ref)), (pair, i)
+            cand = build_candidate(i, pair)
+            if cand.poly is None:
+                continue
+            f = to_gegenbauer(pair.n, cand.poly).coeffs
+            scale = max(1.0, float(np.abs(f).max()))
+            for r in ZEROED[i]:
+                assert abs(f[r]) < 1e-9 * scale, (pair, i, r)
+            assert abs(f[0] - float(forms[i - 1].f0)) <= 1e-9 * scale, (pair, i)
+            if cand.in_domain:
+                at_one = npoly.polyval(1.0, cand.poly)
+                assert abs(cand.value - at_one / f[0]) <= 1e-9 * abs(cand.value), (pair, i)
+            if np.all(np.abs(np.abs(f) - tol) > 1e-12):
+                assert cand.in_domain == bool(f[0] > tol and np.all(f >= -tol)), (pair, i, f)
+            checked += 1
+    assert checked > 1000
+
+
+def test_single_pair_routes_agree_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(1000):
+        pair = _random_pair(rng, n_hi=61)
+        col = candidate_values(pair.n, [pair.a], [pair.b])[:, 0]
+        for i in CANDIDATE_INDICES:
+            assert build_candidate(i, pair).value == col[i - 1], (pair, i)
+        best, winners = best_bound(pair)
+        assert best == col.min(), pair
+        assert (best, winners) == best_of(col.tolist())
+
+
+def test_three_way_knife_edge_at_n22():
+    # (22, 1/6, -1/4) is the crossing of candidates 1, 3 and 4 at 275, where
+    # candidate 2's f_0 vanishes.
+    pair = InnerProductPair(22, 1.0 / 6, -0.25)
+    assert not build_candidate(2, pair).in_domain
+    value, winners = best_bound(pair)
+    assert winners == (1, 3, 4)
+    assert value == candidate_values(22, [1.0 / 6], [-0.25]).min()
+    assert abs(value - 275.0) < 1e-9
+
+
+@pytest.mark.parametrize("entry", [
+    lambda tol: build_candidate(1, InnerProductPair(22, 1.0 / 6, -0.75), tol),
+    lambda tol: best_bound(InnerProductPair(22, 1.0 / 6, -0.75), tol),
+    lambda tol: candidate_values(22, [1.0 / 6], [-0.75], tol),
+], ids=["build_candidate", "best_bound", "candidate_values"])
+def test_single_pair_tolerance_outside_range_is_rejected(entry):
+    # tol = 0.5 used to return (inf, ()) from best_bound where the default gives 55.
+    for tol in (0.5, -1e-3, math.nan):
+        with pytest.raises(ValueError, match=r"tolerance must satisfy 0 <= tol <= 1e-06"):
+            entry(tol)
+    entry(0.0)
+    entry(MAX_TOL)
+    assert abs(best_bound(InnerProductPair(22, 1.0 / 6, -0.75), MAX_TOL)[0] - 55.0) < 1e-9
 
 
 def test_best_bound_equiangular_n7():

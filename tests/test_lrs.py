@@ -228,6 +228,12 @@ def test_profile_winning_index_matches_q():
             assert s.winning == ()
 
 
+def test_q_bound_equals_profile_bit_for_bit():
+    for n, k in [(7, 2), (22, 3), (25, 3), (40, 4), (60, 2)]:
+        for s in profile(n, k, 101):
+            assert q_bound(n, k, s.a) == s.q, (n, k, s.a)
+
+
 def test_profile_continuity_on_shared_winner():
     # Adjacent samples won by the same candidate sit on one rational piece;
     # at the default resolution those never jump by more than 1.
