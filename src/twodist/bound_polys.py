@@ -14,14 +14,17 @@ The five shapes:
     i=4  (t - a)(t - b)(t^2 + c t + d)  with (c, d) solving f_1 = f_2 = 0
     i=5  (t - a)(t - b)(t^2 + c t + d)  with (c, d) solving f_2 = f_3 = 0
 
-Each multiplier, each domain verdict and each value has a closed form in
-n, a and b (_forms), and every route evaluates those forms: build_candidate
-and best_bound on one pair, candidate_values on arrays of pairs, and the
-window sweep in lrs on arrays and on exact rational functions of a.  The
-i=2 multiplier is undefined when a + b = 0 and the i=4 one when its 2x2
-system is singular; such candidates, like every other one outside its
-domain, carry the value +inf so that minima over candidates are always
-well defined.
+Each multiplier, each domain verdict, each value and the nonzero entries
+of each expansion (f_0, the one free f_j and the top coefficient) have a
+closed form in n, a and b (_forms), and every route evaluates those forms:
+candidates and best_bound on one pair, candidate_values on arrays of pairs,
+and the window sweep in lrs on arrays and on exact rational functions of a.
+The expansion that candidates reports is read from the forms, so the f_0
+and f_j it shows are the numbers the domain verdict tests.  The i=2
+multiplier is undefined when a + b = 0 and the i=4 one when its 2x2 system
+is singular; such candidates, like every other one outside its domain,
+carry the value +inf so that minima over candidates are always well
+defined.
 """
 from __future__ import annotations
 
@@ -30,9 +33,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
-from .gegenbauer import GegenbauerExpansion, as_monomial, to_gegenbauer
+from .gegenbauer import GegenbauerExpansion, _gegenbauer_coeffs
 
 DEFAULT_TOL = 1e-9
 # Largest sign-check tolerance accepted.  The tolerance only absorbs rounding
@@ -78,7 +80,10 @@ class CandidateBound:
 
     value is P(1) / f_0 when in_domain, +inf otherwise.  c and d are the
     extra-factor coefficients when the shape has them (None when absent or
-    when the construction is undefined).
+    when the construction is undefined).  poly is P in ascending monomial
+    coefficients.  expansion is read from the closed forms: f_0, the free
+    f_j and the top coefficient, with exact zeros in the entries that the
+    construction zeroes.
     """
 
     index: int
@@ -121,7 +126,7 @@ def _forms(n, a, b) -> tuple[_Form, ...]:
     """The five candidates in closed form, written with + - * / only.
 
     Evaluated on float arrays by candidate_values and the window sweep in
-    lrs (which passes n as an array), on float scalars by build_candidate,
+    lrs (which passes n as an array), on float scalars by candidates,
     and on exact rational functions of a by the sweep; all routes rely on
     the operations and their order here being the only definition.
     """
@@ -158,8 +163,9 @@ def _forms(n, a, b) -> tuple[_Form, ...]:
     )
 
 
-# Expansion coefficients that candidate i sets to zero by construction.
-_ZEROED = {1: [], 2: [1], 3: [2], 4: [1, 2], 5: [2, 3]}
+# Degree of candidate i's polynomial and the expansion slot of its free
+# coefficient fj; every other slot below the top is zero by construction.
+_SHAPES = {1: (2, 1), 2: (3, 2), 3: (3, 1), 4: (4, 3), 5: (4, 1)}
 
 
 def _regular(form: _Form):
@@ -175,31 +181,56 @@ def _in_domain(form: _Form, tol: float):
     return (form.fj >= -tol) & (form.f0 > tol) & _regular(form)
 
 
-def build_candidate(i: int, pair: InnerProductPair, tol: float = DEFAULT_TOL) -> CandidateBound:
-    """Candidate i for the pair, read from the closed forms of _forms.
+def candidates(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[CandidateBound, ...]:
+    """The five candidates for the pair, in index order, from one evaluation
+    of the closed forms of _forms.
 
-    c, d, in_domain and value are the form's, so value is bit for bit the
-    entry candidate_values gives.  poly and its Gegenbauer expansion are
-    built from c and d for display; the expansion coefficients that the
-    construction zeroes are exact zeros.
+    c, d, in_domain and value are the form's, so each value is bit for bit
+    the entry candidate_values gives.  The expansion is read from the form
+    too: f_0 and the free f_j are the numbers the domain verdict tests, the
+    top coefficient is 1 over the leading coefficient of G_deg (P is
+    monic), and the entries the construction zeroes are exact zeros.  poly
+    is built from c and d with plain float products.
     """
-    if i not in CANDIDATE_INDICES:
-        raise ValueError(f"candidate index must be one of {CANDIDATE_INDICES}, got {i}")
     check_tol(tol)
     n = pair.n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        form = _forms(n, np.float64(pair.a), np.float64(pair.b))[i - 1]
-        if not _regular(form):
-            return _undefined(i)
-        in_domain = bool(_in_domain(form, tol))
-    c = None if form.c is None else float(form.c)
-    d = None if form.d is None else float(form.d)
-    extra = [1.0] if c is None else [c, 1.0] if d is None else [d, c, 1.0]
-    poly = as_monomial(npoly.polymul(npoly.polyfromroots([pair.a, pair.b]), extra))
-    expansion = to_gegenbauer(n, poly)
-    expansion.coeffs[_ZEROED[i]] = 0.0
-    value = float(form.value) if in_domain else math.inf
-    return CandidateBound(i, c, d, poly, expansion, in_domain, value)
+        forms = _forms(n, np.float64(pair.a), np.float64(pair.b))
+        regular = [bool(_regular(form)) for form in forms]
+        verdicts = [bool(_in_domain(form, tol)) for form in forms]
+    out = []
+    for i, form, ok, in_domain in zip(CANDIDATE_INDICES, forms, regular, verdicts):
+        if not ok:
+            out.append(_undefined(i))
+            continue
+        c = None if form.c is None else float(form.c)
+        d = None if form.d is None else float(form.d)
+        deg, slot = _SHAPES[i]
+        f = [0.0] * (deg + 1)
+        f[0], f[slot], f[deg] = float(form.f0), float(form.fj), 1.0 / _gegenbauer_coeffs(n, deg)[deg]
+        value = float(form.value) if in_domain else math.inf
+        poly = _monic(pair.a, pair.b, c, d)
+        out.append(CandidateBound(i, c, d, poly, GegenbauerExpansion(n, f), in_domain, value))
+    return tuple(out)
+
+
+def _monic(a: float, b: float, c: float | None, d: float | None) -> np.ndarray:
+    """Ascending coefficients of (t - a)(t - b) times 1, t + c or t^2 + c t + d."""
+    quad = (a * b, -a - b, 1.0)
+    extra = (1.0,) if c is None else (c, 1.0) if d is None else (d, c, 1.0)
+    out = [0.0] * (len(quad) + len(extra) - 1)
+    for j, x in enumerate(quad):
+        for k, y in enumerate(extra):
+            out[j + k] += x * y
+    return np.array(out)
+
+
+def build_candidate(i: int, pair: InnerProductPair, tol: float = DEFAULT_TOL) -> CandidateBound:
+    """Candidate i for the pair: entry i - 1 of candidates(pair, tol), whose
+    expansion is read from the closed forms."""
+    if i not in CANDIDATE_INDICES:
+        raise ValueError(f"candidate index must be one of {CANDIDATE_INDICES}, got {i}")
+    return candidates(pair, tol)[i - 1]
 
 
 def candidate_values(n: int, a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -207,7 +238,7 @@ def candidate_values(n: int, a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Returns an array of shape (5, len(a)); entry [i-1, j] is the value of
     candidate i at (a[j], b[j]), +inf when out of domain.  Every value
-    comes from the closed forms of _forms, as do build_candidate's, so the
+    comes from the closed forms of _forms, as do those of candidates, so the
     two agree bit for bit.  tol must satisfy 0 <= tol <= MAX_TOL.
     """
     if n < 2:

@@ -30,7 +30,7 @@ from typing import Callable
 
 from . import __version__
 from .bound_polys import (
-    CANDIDATE_INDICES, DEFAULT_TOL, MAX_TOL, InnerProductPair, best_of, build_candidate, delsarte_check,
+    DEFAULT_TOL, MAX_TOL, InnerProductPair, best_of, candidates, delsarte_check,
 )
 from .gegenbauer import GegenbauerExpansion
 from .constructions import (
@@ -174,7 +174,7 @@ def cmd_profile(args: argparse.Namespace) -> _Report:
 
 def cmd_bound(args: argparse.Namespace) -> _Report:
     pair = InnerProductPair(args.n, args.a, args.b)
-    cands = [build_candidate(i, pair, tol=args.tol) for i in CANDIDATE_INDICES]
+    cands = candidates(pair, tol=args.tol)
     value, winning = best_of([cand.value for cand in cands])
     p = args.precision
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial import polyutils
 
 # Per-coefficient tolerance defining canonical (trailing-zero stripped) form.
 COEFF_TRIM_TOL = 1e-12
@@ -37,11 +36,18 @@ def _check_degree(k: int) -> None:
 
 
 def as_monomial(coeffs) -> np.ndarray:
-    """Canonical ascending coefficient array with trailing near-zeros stripped."""
+    """Canonical ascending coefficient array with trailing near-zeros stripped.
+
+    Trailing entries with |c| <= COEFF_TRIM_TOL go (NaN among them); an input
+    with none left gives [0.0] times its first entry.  Returns a new array.
+    """
     arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
     if arr.ndim != 1:
         raise ValueError("coefficient array must be one-dimensional")
-    return polyutils.trimcoef(arr, COEFF_TRIM_TOL)
+    if arr.size == 0:
+        raise ValueError("coefficient array is empty")
+    kept = np.flatnonzero(np.abs(arr) > COEFF_TRIM_TOL)
+    return arr[: kept[-1] + 1].copy() if kept.size else arr[:1] * 0
 
 
 def gegenbauer_eval(n: int, k: int, t):

@@ -28,6 +28,7 @@ batch it is swept in.
 from __future__ import annotations
 
 import math
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -164,10 +165,10 @@ class _RatFn:
     has the tuples that the constant _RatFn([x]) over one would give,
     without a product by the constant one.  Otherwise the quartic's value
     would grow from degree 6/6 to 14/14 and its roots would lose accuracy.
-    _real_roots, which solves all polynomials of a window together, gets
-    each coefficient as c / den: int true division is correctly rounded,
-    so it is the float that float(Fraction(c, den)) gives, and the float
-    polynomials are the same bit for bit as with Fraction coefficients."""
+    _candidate_points hands each coefficient to _real_roots as c / den:
+    int true division is correctly rounded, so it is the float that
+    float(Fraction(c, den)) gives, and the float polynomials are the same
+    bit for bit as with Fraction coefficients."""
 
     __slots__ = ("_num", "_den")
 
@@ -230,26 +231,29 @@ def _vanishes(poly, x: Fraction) -> bool:
     return sum(ci * p**i * q ** (deg - i) for i, ci in enumerate(c)) == 0
 
 
-def _real_roots(polys: list, lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """Real roots strictly inside (lo, hi) of exact polynomials, and for each
-    root the index in polys of the polynomial it belongs to.  lo and hi are
-    floats, or arrays holding one bound per polynomial.
+def _real_roots(flat, sizes, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """Real roots strictly inside (lo, hi) of float polynomials, and for each
+    root the index of the polynomial it belongs to.  flat holds the
+    coefficients of every polynomial one after another, lowest power first,
+    and sizes the number of coefficients of each; lo and hi are floats, or
+    arrays holding one bound per polynomial.
 
     A root is an eigenvalue of the polynomial's companion matrix, built as
-    numpy.polynomial.polynomial.polycompanion builds it from the float
-    coefficients c / den; a linear polynomial's root is -c0/c1.  The
-    matrices of each degree go to one stacked eigvals call, however many
-    windows polys comes from; it runs the same LAPACK routine on each
-    matrix, so every root is the double that polyroots gives for that
-    polynomial alone.
+    numpy.polynomial.polynomial.polycompanion builds it; a linear
+    polynomial's root is -c0/c1.  The matrices of each degree go to one
+    stacked eigvals call, however many windows the polynomials come from;
+    it runs the same LAPACK routine on each matrix, so every root is the
+    double that polyroots gives for that polynomial alone.
     """
+    flat = np.asarray(flat, dtype=float)
+    starts = np.cumsum(sizes) - sizes
     by_degree: dict[int, list[int]] = {}
-    for i, (c, _) in enumerate(polys):
-        if len(c) > 1:
-            by_degree.setdefault(len(c) - 1, []).append(i)
+    for i, size in enumerate(sizes):
+        if size > 1:
+            by_degree.setdefault(size - 1, []).append(i)
     roots, owner = [np.empty(0)], [np.empty(0, dtype=np.intp)]
     for deg, idx in by_degree.items():
-        c = np.array([[x / polys[i][1] for x in polys[i][0]] for i in idx])
+        c = flat[starts[idx][:, None] + np.arange(deg + 1)]
         if deg == 1:
             r = -c[:, 0] / c[:, 1]
         else:
@@ -262,7 +266,7 @@ def _real_roots(polys: list, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     r, owner = np.concatenate(roots), np.concatenate(owner)
     keep = np.abs(r.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(r.real))
     x = r.real
-    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (len(polys),)) for v in (lo, hi))
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (len(sizes),)) for v in (lo, hi))
     keep &= (x > lo[owner]) & (x < hi[owner])
     return x[keep], owner[keep]
 
@@ -272,23 +276,24 @@ def _exact_interval(k: int) -> tuple[Fraction, Fraction]:
     return Fraction(2 - k, k), Fraction(1, 2 * k - 1)
 
 
-def _flip_roots(roots, owner, polys: list, lo, hi, k):
+def _flip_roots(roots, owner, exact: dict, lo, hi, k):
     """The roots of domain conditions, less those that are an end of their
     window; returns (roots, owner) for the roots kept.
 
-    lo, hi and k hold the window of each polynomial in polys.  A domain
-    condition can vanish exactly at an end (a + b = 0 at a = 1/(2k - 1)),
-    and its float root may land an ulp inside.  Kept, it would cut off a
-    sliver piece whose candidate set is read at the degenerate point
-    itself.  Only roots within WINDOW_SLACK of an end are checked, each
-    against its own polynomial in exact arithmetic, so that the check
-    costs next to nothing.
+    owner indexes the polynomials of the batch; exact maps the index of
+    each domain condition to its exact polynomial, and lo, hi and k hold
+    the window of each polynomial.  A domain condition can vanish exactly
+    at an end (a + b = 0 at a = 1/(2k - 1)), and its float root may land
+    an ulp inside.  Kept, it would cut off a sliver piece whose candidate
+    set is read at the degenerate point itself.  Only roots within
+    WINDOW_SLACK of an end are checked, each against its own polynomial in
+    exact arithmetic, so that the check costs next to nothing.
     """
     drop = np.zeros(roots.size, dtype=bool)
     for side, ends in enumerate((lo, hi)):
         for i in np.flatnonzero(np.abs(roots - ends[owner]) <= WINDOW_SLACK):
             j = owner[i]
-            drop[i] = _vanishes(polys[j], _exact_interval(int(k[j]))[side])
+            drop[i] = _vanishes(exact[j], _exact_interval(int(k[j]))[side])
     return roots[~drop], owner[~drop]
 
 
@@ -330,23 +335,29 @@ def _candidate_points(windows: list, tol: float) -> tuple[list, list]:
     has a critical point or two candidates cross.  The polynomials of all
     windows are solved together by one _real_roots call.
     """
-    polys, kinds, owner_window = [], [], []
+    flat, sizes, exact, kinds, owner_window = array("d"), [], {}, [], []
     for w, (n, k) in enumerate(windows):
         domain, extrema = _window_polys(n, k, tol)
         # Equal polynomials have equal tuples (see _lowest): each is solved
-        # once per window.
-        own = dict.fromkeys(domain + extrema)
-        flip, extremum = set(domain), set(extrema)
-        polys += own
-        kinds += [(p in flip, p in extremum) for p in own]
+        # once per window, with its kinds as bits (1 domain condition,
+        # 2 extremum polynomial).  Each becomes float coefficients c / den
+        # here; only the domain conditions stay exact, for _flip_roots.
+        own = dict.fromkeys(domain, 1)
+        for poly in extrema:
+            own[poly] = own.get(poly, 0) | 2
+        exact.update((j, poly) for j, (poly, kind) in enumerate(own.items(), len(sizes)) if kind & 1)
+        flat.extend([x / den for c, den in own for x in c])
+        sizes += [len(c) for c, _ in own]
+        kinds += own.values()
         owner_window += [w] * len(own)
     window = np.array(owner_window, dtype=np.intp)
-    is_flip, is_extremum = np.array(kinds, dtype=bool).reshape(-1, 2).T
+    kinds = np.array(kinds, dtype=np.intp)
+    is_flip, is_extremum = (kinds & 1) > 0, (kinds & 2) > 0
     ks = np.array([k for _, k in windows])[window]
     lo, hi = np.array([interval(k) for _, k in windows]).reshape(-1, 2)[window].T
-    roots, owner = _real_roots(polys, lo, hi)
+    roots, owner = _real_roots(flat, sizes, lo, hi)
     flip, extremum = is_flip[owner], is_extremum[owner]
-    flips, flip_owner = _flip_roots(roots[flip], owner[flip], polys, lo, hi, ks)
+    flips, flip_owner = _flip_roots(roots[flip], owner[flip], exact, lo, hi, ks)
     return (
         _split(flips, window[flip_owner], len(windows)),
         _split(roots[extremum], window[owner[extremum]], len(windows)),

@@ -14,6 +14,7 @@ from twodist.bound_polys import (
     best_of,
     build_candidate,
     candidate_values,
+    candidates,
     delsarte_check,
     floor_nudged,
 )
@@ -152,6 +153,30 @@ def test_candidates_meet_their_definition():
                 assert cand.in_domain == bool(f[0] > tol and np.all(f >= -tol)), (pair, i, f)
             checked += 1
     assert checked > 1000
+
+
+# Expansion slot of the coefficient that candidate i leaves free.
+FREE = {1: 1, 2: 2, 3: 1, 4: 3, 5: 1}
+
+
+def test_displayed_expansion_is_the_verdicts():
+    # The printed f_0 and f_j are the closed-form numbers the domain rule
+    # tests, so the verdict reads off the expansion with no exemption.
+    rng = np.random.default_rng(18)
+    tol = DEFAULT_TOL
+    checked = 0
+    for _ in range(1000):
+        pair = _random_pair(rng, n_hi=81)
+        forms = _forms(pair.n, np.float64(pair.a), np.float64(pair.b))
+        for cand, form in zip(candidates(pair, tol), forms):
+            if cand.expansion is None:
+                continue
+            f = cand.expansion.coeffs
+            assert f[0] == float(form.f0) and f[FREE[cand.index]] == float(form.fj), (pair, cand.index)
+            assert f[-1] == to_gegenbauer(pair.n, cand.poly).coeffs[-1], (pair, cand.index)
+            assert cand.in_domain == bool(f[0] > tol and f.min() >= -tol), (pair, cand.index, f)
+            checked += 1
+    assert checked > 3000
 
 
 def test_single_pair_routes_agree_bit_for_bit():

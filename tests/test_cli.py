@@ -390,19 +390,31 @@ def test_table_grid_and_seed_change_no_bytes(capsys):
     )
 
 
-def test_bound_builds_each_candidate_once(capsys, monkeypatch):
+def test_bound_evaluates_the_closed_forms_once(capsys, monkeypatch):
     calls = []
-    build = twodist.bound_polys.build_candidate
+    forms = twodist.bound_polys._forms
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return build(*args, **kwargs)
+    def counting(*args):
+        calls.append(args)
+        return forms(*args)
 
-    monkeypatch.setattr(twodist.cli, "build_candidate", counting)
-    monkeypatch.setattr(twodist.bound_polys, "build_candidate", counting)
+    monkeypatch.setattr(twodist.bound_polys, "_forms", counting)
     code, out, _ = run(capsys, ["bound", "--n", "23", "--a", "0.2", "--b", "-0.2", "--format", "csv"])
     assert code == 0 and out.splitlines()[-1].startswith("# best=276")
-    assert sorted(calls) == [1, 2, 3, 4, 5]
+    assert len(calls) == 1
+
+
+def test_import_leaves_out_numpy_polynomial():
+    probe = (
+        "import sys, numpy; eager = 'numpy.polynomial' in sys.modules; import twodist.cli; "
+        "print(eager, 'numpy.polynomial' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    eager, loaded = proc.stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.polynomial itself")
+    assert loaded == "False"
 
 
 @pytest.mark.parametrize("tol", ["1", "-1", "1e-5", "-1e-12"])

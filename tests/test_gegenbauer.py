@@ -144,6 +144,10 @@ def test_expansion_call_matches_monomial_value():
 
 def test_trailing_zeros_are_stripped():
     assert len(as_monomial([1.0, 2.0, 1e-15])) == 2
+    assert as_monomial([1e-13, -1e-12, 0.0]).tolist() == [0.0]
+    for bad in ([], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            as_monomial(bad)
     out = from_gegenbauer(GegenbauerExpansion(7, [0.5, 0.0, 0.0]))
     assert len(out) == 1
 

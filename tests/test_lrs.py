@@ -344,7 +344,8 @@ def test_batched_roots_match_polyroots_bit_for_bit():
             lo, hi = interval(k)
             domain, extrema = lrs._window_polys(n, k, DEFAULT_TOL)
             polys = list(dict.fromkeys(domain + extrema))
-            roots, owner = lrs._real_roots(polys, lo, hi)
+            flat = [x / d for c, d in polys for x in c]
+            roots, owner = lrs._real_roots(flat, [len(c) for c, _ in polys], lo, hi)
             for i, poly in enumerate(polys):
                 got = sorted(x.hex() for x in roots[owner == i].tolist())
                 assert got == _polyroots_inside(poly, lo, hi), (n, k, i)
