@@ -27,7 +27,7 @@ for i in CANDIDATE_INDICES:
         continue
     coeffs = ", ".join(f"{c:+.6f}" for c in cand.expansion.coeffs)
     status = "in domain" if cand.in_domain else "out of domain"
-    print(f"candidate {i}: degree {len(cand.poly) - 1}, f = [{coeffs}]  ({status})")
+    print(f"candidate {i}: degree {cand.expansion.degree}, f = [{coeffs}]  ({status})")
     if np.isfinite(cand.value):
         print(f"             value = {cand.value:.6f}")
 

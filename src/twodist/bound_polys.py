@@ -19,12 +19,12 @@ of each expansion (f_0, the one free f_j and the top coefficient) have a
 closed form in n, a and b (_forms), and every route evaluates those forms:
 candidates and best_bound on one pair, candidate_values on arrays of pairs,
 and the window sweep in lrs on arrays and on exact rational functions of a.
-The expansion that candidates reports is read from the forms, so the f_0
-and f_j it shows are the numbers the domain verdict tests.  The i=2
-multiplier is undefined when a + b = 0 and the i=4 one when its 2x2 system
-is singular; such candidates, like every other one outside its domain,
-carry the value +inf so that minima over candidates are always well
-defined.
+A candidate holds its certificate only as that expansion, read from the
+forms (P is never multiplied out), so the f_0 and f_j it shows are the
+numbers the domain verdict tests.  The i=2 multiplier is undefined when
+a + b = 0 and the i=4 one when its 2x2 system is singular; such
+candidates, like every other one outside its domain, carry the value +inf
+so that minima over candidates are always well defined.
 """
 from __future__ import annotations
 
@@ -78,18 +78,19 @@ class InnerProductPair:
 class CandidateBound:
     """One candidate certificate and its outcome.
 
-    value is P(1) / f_0 when in_domain, +inf otherwise.  c and d are the
-    extra-factor coefficients when the shape has them (None when absent or
-    when the construction is undefined).  poly is P in ascending monomial
-    coefficients.  expansion is read from the closed forms: f_0, the free
-    f_j and the top coefficient, with exact zeros in the entries that the
-    construction zeroes.
+    The certificate is P = (t - a)(t - b) times 1, t + c or t^2 + c t + d,
+    held as its Gegenbauer expansion f (None when the construction is
+    undefined); gegenbauer.from_gegenbauer(expansion) gives P's monomial
+    coefficients.  f is read from the closed forms: f_0, the free f_j and
+    the top coefficient, with exact zeros in the entries that the
+    construction zeroes.  c and d are the extra-factor coefficients when
+    the shape has them (None when absent or when the construction is
+    undefined).  value is P(1) / f_0 when in_domain, +inf otherwise.
     """
 
     index: int
     c: float | None
     d: float | None
-    poly: np.ndarray | None
     expansion: GegenbauerExpansion | None
     in_domain: bool
     value: float
@@ -102,7 +103,7 @@ def check_tol(tol: float) -> None:
 
 
 def _undefined(index: int) -> CandidateBound:
-    return CandidateBound(index, None, None, None, None, False, math.inf)
+    return CandidateBound(index, None, None, None, False, math.inf)
 
 
 class _Form(NamedTuple):
@@ -189,8 +190,7 @@ def candidates(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[Candid
     the entry candidate_values gives.  The expansion is read from the form
     too: f_0 and the free f_j are the numbers the domain verdict tests, the
     top coefficient is 1 over the leading coefficient of G_deg (P is
-    monic), and the entries the construction zeroes are exact zeros.  poly
-    is built from c and d with plain float products.
+    monic), and the entries the construction zeroes are exact zeros.
     """
     check_tol(tol)
     n = pair.n
@@ -209,20 +209,8 @@ def candidates(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[Candid
         f = [0.0] * (deg + 1)
         f[0], f[slot], f[deg] = float(form.f0), float(form.fj), 1.0 / _gegenbauer_coeffs(n, deg)[deg]
         value = float(form.value) if in_domain else math.inf
-        poly = _monic(pair.a, pair.b, c, d)
-        out.append(CandidateBound(i, c, d, poly, GegenbauerExpansion(n, f), in_domain, value))
+        out.append(CandidateBound(i, c, d, GegenbauerExpansion(n, f), in_domain, value))
     return tuple(out)
-
-
-def _monic(a: float, b: float, c: float | None, d: float | None) -> np.ndarray:
-    """Ascending coefficients of (t - a)(t - b) times 1, t + c or t^2 + c t + d."""
-    quad = (a * b, -a - b, 1.0)
-    extra = (1.0,) if c is None else (c, 1.0) if d is None else (d, c, 1.0)
-    out = [0.0] * (len(quad) + len(extra) - 1)
-    for j, x in enumerate(quad):
-        for k, y in enumerate(extra):
-            out[j + k] += x * y
-    return np.array(out)
 
 
 def build_candidate(i: int, pair: InnerProductPair, tol: float = DEFAULT_TOL) -> CandidateBound:

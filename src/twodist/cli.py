@@ -30,7 +30,7 @@ from typing import Callable
 
 from . import __version__
 from .bound_polys import (
-    DEFAULT_TOL, MAX_TOL, InnerProductPair, best_of, candidates, delsarte_check,
+    DEFAULT_TOL, MAX_TOL, InnerProductPair, best_of, candidates, check_tol, delsarte_check,
 )
 from .gegenbauer import GegenbauerExpansion
 from .constructions import (
@@ -301,47 +301,49 @@ def cmd_delsarte_check(args: argparse.Namespace) -> _Report:
 
 
 def _tolerance(text: str) -> float:
+    """--tol: a real in the range check_tol accepts."""
     try:
         x = float(text)
-    except ValueError:
-        x = math.nan
-    if not math.isfinite(x):
-        raise argparse.ArgumentTypeError(f"must be a finite real, got {text!r}")
-    if not 0 <= x <= MAX_TOL:
-        raise argparse.ArgumentTypeError(f"must satisfy 0 <= tol <= {MAX_TOL:g}, got {text!r}")
+        check_tol(x)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return x
 
 
-def _parent(flag: str, **kwargs) -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(add_help=False)
-    parser.add_argument(flag, **kwargs)
-    return parser
+def _precision(text: str) -> int:
+    """--precision: a digit count that _fmt's f"{x:.{p}g}" accepts (0 to 2**31 - 1 in CPython)."""
+    try:
+        p = int(text)
+        format(0.5, f".{p}g")
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a count of significant digits that float formatting accepts, got {text!r}"
+        ) from None
+    return p
 
 
-# Every option is a parent parser built once, at import: composing a
-# subcommand of them costs less than adding its options anew on each main().
+# add_argument keywords of every option; build_parser adds to each
+# subcommand the ones it takes.
 _OPTIONS = {
-    "--n": _parent("--n", type=int, required=True),
-    "--n-min": _parent("--n-min", type=int, required=True),
-    "--n-max": _parent("--n-max", type=int, required=True),
-    "--grid": _parent(
-        "--grid", type=int, default=DEFAULT_GRID,
+    "--n": dict(type=int, required=True),
+    "--n-min": dict(type=int, required=True),
+    "--n-max": dict(type=int, required=True),
+    "--grid": dict(
+        type=int, default=DEFAULT_GRID,
         help="accepted for compatibility and echoed in provenance; no longer changes results",
     ),
-    "--k": _parent("--k", type=int, required=True),
-    "--samples": _parent("--samples", type=int, default=1001),
-    "--a": _parent("--a", type=float, required=True),
-    "--b": _parent("--b", type=float, required=True),
-    "--coeffs": _parent("--coeffs", required=True, help="comma-separated Gegenbauer coefficients f_0,f_1,..."),
-    "--t-values": _parent("--t-values", required=True, help="comma-separated inner products"),
-    "--tol": _parent(
-        "--tol", type=_tolerance, default=DEFAULT_TOL, help=f"sign-check tolerance, 0 to {MAX_TOL:g}",
-    ),
-    "--seed": _parent("--seed", type=int, default=DEFAULT_SEED, help="RNG seed for random unit vectors"),
-    "--format": _parent("--format", choices=("csv", "json", "pretty"), default="pretty"),
-    "--precision": _parent("--precision", type=int, default=12, help="significant digits for reals"),
-    "--out": _parent("--out", default=None, help="output path (default stdout)"),
-    "--strict": _parent("--strict", action="store_true", help="exit 3 on any inconclusive bound"),
+    "--k": dict(type=int, required=True),
+    "--samples": dict(type=int, default=1001),
+    "--a": dict(type=float, required=True),
+    "--b": dict(type=float, required=True),
+    "--coeffs": dict(required=True, help="comma-separated Gegenbauer coefficients f_0,f_1,..."),
+    "--t-values": dict(required=True, help="comma-separated inner products"),
+    "--tol": dict(type=_tolerance, default=DEFAULT_TOL, help=f"sign-check tolerance, 0 to {MAX_TOL:g}"),
+    "--seed": dict(type=int, default=DEFAULT_SEED, help="RNG seed for random unit vectors"),
+    "--format": dict(choices=("csv", "json", "pretty"), default="pretty"),
+    "--precision": dict(type=_precision, default=12, help="significant digits for reals"),
+    "--out": dict(default=None, help="output path (default stdout)"),
+    "--strict": dict(action="store_true", help="exit 3 on any inconclusive bound"),
 }
 _OUTPUT = "--format --precision --out"
 
@@ -368,7 +370,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="twodist", description="Two-distance set bounds and constructions")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, (_, help_text, flags) in _COMMANDS.items():
-        sub.add_parser(name, parents=[_OPTIONS[flag] for flag in flags.split()], help=help_text)
+        command = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            command.add_argument(flag, **_OPTIONS[flag])
     return parser
 
 
@@ -391,8 +395,6 @@ def main(argv=None) -> int:
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)
-        if args.precision < 0:
-            raise UsageError(f"--precision must be >= 0, got {args.precision}")
         report = _COMMANDS[args.command][0](args)
     except (UsageError, ValueError) as exc:  # ValueError: the library's own input checks
         print(f"error: {exc}", file=sys.stderr)

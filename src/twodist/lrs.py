@@ -437,6 +437,13 @@ def _window_max(n: int, k: int, edges, active, xs: np.ndarray, raw: np.ndarray) 
     return KSlice(n, k, *interval(k), phi_val, float(xs[best]), omega, True, ())
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    """The values of a nonempty float array x, sorted, each once: np.unique's
+    result for NaN-free floats, without the numpy.ma import np.unique does."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
     """Maximize Q over each closed (n, k) window of windows and floor the
     result; one KSlice per window, in order.  Every sweep goes through here.
@@ -460,14 +467,14 @@ def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
     for n, k in windows:
         _check_window(n, k)
     flips, extrema = _candidate_points(windows, tol)
-    edges = [np.unique(np.concatenate((interval(k), f))) for (_, k), f in zip(windows, flips)]
+    edges = [_distinct(np.concatenate((interval(k), f))) for (_, k), f in zip(windows, flips)]
     actives = _evaluate(
         windows, [(e[:-1] + e[1:]) / 2 for e in edges],
         lambda n, a, b: np.isfinite(_in_domain_values(n, a, b, tol)),
     )
     slices = [_no_candidate(*w, e, act) for w, e, act in zip(windows, edges, actives)]
     todo = [i for i, sl in enumerate(slices) if sl is None]
-    points = [np.unique(np.concatenate((edges[i], extrema[i]))) for i in todo]
+    points = [_distinct(np.concatenate((edges[i], extrema[i]))) for i in todo]
     raws = _evaluate([windows[i] for i in todo], points, _raw_values)
     for i, xs, raw in zip(todo, points, raws):
         slices[i] = _window_max(*windows[i], edges[i], actives[i], xs, raw)

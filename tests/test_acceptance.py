@@ -142,7 +142,7 @@ def test_criterion_7_independence_rank():
     _report(7, ok, f"measured ranks {ranks} equal n(n+1)/2 + n for n=7..12")
 
 
-def test_criterion_8_property_battery():
+def test_criterion_8_property_battery(certificate):
     rng = np.random.default_rng(2024)
     checks = {}
 
@@ -180,10 +180,11 @@ def test_criterion_8_property_battery():
     checks["round-trip<1e-10"] = rt_err < 1e-10
     checks["sum-rule<1e-10"] = sum_err < 1e-10
 
-    # candidate polynomials: roots at a and b, forced coefficient zeros,
-    # checker consistency, and the construction floor
+    # candidate polynomials: roots at a and b, the shown expansion is the
+    # polynomial's, forced coefficient zeros, checker consistency, and the
+    # construction floor
     forced = {1: (), 2: (1,), 3: (2,), 4: (1, 2), 5: (2, 3)}
-    root_err = vanish_err = 0.0
+    root_err = shown_err = vanish_err = 0.0
     checker_ok = True
     sampled = 0
     while sampled < 120:
@@ -199,9 +200,11 @@ def test_criterion_8_property_battery():
             cand = build_candidate(i, pair)
             if not cand.in_domain:
                 continue
-            pa = float(np.polynomial.polynomial.polyval(a, cand.poly))
-            pb = float(np.polynomial.polynomial.polyval(b, cand.poly))
+            poly = certificate(a, b, cand.c, cand.d)
+            pa = float(np.polynomial.polynomial.polyval(a, poly))
+            pb = float(np.polynomial.polynomial.polyval(b, poly))
             root_err = max(root_err, abs(pa), abs(pb))
+            shown_err = max(shown_err, float(np.max(np.abs(to_gegenbauer(n, poly).coeffs - cand.expansion.coeffs))))
             for idx in forced[i]:
                 vanish_err = max(vanish_err, abs(cand.expansion.coeffs[idx]))
             res = delsarte_check(cand.expansion, [a, b])
@@ -209,6 +212,7 @@ def test_criterion_8_property_battery():
                 checker_ok = False
         sampled += 1
     checks["roots<1e-9"] = root_err < 1e-9
+    checks["shown-expansion<1e-9"] = shown_err < 1e-9
     checks["vanishing<1e-9"] = vanish_err < 1e-9
     checks["checker-consistent"] = checker_ok
 

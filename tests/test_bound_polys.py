@@ -18,7 +18,7 @@ from twodist.bound_polys import (
     delsarte_check,
     floor_nudged,
 )
-from twodist.gegenbauer import GegenbauerExpansion, to_gegenbauer
+from twodist.gegenbauer import GegenbauerExpansion, from_gegenbauer, to_gegenbauer
 from twodist.constructions import lambda_params
 from twodist.lrs import q_bound
 
@@ -65,32 +65,35 @@ def test_symmetric_cubic_zeroes_f2():
     assert abs(cand.expansion.coeffs[2]) < 1e-12
 
 
-def test_candidates_vanish_at_both_inner_products():
+def test_candidates_vanish_at_both_inner_products(certificate):
+    # P(a) = P(b) = 0 for the polynomial whose expansion the candidate reports.
     rng = np.random.default_rng(11)
     for _ in range(60):
         pair = _random_pair(rng)
         for i in CANDIDATE_INDICES:
             cand = build_candidate(i, pair)
-            if cand.poly is None:
+            if cand.expansion is None:
                 continue
-            assert abs(npoly.polyval(pair.a, cand.poly)) < 1e-9
-            assert abs(npoly.polyval(pair.b, cand.poly)) < 1e-9
+            poly = from_gegenbauer(cand.expansion)
+            assert np.allclose(poly, certificate(pair.a, pair.b, cand.c, cand.d), rtol=0, atol=1e-9)
+            assert abs(npoly.polyval(pair.a, poly)) < 1e-9
+            assert abs(npoly.polyval(pair.b, poly)) < 1e-9
 
 
 # Expansion rows that candidate i zeroes by construction.
 ZEROED = {1: (), 2: (1,), 3: (2,), 4: (1, 2), 5: (2, 3)}
 
 
-def test_constructed_coefficients_vanish_by_index():
+def test_constructed_coefficients_vanish_by_index(certificate):
     # Recomputed from the polynomial: cand.expansion holds exact zeros there.
     rng = np.random.default_rng(12)
     for _ in range(60):
         pair = _random_pair(rng)
         for i, rows in ZEROED.items():
             cand = build_candidate(i, pair)
-            if cand.poly is None:
+            if cand.expansion is None:
                 continue
-            f = to_gegenbauer(pair.n, cand.poly).coeffs
+            f = to_gegenbauer(pair.n, certificate(pair.a, pair.b, cand.c, cand.d)).coeffs
             for r in rows:
                 assert abs(f[r]) < 1e-9, (pair, i, r)
 
@@ -127,7 +130,7 @@ def test_in_domain_value_is_positive():
                 assert np.all(f >= -1e-9)
 
 
-def test_candidates_meet_their_definition():
+def test_candidates_meet_their_definition(certificate):
     # Recompute each candidate's expansion from its polynomial: the closed-form
     # c and d must zero the constructed rows, and f_0, the value and the
     # domain verdict must follow the definition.
@@ -139,15 +142,16 @@ def test_candidates_meet_their_definition():
         forms = _forms(pair.n, np.float64(pair.a), np.float64(pair.b))
         for i in CANDIDATE_INDICES:
             cand = build_candidate(i, pair)
-            if cand.poly is None:
+            if cand.expansion is None:
                 continue
-            f = to_gegenbauer(pair.n, cand.poly).coeffs
+            poly = certificate(pair.a, pair.b, cand.c, cand.d)
+            f = to_gegenbauer(pair.n, poly).coeffs
             scale = max(1.0, float(np.abs(f).max()))
             for r in ZEROED[i]:
                 assert abs(f[r]) < 1e-9 * scale, (pair, i, r)
             assert abs(f[0] - float(forms[i - 1].f0)) <= 1e-9 * scale, (pair, i)
             if cand.in_domain:
-                at_one = npoly.polyval(1.0, cand.poly)
+                at_one = npoly.polyval(1.0, poly)
                 assert abs(cand.value - at_one / f[0]) <= 1e-9 * abs(cand.value), (pair, i)
             if np.all(np.abs(np.abs(f) - tol) > 1e-12):
                 assert cand.in_domain == bool(f[0] > tol and np.all(f >= -tol)), (pair, i, f)
@@ -159,7 +163,7 @@ def test_candidates_meet_their_definition():
 FREE = {1: 1, 2: 2, 3: 1, 4: 3, 5: 1}
 
 
-def test_displayed_expansion_is_the_verdicts():
+def test_displayed_expansion_is_the_verdicts(certificate):
     # The printed f_0 and f_j are the closed-form numbers the domain rule
     # tests, so the verdict reads off the expansion with no exemption.
     rng = np.random.default_rng(18)
@@ -173,7 +177,8 @@ def test_displayed_expansion_is_the_verdicts():
                 continue
             f = cand.expansion.coeffs
             assert f[0] == float(form.f0) and f[FREE[cand.index]] == float(form.fj), (pair, cand.index)
-            assert f[-1] == to_gegenbauer(pair.n, cand.poly).coeffs[-1], (pair, cand.index)
+            poly = certificate(pair.a, pair.b, cand.c, cand.d)
+            assert f[-1] == to_gegenbauer(pair.n, poly).coeffs[-1], (pair, cand.index)
             assert cand.in_domain == bool(f[0] > tol and f.min() >= -tol), (pair, cand.index, f)
             checked += 1
     assert checked > 3000

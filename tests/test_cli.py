@@ -313,6 +313,22 @@ def test_negative_precision_is_usage_error(capsys):
     assert code == 0 and "precision=0" in out
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json", "pretty"])
+def test_precision_past_the_formatters_limit_is_usage_error(capsys, fmt):
+    # 2**31 ended in "ValueError: precision too big" from the renderer, with
+    # a traceback and no error line.
+    bound = ["bound", "--n", "23", "--a", "0.2", "--b", "-0.2", "--format", fmt, "--precision"]
+    for argv in (bound, ["profile", "--n", "25", "--k", "3", "--format", fmt, "--precision"]):
+        for precision in ("2147483648", "99999999999999999999"):
+            code, out, err = run(capsys, argv + [precision])
+            assert code == 1 and out == "", (argv, precision)
+            assert err.startswith("error: argument --precision:") and len(err.strip().splitlines()) == 1
+    # 2**31 - 1 still renders: past the 767 significant digits a double can
+    # need, every precision prints the same digits.
+    code, out, _ = run(capsys, bound + ["2147483647"])
+    assert code == 0 and out.replace("2147483647", "1000") == run(capsys, bound + ["1000"])[1]
+
+
 def test_missing_subcommand_is_usage_error(capsys):
     assert run(capsys, [])[0] == 1
     assert run(capsys, ["table"])[0] == 1  # required flags absent
@@ -402,6 +418,18 @@ def test_bound_evaluates_the_closed_forms_once(capsys, monkeypatch):
     code, out, _ = run(capsys, ["bound", "--n", "23", "--a", "0.2", "--b", "-0.2", "--format", "csv"])
     assert code == 0 and out.splitlines()[-1].startswith("# best=276")
     assert len(calls) == 1
+
+
+def test_import_builds_no_parser():
+    # The option table is applied by build_parser on the first main() call.
+    probe = (
+        "import argparse; built = []; init = argparse.ArgumentParser.__init__; "
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k); "
+        "import twodist.cli; print(len(built))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0"]
 
 
 def test_import_leaves_out_numpy_polynomial():

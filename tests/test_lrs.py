@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -454,3 +456,17 @@ def test_cold_table_stays_cold(monkeypatch):
         runs.append((table(7, 40), list(shapes), len(products)))
     assert runs[0] == runs[1]
     assert runs[0][1] and runs[0][2]
+
+
+def test_sweep_leaves_out_numpy_ma():
+    # np.unique imports numpy.ma on first use: 12 ms in every fresh table process.
+    probe = (
+        "import sys, numpy; eager = 'numpy.ma' in sys.modules; import twodist.lrs as lrs; "
+        "lrs.table(7, 8); print(eager, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    eager, loaded = proc.stdout.split()
+    if eager == "True":
+        pytest.skip("this numpy imports numpy.ma itself")
+    assert loaded == "False"
