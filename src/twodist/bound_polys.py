@@ -126,10 +126,11 @@ class _Form(NamedTuple):
 def _forms(n, a, b) -> tuple[_Form, ...]:
     """The five candidates in closed form, written with + - * / only.
 
-    Evaluated on float arrays by candidate_values and the window sweep in
-    lrs (which passes n as an array), on float scalars by candidates,
-    and on exact rational functions of a by the sweep; all routes rely on
-    the operations and their order here being the only definition.
+    Evaluated on float arrays by _float_forms (for candidate_values and the
+    window sweep in lrs, which passes n as an array), on float scalars by
+    candidates, and on exact rational functions of a by the sweep; all
+    routes rely on the operations and their order here being the only
+    definition.
     """
     s = a + b
     p = a * b
@@ -234,21 +235,20 @@ def candidate_values(n: int, a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     check_tol(tol)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
-    return _in_domain_values(n, a, b, tol)
+    values, in_domain = _float_forms(n, a, b, tol)
+    return np.where(in_domain, values, np.inf)
 
 
-def _in_domain_values(n, a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """The (5, len(a)) candidate values of candidate_values, +inf where a
-    candidate is out of domain, for float arrays a and b.  n is a scalar or
-    a float array of a's shape: the window sweep evaluates the pairs of many
-    dimensions in one pass, and small integers n are exact either way, so
-    each value is the same double."""
-    out = np.full((5,) + a.shape, np.inf)
+def _float_forms(n, a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(values, in_domain): the five closed-form values and domain verdicts
+    as (5, len(a)) arrays, from one evaluation of _forms on the float
+    arrays a and b.  The values are not masked; they may be inf or NaN
+    where a form breaks down.  n is a scalar or a float array of a's shape:
+    the window sweep evaluates the pairs of many dimensions in one pass, and
+    small integers n are exact either way, so each value is the same double."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for row, form in zip(out, _forms(n, a, b)):
-            dom = _in_domain(form, tol)
-            row[dom] = form.value[dom]
-    return out
+        forms = _forms(n, a, b)
+        return np.array([f.value for f in forms]), np.array([_in_domain(f, tol) for f in forms])
 
 
 def best_bound(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[float, tuple[int, ...]]:

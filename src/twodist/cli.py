@@ -396,7 +396,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         report = _COMMANDS[args.command][0](args)
-    except (UsageError, ValueError) as exc:  # ValueError: the library's own input checks
+    # ValueError: the library's own input checks; OverflowError: an int option too large for a float
+    except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     text = _render(args, report)

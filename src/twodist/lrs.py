@@ -21,9 +21,9 @@ of polynomials built exactly from the closed forms in bound_polys.
 Windows are swept in batches by one engine, _sweep: k_slice sweeps one
 window, omega_hat the windows of one n and table every window of its
 range.  The roots of all polynomials of a batch are found with one stacked
-eigvals call per degree, and the closed forms are evaluated in float on all
-points of the batch together; a window's result does not depend on the
-batch it is swept in.
+eigvals call per degree, and the closed forms are evaluated in one float
+pass over the piece midpoints and the points of every window of the batch;
+a window's result does not depend on the batch it is swept in.
 """
 from __future__ import annotations
 
@@ -40,8 +40,8 @@ import numpy as np
 from .bound_polys import (
     DEFAULT_TOL,
     InnerProductPair,
+    _float_forms,
     _forms,
-    _in_domain_values,
     best_bound,
     best_of,
     candidate_values,
@@ -364,25 +364,18 @@ def _candidate_points(windows: list, tol: float) -> tuple[list, list]:
     )
 
 
-def _evaluate(windows: list, points: list, fn) -> list[np.ndarray]:
-    """fn(n, a, b) on the points of every window in one float pass, split
-    back into one (5, len(points[i])) array per window.  b lies on the
-    window's line, and n is a float array (exact for integers, so every
-    double is the one a scalar n gives)."""
-    if not points:
-        return []
+def _evaluate(windows: list, points: list, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The closed-form values and domain verdicts (_float_forms) on the
+    points of every window, from one float evaluation, split back into one
+    (values, in_domain) pair of (5, len(points[i])) arrays per window.  b
+    lies on the window's line, and n is a float array (exact for integers,
+    so every double is the one a scalar n gives)."""
     sizes = [p.size for p in points]
     n, k = (np.repeat(np.array(v, dtype=float), sizes) for v in zip(*windows))
     a = np.concatenate(points)
-    return np.split(fn(n, a, _b_line(k, a)), np.cumsum(sizes)[:-1], axis=1)
-
-
-def _raw_values(n, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The five closed-form values with no domain check, NaN read as +inf."""
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        raw = np.array([f.value for f in _forms(n, a, b)])
-    raw[np.isnan(raw)] = np.inf
-    return raw
+    values, in_domain = _float_forms(n, a, _b_line(k, a), tol)
+    cuts = np.cumsum(sizes)[:-1]
+    return list(zip(np.split(values, cuts, axis=1), np.split(in_domain, cuts, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -404,27 +397,28 @@ class KSlice:
         return self.lo, self.hi
 
 
-def _no_candidate(n: int, k: int, edges: np.ndarray, active: np.ndarray) -> KSlice | None:
-    """The inconclusive slice, with its stretches of a that have no
-    candidate in domain, if some piece has none; otherwise None."""
+def _window_max(n: int, k: int, edges, xs, values: np.ndarray, in_domain: np.ndarray) -> KSlice:
+    """The slice of a window, from the closed forms evaluated at its piece
+    midpoints (the first len(edges) - 1 columns of values and in_domain)
+    and then at its points xs.  A piece's candidates are those in domain
+    with a finite value at its midpoint.  If some piece has none, the slice
+    is inconclusive and records the stretches of a without a candidate;
+    otherwise phi is the largest Q over xs, NaN values read as +inf."""
+    pieces = len(edges) - 1
+    active = in_domain[:, :pieces] & np.isfinite(values[:, :pieces])
     empty = np.flatnonzero(~active.any(axis=0))
-    if not empty.size:
-        return None
-    starts = empty[np.diff(empty, prepend=-2) > 1]
-    ends = empty[np.diff(empty, append=empty[-1] + 2) > 1] + 1
-    ranges = tuple((float(edges[i]), float(edges[j])) for i, j in zip(starts, ends))
-    return KSlice(n, k, *interval(k), math.inf, math.nan, math.inf, False, ranges)
-
-
-def _window_max(n: int, k: int, edges, active, xs: np.ndarray, raw: np.ndarray) -> KSlice:
-    """The slice of a window whose every piece has a candidate: the largest
-    Q over the points xs, given the raw candidate values there."""
+    if empty.size:
+        starts = empty[np.diff(empty, prepend=-2) > 1]
+        ends = empty[np.diff(empty, append=empty[-1] + 2) > 1] + 1
+        ranges = tuple((float(edges[i]), float(edges[j])) for i, j in zip(starts, ends))
+        return KSlice(n, k, *interval(k), math.inf, math.nan, math.inf, False, ranges)
+    raw = np.where(np.isnan(values[:, pieces:]), np.inf, values[:, pieces:])
     # A point on an edge touches the pieces on both sides, any other point one.
     qs = np.maximum.reduce([
         np.where(active[:, piece], raw, np.inf).min(axis=0)
         for piece in (
             np.maximum(np.searchsorted(edges, xs, side="left") - 1, 0),
-            np.minimum(np.searchsorted(edges, xs, side="right") - 1, len(edges) - 2),
+            np.minimum(np.searchsorted(edges, xs, side="right") - 1, pieces - 1),
         )
     ])
     best = int(np.argmax(qs))
@@ -458,27 +452,21 @@ def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
     for this (n, k), and the stretches of a without one are recorded.
 
     Each window builds its exact polynomials alone.  Their roots are found
-    for the whole batch, and the closed forms are evaluated in two float
-    passes, one over the piece midpoints of every window and one over the
-    points of every conclusive window.  A window's result is the same, bit
-    for bit, in any batch.
+    for the whole batch, and the closed forms are evaluated in one float
+    pass over the piece midpoints and the points of every window.  A
+    window's result is the same, bit for bit, in any batch.
     """
     check_tol(tol)
     for n, k in windows:
         _check_window(n, k)
     flips, extrema = _candidate_points(windows, tol)
     edges = [_distinct(np.concatenate((interval(k), f))) for (_, k), f in zip(windows, flips)]
-    actives = _evaluate(
-        windows, [(e[:-1] + e[1:]) / 2 for e in edges],
-        lambda n, a, b: np.isfinite(_in_domain_values(n, a, b, tol)),
+    points = [_distinct(np.concatenate((e, x))) for e, x in zip(edges, extrema)]
+    # Each window's piece midpoints, then its points, all in one evaluation.
+    evals = _evaluate(
+        windows, [np.concatenate(((e[:-1] + e[1:]) / 2, x)) for e, x in zip(edges, points)], tol
     )
-    slices = [_no_candidate(*w, e, act) for w, e, act in zip(windows, edges, actives)]
-    todo = [i for i, sl in enumerate(slices) if sl is None]
-    points = [_distinct(np.concatenate((edges[i], extrema[i]))) for i in todo]
-    raws = _evaluate([windows[i] for i in todo], points, _raw_values)
-    for i, xs, raw in zip(todo, points, raws):
-        slices[i] = _window_max(*windows[i], edges[i], actives[i], xs, raw)
-    return slices
+    return [_window_max(*w, e, x, *ev) for w, e, x, ev in zip(windows, edges, points, evals)]
 
 
 @lru_cache(maxsize=512)

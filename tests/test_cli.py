@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 
 import twodist.bound_polys
 import twodist.cli
+from test_golden_cli import GOLDEN
 from twodist.cli import console_entry, main
 
 A7 = "0.3333333333333333"
@@ -129,6 +131,30 @@ def test_console_entry_exits_with_the_command_code(capsys, monkeypatch):
         console_entry()
     assert exc.value.code == 0
     assert "7,28,28,2,28,true" in capsys.readouterr().out
+
+
+def test_module_entry_matches_the_golden_bound():
+    # `python -m twodist` runs twodist/__main__.py in a new process.
+    argv = ["bound", "--n", "23", "--a", "0.2", "--b", "-0.2", "--format", "csv"]
+    proc = subprocess.run([sys.executable, "-m", "twodist", *argv], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    with open(os.path.join(GOLDEN, "bound.csv.txt"), encoding="utf-8") as fh:
+        assert proc.stdout == fh.read()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--a", "0.2", "--b", "-0.2"],
+        ["profile", "--k", "2"],
+        ["delsarte-check", "--coeffs", "1,0,1", "--t-values", "0.5"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_dimension_too_large_for_a_float_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, argv + ["--n", "1" + "0" * 400])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and len(err.strip().splitlines()) == 1
 
 
 def test_profile_csv(capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+import twodist.bound_polys as bound_polys
 import twodist.lrs as lrs
 from test_golden_windows import load as load_golden_windows, record
 from twodist.bound_polys import DEFAULT_TOL, MAX_TOL, _forms, candidate_values
@@ -441,6 +442,22 @@ def test_cold_table_solves_each_degree_once_per_batch(monkeypatch, n_min, n_max)
     # The window-by-window sweep made 624 calls for 7..40.
     assert len(shapes) <= _distinct_degrees(windows) <= 8
     assert all(len(shape) == 3 for shape in shapes)
+
+
+@pytest.mark.parametrize(
+    "windows",
+    [[(23, 3)], lrs._windows(25), [w for n in range(7, 41) for w in lrs._windows(n)]],
+    ids=["one window", "one n", "7..40"],
+)
+def test_sweep_evaluates_the_float_forms_once(monkeypatch, windows):
+    # Both names of _forms are counted: lrs imports it for the exact
+    # rational functions, and bound_polys evaluates it on floats.
+    operands = []
+    for module in (lrs, bound_polys):
+        monkeypatch.setattr(module, "_forms", lambda n, a, b: operands.append(type(a)) or _forms(n, a, b))
+    lrs._sweep(windows, DEFAULT_TOL)
+    assert operands.count(lrs._RatFn) == len(windows)
+    assert operands.count(np.ndarray) == 1 and len(operands) == len(windows) + 1
 
 
 def test_cold_table_stays_cold(monkeypatch):
