@@ -20,14 +20,19 @@ of polynomials built exactly from the closed forms in bound_polys.
 
 Windows are swept in batches by one engine, _sweep: k_slice sweeps one
 window, omega_hat the windows of one n and table every window of its
-range.  The roots of all polynomials of a batch are found with one stacked
-eigvals call per degree, and the closed forms are evaluated in one float
-pass over the piece midpoints and the points of every window of the batch;
-a window's result does not depend on the batch it is swept in.
+range.  A batch of BATCH_MIN_WINDOWS or more windows builds the exact
+polynomials of all of them in one pass of the closed forms on _RatFns,
+whose coefficients are object arrays with one column per window; a smaller
+batch builds them window by window on _RatFn.  The roots of all
+polynomials of a batch are found with one stacked eigvals call per degree,
+and the closed forms are evaluated in one float pass over the piece
+midpoints and the points of every window of the batch; a window's result
+does not depend on the batch it is swept in.
 """
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -57,6 +62,15 @@ WINDOW_SLACK = 1e-12
 # near sqrt(machine epsilon).  Keeping every root this close to the real
 # axis is safe: each kept point only adds a true value of the bound.
 ROOT_IMAG_TOL = 1e-6
+# Sweeps of at least this many windows build their exact polynomials in one
+# _RatFns pass, smaller ones window by window on _RatFn: each object-array
+# operation has a fixed cost that only a larger batch pays back.  Measured
+# crossover (2-vCPU Xeon, Python 3.11, numpy 2.4): on random sets of windows
+# of n = 7..60 the batch was faster in 1 of 40 sets of 4 windows, 13 of 40 of
+# 5 and 31 of 40 of 6.  Every n <= 60 has at most 4 windows, so k_slice,
+# omega_hat and single-row tables stay on _RatFn there; table(7, 40) is one
+# batch of 78.
+BATCH_MIN_WINDOWS = 6
 
 
 def b_k(k: int, a: float) -> float:
@@ -154,7 +168,7 @@ _ONE = ((1,), 1)  # the constant polynomial 1 in _lowest form
 
 
 class _RatFn:
-    """num(a) / den(a), exact: just the arithmetic _forms needs.
+    """num(a) / den(a), exact: just the arithmetic _forms needs, for one window.
 
     Each polynomial is held as integer coefficients over one positive
     integer denominator in lowest terms (see _lowest), so a product or sum
@@ -168,18 +182,41 @@ class _RatFn:
     _candidate_points hands each coefficient to _real_roots as c / den:
     int true division is correctly rounded, so it is the float that
     float(Fraction(c, den)) gives, and the float polynomials are the same
-    bit for bit as with Fraction coefficients."""
+    bit for bit as with Fraction coefficients.
+
+    The operators are the only definition of the polynomial operations each
+    rational operation makes, same-denominator shortcuts included.  The
+    polynomial operations themselves are the class attributes _mul, _add,
+    _scale, _der, _neg and _same, with _scalar to read a scalar operand;
+    _RatFns replaces them with operations on a whole batch of windows."""
 
     __slots__ = ("_num", "_den")
+
+    _mul = staticmethod(_pmul)
+    _add = staticmethod(_padd)
+    _scale = staticmethod(_pscale)
+    _der = staticmethod(_pder)
+    _scalar = staticmethod(Fraction)
+    _same = staticmethod(operator.eq)
 
     def __init__(self, num, den=(1,)):
         self._num, self._den = _exact(num), _exact(den)
 
     @classmethod
-    def _of(cls, num: tuple, den: tuple) -> "_RatFn":
+    def _of(cls, num, den) -> "_RatFn":
         out = object.__new__(cls)
         out._num, out._den = num, den
         return out
+
+    @staticmethod
+    def _neg(p) -> tuple:
+        c, d = p
+        return tuple(-x for x in c), d
+
+    @classmethod
+    def _cross(cls, p, q, r, s):
+        """p q - r s for exact polynomials."""
+        return cls._add(cls._mul(p, q), cls._mul(r, s), -1)
 
     @property
     def num(self) -> tuple:
@@ -193,27 +230,26 @@ class _RatFn:
 
     def __add__(self, other):
         if not isinstance(other, _RatFn):
-            return _RatFn._of(_padd(self._num, _pscale(self._den, Fraction(other))), self._den)
-        if self._den == other._den:
-            return _RatFn._of(_padd(self._num, other._num), self._den)
-        num = _padd(_pmul(self._num, other._den), _pmul(other._num, self._den))
-        return _RatFn._of(num, _pmul(self._den, other._den))
+            return self._of(self._add(self._num, self._scale(self._den, self._scalar(other))), self._den)
+        if self._same(self._den, other._den):
+            return self._of(self._add(self._num, other._num), self._den)
+        num = self._add(self._mul(self._num, other._den), self._mul(other._num, self._den))
+        return self._of(num, self._mul(self._den, other._den))
 
     def __mul__(self, other):
         if not isinstance(other, _RatFn):
-            return _RatFn._of(_pscale(self._num, Fraction(other)), self._den)
-        return _RatFn._of(_pmul(self._num, other._num), _pmul(self._den, other._den))
+            return self._of(self._scale(self._num, self._scalar(other)), self._den)
+        return self._of(self._mul(self._num, other._num), self._mul(self._den, other._den))
 
     def __truediv__(self, other):
         if not isinstance(other, _RatFn):
-            return self * (1 / Fraction(other))
-        if self._den == other._den:
-            return _RatFn._of(self._num, other._num)
-        return _RatFn._of(_pmul(self._num, other._den), _pmul(self._den, other._num))
+            return self * (1 / self._scalar(other))
+        if self._same(self._den, other._den):
+            return self._of(self._num, other._num)
+        return self._of(self._mul(self._num, other._den), self._mul(self._den, other._num))
 
     def __neg__(self):
-        c, d = self._num
-        return _RatFn._of((tuple(-x for x in c), d), self._den)
+        return self._of(self._neg(self._num), self._den)
 
     def __sub__(self, other):
         return self + -other
@@ -222,6 +258,103 @@ class _RatFn:
         return -self + other
 
     __radd__, __rmul__ = __add__, __mul__
+
+
+class _RatFns(_RatFn):
+    """The _RatFn of every window of a batch, from one pass of the same
+    operators: _forms runs once for the whole batch.
+
+    A polynomial is an (L, W) object array of Python ints, row i holding
+    the coefficient of a^i in each of the W windows, over a (W,) array of
+    positive integer denominators.  Nothing is reduced on the way: _columns
+    takes out the gcd and the trailing zeros once per final polynomial, and
+    gives each window the _lowest tuple that _RatFn gives it, since reducing
+    late changes no rational coefficient.  A scalar operand is a Fraction
+    or a (W,) object array of Fractions, one per window (n and k in
+    _forms); __array_ufunc__ = None makes such an array defer to this class
+    in a binary operation.  The same-denominator shortcuts are taken only
+    when the denominators agree in every window or in none (_same)."""
+
+    __slots__ = ()
+    __array_ufunc__ = None
+
+    @classmethod
+    def variable(cls, count: int) -> "_RatFns":
+        """The identity a / 1 in each of count windows."""
+        ones = np.ones(count, dtype=object)
+        return cls._of((np.array([[0] * count, [1] * count], dtype=object), ones), (ones[None], ones))
+
+    @staticmethod
+    def _scalar(x):
+        return x if isinstance(x, np.ndarray) else Fraction(x)
+
+    @staticmethod
+    def _mul(p, q) -> tuple:
+        """One skewed outer product: row i of a times b is written at the
+        start of row i of a buffer whose rows are one longer than the
+        product, so that read back with the product's row length, row i
+        starts i places later; the sum over i is the product."""
+        (a, da), (b, db) = p, q
+        la, lb, w = len(a), len(b), a.shape[1]
+        out = np.zeros((la, la + lb, w), dtype=object)
+        np.multiply(a[:, None], b[None], out=out[:, :lb])
+        skewed = out.reshape(-1, w)[: la * (la + lb - 1)].reshape(la, la + lb - 1, w)
+        return skewed.sum(axis=0), da * db
+
+    @staticmethod
+    def _add(p, q, sign: int = 1) -> tuple:
+        (a, da), (b, db) = p, q
+        out = np.zeros((max(len(a), len(b)), a.shape[1]), dtype=object)
+        out[: len(a)] = a * db
+        out[: len(b)] += b * (sign * da)
+        return out, da * db
+
+    @staticmethod
+    def _scale(p, f) -> tuple:
+        c, d = p
+        if not isinstance(f, np.ndarray):
+            return c * f.numerator, d * f.denominator
+        num = np.array([x.numerator for x in f], dtype=object)
+        den = np.array([x.denominator for x in f], dtype=object)
+        return c * num, d * den
+
+    @staticmethod
+    def _der(p) -> tuple:
+        c, d = p
+        if len(c) == 1:
+            return np.zeros_like(c), d
+        return c[1:] * np.array(range(1, len(c)), dtype=object)[:, None], d
+
+    @staticmethod
+    def _neg(p) -> tuple:
+        c, d = p
+        return -c, d
+
+    @staticmethod
+    def _same(p, q) -> bool:
+        """Whether p == q, decided exactly in each window by cross
+        multiplication; raises ValueError when the windows disagree, since
+        one branch is taken for all of them."""
+        equal = ~(_RatFns._add(p, q, -1)[0] != 0).any(axis=0)
+        if equal.all():
+            return True
+        if not equal.any():
+            return False
+        raise ValueError(
+            f"same-denominator shortcut holds in {int(equal.sum())} of {equal.size} windows of a batch"
+        )
+
+
+def _columns(p) -> list[tuple]:
+    """The _lowest tuple of a batch polynomial (see _RatFns) in each of its
+    windows: the gcd of each window's coefficients and denominator divided
+    out, then its trailing zeros."""
+    c, d = p
+    g = np.gcd.reduce(np.vstack((c, d)), axis=0)
+    c, d = c // g, d // g
+    nonzero = c != 0
+    sizes = np.where(nonzero.any(axis=0), len(c) - nonzero[::-1].argmax(axis=0), 1)
+    return [(tuple(col[:size]), den) for col, size, den in zip(c.T.tolist(), sizes.tolist(), d.tolist())]
 
 
 def _vanishes(poly, x: Fraction) -> bool:
@@ -297,28 +430,38 @@ def _flip_roots(roots, owner, exact: dict, lo, hi, k):
     return roots[~drop], owner[~drop]
 
 
-def _cross(p, q, r, s) -> tuple:
-    """p q - r s for exact polynomials."""
-    return _padd(_pmul(p, q), _pmul(r, s), -1)
-
-
-def _window_polys(n: int, k: int, tol: float) -> tuple[list, list]:
-    """The exact polynomials of the (n, k) window, as (domain, extrema).
+def _exact_polys(x: _RatFn, n, k, tol: float) -> tuple[list, list]:
+    """The exact polynomials of a window, or of a batch of windows when x is
+    a _RatFns, as (domain, extrema); x is the variable a and n, k the
+    window's (Fraction or int), or arrays of them, one per window.
 
     domain holds the numerators and denominators of every domain condition,
     whose roots are where a candidate can enter or leave its domain;
     extrema holds the critical-point polynomial of each candidate and the
     crossing polynomial of each pair.
     """
-    x = _RatFn([0, 1])
-    forms = _forms(Fraction(n), x, (k * x - 1) / (k - 1))
+    forms = _forms(n, x, (k * x - 1) / (k - 1))
     t = Fraction(tol)
     conditions = [c for f in forms for c in (f.f0 - t, f.fj + t, f.divisor) if c is not None]
     domain = [poly for c in conditions for poly in (c._num, c._den)]
     values = [f.value for f in forms]
-    extrema = [_cross(_pder(v._num), v._den, v._num, _pder(v._den)) for v in values]
-    extrema += [_cross(v._num, w._den, w._num, v._den) for v, w in combinations(values, 2)]
+    extrema = [x._cross(x._der(v._num), v._den, v._num, x._der(v._den)) for v in values]
+    extrema += [x._cross(v._num, w._den, w._num, v._den) for v, w in combinations(values, 2)]
     return domain, extrema
+
+
+def _window_polys(n: int, k: int, tol: float) -> tuple[list, list]:
+    """The exact polynomials of the (n, k) window (_exact_polys on _RatFn)."""
+    return _exact_polys(_RatFn([0, 1]), Fraction(n), k, tol)
+
+
+def _batch_polys(windows: list, tol: float) -> list[tuple[list, list]]:
+    """_window_polys of each window of windows, from one _exact_polys pass
+    on _RatFns: the same lists of the same tuples, in the same order."""
+    n, k = (np.array([Fraction(v) for v in col], dtype=object) for col in zip(*windows))
+    domain, extrema = _exact_polys(_RatFns.variable(len(windows)), n, k, tol)
+    domain, extrema = ([_columns(p) for p in polys] for polys in (domain, extrema))
+    return [(list(d), list(e)) for d, e in zip(zip(*domain), zip(*extrema))]
 
 
 def _split(values: np.ndarray, window: np.ndarray, count: int) -> list[np.ndarray]:
@@ -332,12 +475,18 @@ def _candidate_points(windows: list, tol: float) -> tuple[list, list]:
 
     Returns (flips, extrema), one array per window: the a where some
     candidate can enter or leave its domain, and the a where one candidate
-    has a critical point or two candidates cross.  The polynomials of all
-    windows are solved together by one _real_roots call.
+    has a critical point or two candidates cross.  The exact polynomials
+    of a batch of at least BATCH_MIN_WINDOWS windows come from one
+    _batch_polys pass, those of a smaller one from _window_polys window by
+    window; both give the same tuples.  The polynomials of all windows are
+    solved together by one _real_roots call.
     """
     flat, sizes, exact, kinds, owner_window = array("d"), [], {}, [], []
-    for w, (n, k) in enumerate(windows):
-        domain, extrema = _window_polys(n, k, tol)
+    if len(windows) >= BATCH_MIN_WINDOWS:
+        polys = _batch_polys(windows, tol)
+    else:
+        polys = [_window_polys(n, k, tol) for n, k in windows]
+    for w, (domain, extrema) in enumerate(polys):
         # Equal polynomials have equal tuples (see _lowest): each is solved
         # once per window, with its kinds as bits (1 domain condition,
         # 2 extremum polynomial).  Each becomes float coefficients c / den
@@ -451,7 +600,9 @@ def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
     domain the slice is inconclusive: the LP machinery has no finite bound
     for this (n, k), and the stretches of a without one are recorded.
 
-    Each window builds its exact polynomials alone.  Their roots are found
+    The exact polynomials of every window come from one _RatFns pass of
+    the closed forms when the batch has at least BATCH_MIN_WINDOWS windows,
+    and from one _RatFn pass per window otherwise.  Their roots are found
     for the whole batch, and the closed forms are evaluated in one float
     pass over the piece midpoints and the points of every window.  A
     window's result is the same, bit for bit, in any batch.

@@ -1,4 +1,5 @@
 import math
+import operator
 import subprocess
 import sys
 from fractions import Fraction
@@ -300,9 +301,14 @@ def test_tolerance_outside_range_is_rejected(entry):
     entry(MAX_TOL)
 
 
-def test_one_batch_equals_the_golden_windows():
+def test_one_batch_equals_the_golden_windows(monkeypatch):
     # Every window of n = 7..60 in one _sweep, in order and shuffled, must
-    # give each window the record it has when swept alone.
+    # give each window the record it has when swept alone (k_slice, whose
+    # single window is built on _RatFn); the batch is built on _RatFns.
+    batch_polys, batched = lrs._batch_polys, []
+    monkeypatch.setattr(
+        lrs, "_batch_polys", lambda ws, tol: batched.append(len(ws)) or batch_polys(ws, tol)
+    )
     want = {(w["n"], w["k"]): w for w in load_golden_windows()}
     windows = list(want)
     shuffled = [windows[i] for i in np.random.default_rng(10).permutation(len(windows))]
@@ -311,7 +317,40 @@ def test_one_batch_equals_the_golden_windows():
         assert [(sl.n, sl.k) for sl in slices] == batch
         for sl in slices:
             assert record(sl) == want[(sl.n, sl.k)]
+    assert batched == [158, 158]
     assert any(w["inf_ranges"] for w in want.values())
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, MAX_TOL])
+def test_batch_polys_equal_the_window_polys(tol):
+    # The per-window engine is the reference: same domain and extremum
+    # lists, in order, of the same _lowest tuples, for every window.
+    windows = [(n, k) for n in range(7, 61) for k in range(2, k_max(n) + 1)]
+    assert lrs._batch_polys(windows, tol) == [lrs._window_polys(n, k, tol) for n, k in windows]
+
+
+def _fractions(*values):
+    return np.array([Fraction(v) for v in values], dtype=object)
+
+
+def test_batch_same_denominator_shortcut_fails_closed():
+    # Each is a / (a + c) in two windows, c from its pair of shifts: the
+    # denominators agree in both windows (f, f), in neither (f, h) or in one
+    # only (f, g), where no single branch is right for the whole batch.
+    shifts = {"f": (1, 1), "g": (1, 2), "h": (2, 2)}
+    x, one = lrs._RatFns.variable(2), lrs._RatFn([0, 1])
+    batch = {name: x / (x + _fractions(*c)) for name, c in shifts.items()}
+    for op in (operator.add, operator.sub, operator.truediv):
+        with pytest.raises(ValueError, match="1 of 2 windows"):
+            op(batch["f"], batch["g"])
+        for u, v in (("f", "f"), ("f", "h")):
+            got = op(batch[u], batch[v])
+            for w in range(2):
+                want = op(one / (one + shifts[u][w]), one / (one + shifts[v][w]))
+                assert (lrs._columns(got._num)[w], lrs._columns(got._den)[w]) == (want._num, want._den)
+    # Equality is of rational polynomials, not of arrays: 2(a + c) / 2 is a + c.
+    num, den = batch["f"]._den
+    assert lrs._RatFns._same((num, den), (2 * num, 2 * den))
 
 
 def test_table_equals_rows_from_omega_hat():
@@ -444,35 +483,56 @@ def test_cold_table_solves_each_degree_once_per_batch(monkeypatch, n_min, n_max)
     assert all(len(shape) == 3 for shape in shapes)
 
 
+_SMALLEST_BATCH = [(n, 2) for n in range(7, 7 + lrs.BATCH_MIN_WINDOWS)]
+
+
 @pytest.mark.parametrize(
-    "windows",
-    [[(23, 3)], lrs._windows(25), [w for n in range(7, 41) for w in lrs._windows(n)]],
-    ids=["one window", "one n", "7..40"],
+    "windows, batched",
+    [
+        ([(23, 3)], False),
+        (lrs._windows(60), False),
+        (_SMALLEST_BATCH[:-1], False),
+        (_SMALLEST_BATCH, True),
+        ([w for n in range(7, 41) for w in lrs._windows(n)], True),
+    ],
+    ids=["one window", "one n", "below the batch size", "smallest batch", "7..40"],
 )
-def test_sweep_evaluates_the_float_forms_once(monkeypatch, windows):
+def test_sweep_evaluates_the_float_forms_once(monkeypatch, windows, batched):
     # Both names of _forms are counted: lrs imports it for the exact
-    # rational functions, and bound_polys evaluates it on floats.
+    # rational functions, and bound_polys evaluates it on floats.  A batch
+    # builds its exact polynomials in one _RatFns pass, a smaller sweep in
+    # one _RatFn pass per window; the largest n <= 60 has 4 windows.
     operands = []
     for module in (lrs, bound_polys):
         monkeypatch.setattr(module, "_forms", lambda n, a, b: operands.append(type(a)) or _forms(n, a, b))
     lrs._sweep(windows, DEFAULT_TOL)
-    assert operands.count(lrs._RatFn) == len(windows)
-    assert operands.count(np.ndarray) == 1 and len(operands) == len(windows) + 1
+    exact = [t for t in operands if t is not np.ndarray]
+    assert exact == ([lrs._RatFns] if batched else [lrs._RatFn] * len(windows))
+    assert operands.count(np.ndarray) == 1
 
 
 def test_cold_table_stays_cold(monkeypatch):
     # A memo of roots or of exact polynomials that outlived a call would make
     # the second table solve smaller stacks or multiply fewer polynomials.
+    # table(7, 40) is one _RatFns batch and table(40, 40) three _RatFn
+    # windows, so the products of both engines are counted.
     shapes = _count_eigvals(monkeypatch)
-    pmul, products = lrs._pmul, []
-    monkeypatch.setattr(lrs, "_pmul", lambda p, q: products.append(1) or pmul(p, q))
+    products = []
+
+    def counting(cls):
+        mul = cls._mul
+        return staticmethod(lambda p, q: products.append(cls) or mul(p, q))
+
+    for cls in (lrs._RatFn, lrs._RatFns):
+        monkeypatch.setattr(cls, "_mul", counting(cls))
     runs = []
     for _ in range(2):
         k_slice.cache_clear()
         del shapes[:], products[:]
-        runs.append((table(7, 40), list(shapes), len(products)))
+        tables = table(7, 40), table(40, 40)
+        runs.append((tables, list(shapes), products.count(lrs._RatFn), products.count(lrs._RatFns)))
     assert runs[0] == runs[1]
-    assert runs[0][1] and runs[0][2]
+    assert runs[0][1] and runs[0][2] and runs[0][3]
 
 
 def test_sweep_leaves_out_numpy_ma():
