@@ -21,13 +21,14 @@ of polynomials built exactly from the closed forms in bound_polys.
 Windows are swept in batches by one engine, _sweep: k_slice sweeps one
 window, omega_hat the windows of one n and table every window of its
 range.  A batch of BATCH_MIN_WINDOWS or more windows builds the exact
-polynomials of all of them in one pass of the closed forms on _RatFns,
-whose coefficients are object arrays with one column per window; a smaller
-batch builds them window by window on _RatFn.  The roots of all
-polynomials of a batch are found with one stacked eigvals call per degree,
-and the closed forms are evaluated in one float pass over the piece
-midpoints and the points of every window of the batch; a window's result
-does not depend on the batch it is swept in.
+polynomials of all of them in one pass of the closed forms on _RatFns, in
+Python ints only: its coefficients are object arrays with one column per
+window, and n and k are _Rationals, arrays of integer numerators and
+denominators.  A smaller batch builds them window by window on _RatFn.
+The roots of all polynomials of a batch are found with one stacked
+eigvals call per degree, and the closed forms are evaluated in one float
+pass over the piece midpoints and the points of every window of the
+batch; a window's result does not depend on the batch it is swept in.
 """
 from __future__ import annotations
 
@@ -65,12 +66,12 @@ ROOT_IMAG_TOL = 1e-6
 # Sweeps of at least this many windows build their exact polynomials in one
 # _RatFns pass, smaller ones window by window on _RatFn: each object-array
 # operation has a fixed cost that only a larger batch pays back.  Measured
-# crossover (2-vCPU Xeon, Python 3.11, numpy 2.4): on random sets of windows
-# of n = 7..60 the batch was faster in 1 of 40 sets of 4 windows, 13 of 40 of
-# 5 and 31 of 40 of 6.  Every n <= 60 has at most 4 windows, so k_slice,
-# omega_hat and single-row tables stay on _RatFn there; table(7, 40) is one
-# batch of 78.
-BATCH_MIN_WINDOWS = 6
+# crossover (2-vCPU Xeon, Python 3.11, numpy 2.4; best of 9 builds each way):
+# in two draws of 40 random sets of windows of n = 7..60 the batch was faster
+# in 2 and 4 sets of 4 windows, 40 and 40 of 5, and 40 and 37 of 6.  Every
+# n <= 60 has at most 4 windows, so k_slice, omega_hat and single-row tables
+# stay on _RatFn there; table(7, 40) is one batch of 78.
+BATCH_MIN_WINDOWS = 5
 
 
 def b_k(k: int, a: float) -> float:
@@ -187,8 +188,9 @@ class _RatFn:
     The operators are the only definition of the polynomial operations each
     rational operation makes, same-denominator shortcuts included.  The
     polynomial operations themselves are the class attributes _mul, _add,
-    _scale, _der, _neg and _same, with _scalar to read a scalar operand;
-    _RatFns replaces them with operations on a whole batch of windows."""
+    _scale, _der, _neg, _same and _reduced, with _scalar to read a scalar
+    operand; _RatFns replaces them with operations on a whole batch of
+    windows."""
 
     __slots__ = ("_num", "_den")
 
@@ -198,6 +200,7 @@ class _RatFn:
     _der = staticmethod(_pder)
     _scalar = staticmethod(Fraction)
     _same = staticmethod(operator.eq)
+    _reduced = staticmethod(lambda p: p)  # every polynomial is in lowest terms
 
     def __init__(self, num, den=(1,)):
         self._num, self._den = _exact(num), _exact(den)
@@ -260,23 +263,93 @@ class _RatFn:
     __radd__, __rmul__ = __add__, __mul__
 
 
+class _Rationals:
+    """One rational number per window of a batch, for the scalars of _forms
+    on _RatFns (n, k and what is built from them): numerator and
+    denominator are (W,) object arrays of Python ints, each denominator
+    positive and left unreduced, so that an operation is a few object-array
+    operations instead of one Fraction operation per window.  It combines
+    with ints, Fractions and itself in either order.  With any other
+    operand, a _RatFn in particular, it returns NotImplemented, so that
+    _RatFns takes it as a scalar operand."""
+
+    __slots__ = ("numerator", "denominator")
+    __array_ufunc__ = None
+
+    def __init__(self, numerator, denominator):
+        self.numerator, self.denominator = numerator, denominator
+
+    @classmethod
+    def of(cls, values) -> "_Rationals":
+        """The rationals of a sequence of ints or Fractions, one per window."""
+        fr = [Fraction(v) for v in values]
+        return cls(
+            np.array([f.numerator for f in fr], dtype=object),
+            np.array([f.denominator for f in fr], dtype=object),
+        )
+
+    @staticmethod
+    def _quotient(num, den) -> "_Rationals":
+        """num / den, the sign of each denominator moved to its numerator."""
+        if not (den != 0).all():
+            raise ZeroDivisionError("_Rationals division by zero")
+        negative = den < 0
+        return _Rationals(np.where(negative, -num, num), np.where(negative, -den, den))
+
+    def __add__(self, other):
+        if not isinstance(other, _RATIONAL):
+            return NotImplemented
+        p, q, r, s = self.numerator, self.denominator, other.numerator, other.denominator
+        return _Rationals(p * s + r * q, q * s)
+
+    def __sub__(self, other):
+        return self + -other if isinstance(other, _RATIONAL) else NotImplemented
+
+    def __rsub__(self, other):
+        return -self + other if isinstance(other, _RATIONAL) else NotImplemented
+
+    def __mul__(self, other):
+        if not isinstance(other, _RATIONAL):
+            return NotImplemented
+        return _Rationals(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    def __truediv__(self, other):
+        if not isinstance(other, _RATIONAL):
+            return NotImplemented
+        return self._quotient(self.numerator * other.denominator, self.denominator * other.numerator)
+
+    def __rtruediv__(self, other):
+        if not isinstance(other, _RATIONAL):
+            return NotImplemented
+        return self._quotient(other.numerator * self.denominator, other.denominator * self.numerator)
+
+    def __neg__(self):
+        return _Rationals(-self.numerator, self.denominator)
+
+    __radd__, __rmul__ = __add__, __mul__
+
+
+# The operands _Rationals combines with; ints and Fractions have numerator
+# and denominator too.
+_RATIONAL = (int, Fraction, _Rationals)
+
+
 class _RatFns(_RatFn):
     """The _RatFn of every window of a batch, from one pass of the same
     operators: _forms runs once for the whole batch.
 
     A polynomial is an (L, W) object array of Python ints, row i holding
     the coefficient of a^i in each of the W windows, over a (W,) array of
-    positive integer denominators.  Nothing is reduced on the way: _columns
+    positive integer denominators.  Operations reduce nothing: _columns
     takes out the gcd and the trailing zeros once per final polynomial, and
     gives each window the _lowest tuple that _RatFn gives it, since reducing
-    late changes no rational coefficient.  A scalar operand is a Fraction
-    or a (W,) object array of Fractions, one per window (n and k in
-    _forms); __array_ufunc__ = None makes such an array defer to this class
-    in a binary operation.  The same-denominator shortcuts are taken only
-    when the denominators agree in every window or in none (_same)."""
+    late changes no rational coefficient.  _exact_polys reduces the value
+    polynomials once more (_reduced) before it multiplies them.  A scalar
+    operand is an int, a Fraction or a _Rationals, one rational per window
+    (n and k in _forms).  The same-denominator shortcuts are taken only when
+    the denominators agree in every window or in none (_same)."""
 
     __slots__ = ()
-    __array_ufunc__ = None
 
     @classmethod
     def variable(cls, count: int) -> "_RatFns":
@@ -286,7 +359,7 @@ class _RatFns(_RatFn):
 
     @staticmethod
     def _scalar(x):
-        return x if isinstance(x, np.ndarray) else Fraction(x)
+        return x if isinstance(x, _Rationals) else Fraction(x)
 
     @staticmethod
     def _mul(p, q) -> tuple:
@@ -312,11 +385,14 @@ class _RatFns(_RatFn):
     @staticmethod
     def _scale(p, f) -> tuple:
         c, d = p
-        if not isinstance(f, np.ndarray):
-            return c * f.numerator, d * f.denominator
-        num = np.array([x.numerator for x in f], dtype=object)
-        den = np.array([x.denominator for x in f], dtype=object)
-        return c * num, d * den
+        return c * f.numerator, d * f.denominator
+
+    @staticmethod
+    def _reduced(p) -> tuple:
+        """p with the gcd of each window's coefficients and denominator divided out."""
+        c, d = p
+        g = np.gcd.reduce(np.vstack((c, d)), axis=0)
+        return c // g, d // g
 
     @staticmethod
     def _der(p) -> tuple:
@@ -349,9 +425,7 @@ def _columns(p) -> list[tuple]:
     """The _lowest tuple of a batch polynomial (see _RatFns) in each of its
     windows: the gcd of each window's coefficients and denominator divided
     out, then its trailing zeros."""
-    c, d = p
-    g = np.gcd.reduce(np.vstack((c, d)), axis=0)
-    c, d = c // g, d // g
+    c, d = _RatFns._reduced(p)
     nonzero = c != 0
     sizes = np.where(nonzero.any(axis=0), len(c) - nonzero[::-1].argmax(axis=0), 1)
     return [(tuple(col[:size]), den) for col, size, den in zip(c.T.tolist(), sizes.tolist(), d.tolist())]
@@ -433,20 +507,22 @@ def _flip_roots(roots, owner, exact: dict, lo, hi, k):
 def _exact_polys(x: _RatFn, n, k, tol: float) -> tuple[list, list]:
     """The exact polynomials of a window, or of a batch of windows when x is
     a _RatFns, as (domain, extrema); x is the variable a and n, k the
-    window's (Fraction or int), or arrays of them, one per window.
+    window's (Fraction or int), or _Rationals holding one per window.
 
     domain holds the numerators and denominators of every domain condition,
     whose roots are where a candidate can enter or leave its domain;
     extrema holds the critical-point polynomial of each candidate and the
-    crossing polynomial of each pair.
+    crossing polynomial of each pair.  The value polynomials are reduced
+    (_reduced) before those products, which keeps the operands of a batch
+    as short as the per-window engine's.
     """
     forms = _forms(n, x, (k * x - 1) / (k - 1))
     t = Fraction(tol)
     conditions = [c for f in forms for c in (f.f0 - t, f.fj + t, f.divisor) if c is not None]
     domain = [poly for c in conditions for poly in (c._num, c._den)]
-    values = [f.value for f in forms]
-    extrema = [x._cross(x._der(v._num), v._den, v._num, x._der(v._den)) for v in values]
-    extrema += [x._cross(v._num, w._den, w._num, v._den) for v, w in combinations(values, 2)]
+    values = [(x._reduced(f.value._num), x._reduced(f.value._den)) for f in forms]
+    extrema = [x._cross(x._der(num), den, num, x._der(den)) for num, den in values]
+    extrema += [x._cross(vn, wd, wn, vd) for (vn, vd), (wn, wd) in combinations(values, 2)]
     return domain, extrema
 
 
@@ -458,7 +534,7 @@ def _window_polys(n: int, k: int, tol: float) -> tuple[list, list]:
 def _batch_polys(windows: list, tol: float) -> list[tuple[list, list]]:
     """_window_polys of each window of windows, from one _exact_polys pass
     on _RatFns: the same lists of the same tuples, in the same order."""
-    n, k = (np.array([Fraction(v) for v in col], dtype=object) for col in zip(*windows))
+    n, k = (_Rationals.of(col) for col in zip(*windows))
     domain, extrema = _exact_polys(_RatFns.variable(len(windows)), n, k, tol)
     domain, extrema = ([_columns(p) for p in polys] for polys in (domain, extrema))
     return [(list(d), list(e)) for d, e in zip(zip(*domain), zip(*extrema))]

@@ -329,17 +329,13 @@ def test_batch_polys_equal_the_window_polys(tol):
     assert lrs._batch_polys(windows, tol) == [lrs._window_polys(n, k, tol) for n, k in windows]
 
 
-def _fractions(*values):
-    return np.array([Fraction(v) for v in values], dtype=object)
-
-
 def test_batch_same_denominator_shortcut_fails_closed():
     # Each is a / (a + c) in two windows, c from its pair of shifts: the
     # denominators agree in both windows (f, f), in neither (f, h) or in one
     # only (f, g), where no single branch is right for the whole batch.
     shifts = {"f": (1, 1), "g": (1, 2), "h": (2, 2)}
     x, one = lrs._RatFns.variable(2), lrs._RatFn([0, 1])
-    batch = {name: x / (x + _fractions(*c)) for name, c in shifts.items()}
+    batch = {name: x / (x + lrs._Rationals.of(c)) for name, c in shifts.items()}
     for op in (operator.add, operator.sub, operator.truediv):
         with pytest.raises(ValueError, match="1 of 2 windows"):
             op(batch["f"], batch["g"])
@@ -351,6 +347,67 @@ def test_batch_same_denominator_shortcut_fails_closed():
     # Equality is of rational polynomials, not of arrays: 2(a + c) / 2 is a + c.
     num, den = batch["f"]._den
     assert lrs._RatFns._same((num, den), (2 * num, 2 * den))
+
+
+_WINDOW_VALUES = [Fraction(v) for v in ("3/4", "-5/12", 0, 7, "-1/3", -2)]
+_DIVISORS = [Fraction(v) for v in ("2/9", -3, "-7/4", 1, "11/5", "-1/60")]
+
+
+def _per_window(r) -> list[Fraction]:
+    assert all(d > 0 for d in r.denominator)
+    return [Fraction(p, q) for p, q in zip(r.numerator, r.denominator)]
+
+
+def test_rationals_match_fractions_window_by_window():
+    # Each window's rational is the Fraction arithmetic gives, in both
+    # operand orders, with ints, Fractions and _Rationals, the denominator
+    # kept positive (negative divisors included).
+    x, y = lrs._Rationals.of(_WINDOW_VALUES), lrs._Rationals.of(_DIVISORS)
+    for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+        assert _per_window(op(x, y)) == [op(u, v) for u, v in zip(_WINDOW_VALUES, _DIVISORS)]
+        for c in (0, 5, -3, Fraction(4, 7), Fraction(-9, 2)):
+            if c != 0 or op is not operator.truediv:
+                assert _per_window(op(x, c)) == [op(u, c) for u in _WINDOW_VALUES]
+            assert _per_window(op(c, y)) == [op(c, v) for v in _DIVISORS]
+    assert _per_window(-x) == [-u for u in _WINDOW_VALUES]
+    with pytest.raises(ZeroDivisionError):
+        y / x
+    with pytest.raises(ZeroDivisionError):
+        1 / x
+    # A _RatFn operand is left to _RatFn, which reads x as a scalar operand.
+    batch = lrs._RatFns.variable(len(_WINDOW_VALUES))
+    for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
+        for other in (lrs._RatFn([0, 1]), batch):
+            assert getattr(x, f"__{name}__")(other) is NotImplemented
+
+
+@pytest.mark.parametrize("f", [Fraction(3, 4), Fraction(-5, 12), Fraction(7), Fraction(-1, 60)])
+def test_batch_scale_reads_a_fraction_and_rationals_alike(f):
+    # The same f in every window, as a Fraction, as _Rationals and as
+    # _Rationals holding it unreduced (6f / 6) scales to the same columns.
+    x = lrs._RatFns.variable(3)
+    poly = (x * x - lrs._Rationals.of([2, -3, Fraction(5, 2)]) * x + Fraction(1, 3))._num
+    unreduced = (np.array([6 * part] * 3, dtype=object) for part in (f.numerator, f.denominator))
+    held = [lrs._Rationals.of([f] * 3), lrs._Rationals(*unreduced)]
+    want = lrs._columns(lrs._RatFns._scale(poly, f))
+    for r in held:
+        assert lrs._columns(lrs._RatFns._scale(poly, r)) == want
+
+
+def test_batch_products_take_reduced_operands(monkeypatch):
+    # The value polynomials are reduced before the extremum products, so no
+    # operand coefficient of a batch product over 7..40 reaches 64 bits
+    # (50 at most); unreduced, they reached 104.
+    mul, widest = lrs._RatFns._mul, [0]
+
+    def measuring(p, q):
+        for c, d in (p, q):
+            widest[0] = max(widest[0], *(abs(v).bit_length() for v in [*c.ravel(), *d.ravel()]))
+        return mul(p, q)
+
+    monkeypatch.setattr(lrs._RatFns, "_mul", staticmethod(measuring))
+    lrs._batch_polys([w for n in range(7, 41) for w in lrs._windows(n)], DEFAULT_TOL)
+    assert 0 < widest[0] < 64
 
 
 def test_table_equals_rows_from_omega_hat():
