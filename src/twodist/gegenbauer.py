@@ -35,17 +35,23 @@ def _check_degree(k: int) -> None:
         raise ValueError(f"polynomial index must satisfy k >= 0, got {k}")
 
 
+def _coeff_array(coeffs) -> np.ndarray:
+    """coeffs as a one-dimensional, nonempty float array (a scalar gives length 1)."""
+    arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if arr.ndim != 1:
+        raise ValueError("coefficient array must be one-dimensional")
+    if arr.size == 0:
+        raise ValueError("coefficient array is empty")
+    return arr
+
+
 def as_monomial(coeffs) -> np.ndarray:
     """Canonical ascending coefficient array with trailing near-zeros stripped.
 
     Trailing entries with |c| <= COEFF_TRIM_TOL go (NaN among them); an input
     with none left gives [0.0] times its first entry.  Returns a new array.
     """
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if arr.ndim != 1:
-        raise ValueError("coefficient array must be one-dimensional")
-    if arr.size == 0:
-        raise ValueError("coefficient array is empty")
+    arr = _coeff_array(coeffs)
     kept = np.flatnonzero(np.abs(arr) > COEFF_TRIM_TOL)
     return arr[: kept[-1] + 1].copy() if kept.size else arr[:1] * 0
 
@@ -94,6 +100,8 @@ class GegenbauerExpansion:
     """A polynomial written as sum_k coeffs[k] * G_k^{(n)}.
 
     Since every G_k(1) = 1, the value at t = 1 is simply coeffs.sum().
+    coeffs must be nonempty and one-dimensional (ValueError otherwise);
+    trailing zeros are kept.
     """
 
     n: int
@@ -101,7 +109,7 @@ class GegenbauerExpansion:
 
     def __post_init__(self):
         _check_dimension(self.n)
-        object.__setattr__(self, "coeffs", np.atleast_1d(np.asarray(self.coeffs, dtype=float)))
+        object.__setattr__(self, "coeffs", _coeff_array(self.coeffs))
 
     @property
     def degree(self) -> int:

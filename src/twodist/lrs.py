@@ -681,9 +681,12 @@ def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
     and from one _RatFn pass per window otherwise.  Their roots are found
     for the whole batch, and the closed forms are evaluated in one float
     pass over the piece midpoints and the points of every window.  A
-    window's result is the same, bit for bit, in any batch.
+    window's result is the same, bit for bit, in any batch.  n and k are
+    taken as Python ints (operator.index), so numpy integers work and
+    floats raise TypeError.
     """
     check_tol(tol)
+    windows = [(operator.index(n), operator.index(k)) for n, k in windows]
     for n, k in windows:
         _check_window(n, k)
     flips, extrema = _candidate_points(windows, tol)

@@ -163,6 +163,17 @@ def test_rejects_dimension_below_two():
         GegenbauerExpansion(1, [1.0])
 
 
+def test_expansion_rejects_what_it_cannot_evaluate():
+    # [] reported degree -1 and [[...]] degree 0; delsarte_check then failed
+    # with IndexError and numpy's "truth value ... ambiguous" error.
+    for bad in ([], [[0.1, 0.0, 0.9]]):
+        with pytest.raises(ValueError, match="coefficient array"):
+            GegenbauerExpansion(7, bad)
+    e = GegenbauerExpansion(7, 0.5)
+    assert e.degree == 0 and e.coeffs.tolist() == [0.5]
+    assert GegenbauerExpansion(7, [0.5, 0.0, 0.0]).degree == 2  # trailing zeros are kept
+
+
 def test_rejects_negative_degree():
     with pytest.raises(ValueError):
         gegenbauer_eval(5, -1, 0.5)

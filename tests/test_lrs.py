@@ -284,6 +284,23 @@ def test_slice_validation():
         k_slice(10, 2, math.nan)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("entry, args", [
+    (k_slice, (23, 3)), (omega_hat, (23,)), (g_upper, (23,)), (omega_hat_nk, (40, 4)),
+], ids=["k_slice", "omega_hat", "g_upper", "omega_hat_nk"])
+def test_sweep_takes_numpy_integers(entry, args, dtype):
+    # Fraction(np.int64) kept numpy integers in the exact coefficients,
+    # which overflowed to "Python int too large to convert to C long".
+    k_slice.cache_clear()
+    expected = entry(*args)
+    for i in range(len(args)):
+        k_slice.cache_clear()
+        assert entry(*args[:i], dtype(args[i]), *args[i + 1:]) == expected
+    k_slice.cache_clear()
+    with pytest.raises(TypeError):
+        entry(*args[:-1], float(args[-1]))
+
+
 @pytest.mark.parametrize("entry", [
     lambda tol: k_slice(22, 3, tol),
     lambda tol: omega_hat(22, tol),
