@@ -25,16 +25,18 @@ polynomials of all of them in one pass of the closed forms on _RatFns, in
 Python ints only: its coefficients are object arrays with one column per
 window, and n and k are _Rationals, arrays of integer numerators and
 denominators.  A smaller batch builds them window by window on _RatFn.
-The roots of all polynomials of a batch are found with one stacked
-eigvals call per degree, and the closed forms are evaluated in one float
-pass over the piece midpoints and the points of every window of the
-batch; a window's result does not depend on the batch it is swept in.
+From there on a batch is held in arrays.  Each polynomial becomes a row of
+floats by one int true division per coefficient, with no gcd: the division
+is correctly rounded, so an unreduced c/d gives the double of the reduced
+one.  The roots of all rows come from one stacked eigvals call per degree,
+and the edges, points and maxima of every window from sorts, cumulative
+sums and reductions over the whole batch, with the closed forms evaluated
+in one float pass; a window's result does not depend on its batch.
 """
 from __future__ import annotations
 
 import math
 import operator
-from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -180,10 +182,6 @@ class _RatFn:
     has the tuples that the constant _RatFn([x]) over one would give,
     without a product by the constant one.  Otherwise the quartic's value
     would grow from degree 6/6 to 14/14 and its roots would lose accuracy.
-    _candidate_points hands each coefficient to _real_roots as c / den:
-    int true division is correctly rounded, so it is the float that
-    float(Fraction(c, den)) gives, and the float polynomials are the same
-    bit for bit as with Fraction coefficients.
 
     The operators are the only definition of the polynomial operations each
     rational operation makes, same-denominator shortcuts included.  The
@@ -340,14 +338,14 @@ class _RatFns(_RatFn):
 
     A polynomial is an (L, W) object array of Python ints, row i holding
     the coefficient of a^i in each of the W windows, over a (W,) array of
-    positive integer denominators.  Operations reduce nothing: _columns
-    takes out the gcd and the trailing zeros once per final polynomial, and
-    gives each window the _lowest tuple that _RatFn gives it, since reducing
-    late changes no rational coefficient.  _exact_polys reduces the value
-    polynomials once more (_reduced) before it multiplies them.  A scalar
-    operand is an int, a Fraction or a _Rationals, one rational per window
-    (n and k in _forms).  The same-denominator shortcuts are taken only when
-    the denominators agree in every window or in none (_same)."""
+    positive integer denominators.  Operations reduce nothing, so column w
+    of a final polynomial is window w's _lowest tuple up to a common factor
+    and trailing zeros, which change no rational coefficient; only
+    _exact_polys reduces the value polynomials (_reduced) before it
+    multiplies them.  A scalar operand is an int, a Fraction or a
+    _Rationals, one rational per window (n and k in _forms).  The
+    same-denominator shortcuts are taken only when the denominators agree
+    in every window or in none (_same)."""
 
     __slots__ = ()
 
@@ -421,18 +419,8 @@ class _RatFns(_RatFn):
         )
 
 
-def _columns(p) -> list[tuple]:
-    """The _lowest tuple of a batch polynomial (see _RatFns) in each of its
-    windows: the gcd of each window's coefficients and denominator divided
-    out, then its trailing zeros."""
-    c, d = _RatFns._reduced(p)
-    nonzero = c != 0
-    sizes = np.where(nonzero.any(axis=0), len(c) - nonzero[::-1].argmax(axis=0), 1)
-    return [(tuple(col[:size]), den) for col, size, den in zip(c.T.tolist(), sizes.tolist(), d.tolist())]
-
-
 def _vanishes(poly, x: Fraction) -> bool:
-    """Whether an exact polynomial is zero at the rational x, in integers."""
+    """Whether an exact polynomial (trailing zeros allowed) is zero at the rational x, in integers."""
     c, _ = poly
     p, q, deg = x.numerator, x.denominator, len(c) - 1
     return sum(ci * p**i * q ** (deg - i) for i, ci in enumerate(c)) == 0
@@ -452,14 +440,11 @@ def _real_roots(flat, sizes, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     it runs the same LAPACK routine on each matrix, so every root is the
     double that polyroots gives for that polynomial alone.
     """
-    flat = np.asarray(flat, dtype=float)
+    flat, sizes = np.asarray(flat, dtype=float), np.asarray(sizes, dtype=np.intp)
     starts = np.cumsum(sizes) - sizes
-    by_degree: dict[int, list[int]] = {}
-    for i, size in enumerate(sizes):
-        if size > 1:
-            by_degree.setdefault(size - 1, []).append(i)
     roots, owner = [np.empty(0)], [np.empty(0, dtype=np.intp)]
-    for deg, idx in by_degree.items():
+    for deg in (np.flatnonzero(np.bincount(sizes)[2:]) + 1).tolist():
+        idx = np.flatnonzero(sizes == deg + 1)
         c = flat[starts[idx][:, None] + np.arange(deg + 1)]
         if deg == 1:
             r = -c[:, 0] / c[:, 1]
@@ -483,24 +468,24 @@ def _exact_interval(k: int) -> tuple[Fraction, Fraction]:
     return Fraction(2 - k, k), Fraction(1, 2 * k - 1)
 
 
-def _flip_roots(roots, owner, exact: dict, lo, hi, k):
+def _flip_roots(roots, owner, exact, lo, hi, k):
     """The roots of domain conditions, less those that are an end of their
     window; returns (roots, owner) for the roots kept.
 
-    owner indexes the polynomials of the batch; exact maps the index of
-    each domain condition to its exact polynomial, and lo, hi and k hold
-    the window of each polynomial.  A domain condition can vanish exactly
-    at an end (a + b = 0 at a = 1/(2k - 1)), and its float root may land
-    an ulp inside.  Kept, it would cut off a sliver piece whose candidate
-    set is read at the degenerate point itself.  Only roots within
-    WINDOW_SLACK of an end are checked, each against its own polynomial in
-    exact arithmetic, so that the check costs next to nothing.
+    owner indexes the polynomials of the batch; exact(j) reads back the
+    exact polynomial of domain condition j, and lo, hi and k hold the
+    window of each polynomial.  A domain condition can vanish exactly at an
+    end (a + b = 0 at a = 1/(2k - 1)), and its float root may land an ulp
+    inside.  Kept, it would cut off a sliver piece whose candidate set is
+    read at the degenerate point itself.  Only roots within WINDOW_SLACK of
+    an end are checked, each against its own polynomial in exact
+    arithmetic, so that the check costs next to nothing.
     """
     drop = np.zeros(roots.size, dtype=bool)
     for side, ends in enumerate((lo, hi)):
         for i in np.flatnonzero(np.abs(roots - ends[owner]) <= WINDOW_SLACK):
             j = owner[i]
-            drop[i] = _vanishes(exact[j], _exact_interval(int(k[j]))[side])
+            drop[i] = _vanishes(exact(j), _exact_interval(int(k[j]))[side])
     return roots[~drop], owner[~drop]
 
 
@@ -531,76 +516,81 @@ def _window_polys(n: int, k: int, tol: float) -> tuple[list, list]:
     return _exact_polys(_RatFn([0, 1]), Fraction(n), k, tol)
 
 
-def _batch_polys(windows: list, tol: float) -> list[tuple[list, list]]:
-    """_window_polys of each window of windows, from one _exact_polys pass
-    on _RatFns: the same lists of the same tuples, in the same order."""
+def _batch_polys(windows: list, tol: float) -> tuple[list, list]:
+    """The exact polynomials of every window from one _exact_polys pass on
+    _RatFns, listed as _window_polys lists them; column w of each, reduced,
+    is the _lowest tuple of window w."""
     n, k = (_Rationals.of(col) for col in zip(*windows))
-    domain, extrema = _exact_polys(_RatFns.variable(len(windows)), n, k, tol)
-    domain, extrema = ([_columns(p) for p in polys] for polys in (domain, extrema))
-    return [(list(d), list(e)) for d, e in zip(zip(*domain), zip(*extrema))]
+    return _exact_polys(_RatFns.variable(len(windows)), n, k, tol)
 
 
-def _split(values: np.ndarray, window: np.ndarray, count: int) -> list[np.ndarray]:
-    """values grouped by the window index of each, one array per window 0..count-1."""
-    order = np.argsort(window, kind="stable")
-    return np.split(values[order], np.searchsorted(window[order], np.arange(1, count)))
+def _float_polys(windows: list, tol: float):
+    """The exact polynomials of every window as rows of floats.
 
+    Returns (coeffs, sizes, domain, exact): coeffs[w, i] holds polynomial i
+    of window w, lowest power first and zero-padded to the longest one, the
+    `domain` domain conditions before the extremum polynomials; sizes[w, i]
+    counts its coefficients up to the last nonzero one (1 for the zero
+    polynomial); exact(w, i) reads back domain condition i of window w.
 
-def _candidate_points(windows: list, tol: float) -> tuple[list, list]:
-    """Domain flips and interior extremum candidates of each window.
-
-    Returns (flips, extrema), one array per window: the a where some
-    candidate can enter or leave its domain, and the a where one candidate
-    has a critical point or two candidates cross.  The exact polynomials
-    of a batch of at least BATCH_MIN_WINDOWS windows come from one
-    _batch_polys pass, those of a smaller one from _window_polys window by
-    window; both give the same tuples.  The polynomials of all windows are
-    solved together by one _real_roots call.
+    A batch of at least BATCH_MIN_WINDOWS windows comes from one
+    _batch_polys pass, a smaller one from _window_polys window by window.
+    Each coefficient is one true division of ints, which is correctly
+    rounded: an unreduced batch column gives the doubles of its _lowest
+    tuple with no gcd taken, so both routes give the same rows bit for bit.
     """
-    flat, sizes, exact, kinds, owner_window = array("d"), [], {}, [], []
     if len(windows) >= BATCH_MIN_WINDOWS:
-        polys = _batch_polys(windows, tol)
-    else:
-        polys = [_window_polys(n, k, tol) for n, k in windows]
-    for w, (domain, extrema) in enumerate(polys):
-        # Equal polynomials have equal tuples (see _lowest): each is solved
-        # once per window, with its kinds as bits (1 domain condition,
-        # 2 extremum polynomial).  Each becomes float coefficients c / den
-        # here; only the domain conditions stay exact, for _flip_roots.
-        own = dict.fromkeys(domain, 1)
-        for poly in extrema:
-            own[poly] = own.get(poly, 0) | 2
-        exact.update((j, poly) for j, (poly, kind) in enumerate(own.items(), len(sizes)) if kind & 1)
-        flat.extend([x / den for c, den in own for x in c])
-        sizes += [len(c) for c, _ in own]
-        kinds += own.values()
-        owner_window += [w] * len(own)
-    window = np.array(owner_window, dtype=np.intp)
-    kinds = np.array(kinds, dtype=np.intp)
-    is_flip, is_extremum = (kinds & 1) > 0, (kinds & 2) > 0
-    ks = np.array([k for _, k in windows])[window]
-    lo, hi = np.array([interval(k) for _, k in windows]).reshape(-1, 2)[window].T
-    roots, owner = _real_roots(flat, sizes, lo, hi)
+        domain, extrema = _batch_polys(windows, tol)
+        polys = domain + extrema
+        coeffs = np.zeros((len(windows), len(polys), max(len(c) for c, _ in polys)))
+        sizes = np.empty(coeffs.shape[:2], dtype=np.intp)
+        for i, (c, d) in enumerate(polys):
+            coeffs[:, i, : len(c)] = (c / d).T
+            nonzero = c != 0
+            sizes[:, i] = np.where(nonzero.any(axis=0), len(c) - nonzero[::-1].argmax(axis=0), 1)
+
+        def exact(w, i):
+            return domain[i][0][:, w], domain[i][1][w]
+
+        return coeffs[:, :, : sizes.max()], sizes, len(domain), exact
+    polys = [_window_polys(n, k, tol) for n, k in windows]
+    rows = [poly for domain, extrema in polys for poly in domain + extrema]
+    sizes = np.array([len(c) for c, _ in rows], dtype=np.intp).reshape(len(windows), -1)
+    coeffs = np.zeros((*sizes.shape, sizes.max()))
+    coeffs[np.arange(sizes.max()) < sizes[..., None]] = [x / den for c, den in rows for x in c]
+    return coeffs, sizes, len(polys[0][0]), lambda w, i: polys[w][0][i]
+
+
+def _candidate_points(windows: list, lo, hi, k, tol: float) -> tuple[np.ndarray, ...]:
+    """Domain flips and interior extremum candidates of every window.
+
+    Returns (flips, flip_window, extrema, extremum_window): the a where some
+    candidate can enter or leave its domain, and the a where one candidate
+    has a critical point or two candidates cross, each with the index of
+    its window; lo, hi and k are float arrays, one entry per window.  Equal
+    rows of one window are solved once: a lexsort by (window, coefficients)
+    makes them neighbours, and since it is stable each run lists domain
+    conditions first, so that its first row is one if the run holds one.
+    The polynomials of all windows go to one _real_roots call.
+    """
+    coeffs, sizes, domain, exact = _float_polys(windows, tol)
+    polys, length = coeffs.shape[1:]
+    rows, sizes = coeffs.reshape(-1, length), sizes.ravel()
+    window, index = np.divmod(np.arange(sizes.size), polys)
+    keys = np.column_stack((rows, window))
+    order = np.flatnonzero(sizes > 1)  # a constant has no root
+    order = order[np.lexsort(keys[order].T)]
+    run = np.ones(order.size + 1, dtype=bool)  # run[i]: row order[i] starts a run
+    run[1:-1] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
+    first, last = order[run[:-1]], order[run[1:]]
+    is_flip, is_extremum, w = index[first] < domain, index[last] >= domain, window[first]
+    kept = rows[first][np.arange(length) < sizes[first][:, None]]
+    roots, owner = _real_roots(kept, sizes[first], lo[w], hi[w])
     flip, extremum = is_flip[owner], is_extremum[owner]
-    flips, flip_owner = _flip_roots(roots[flip], owner[flip], exact, lo, hi, ks)
-    return (
-        _split(flips, window[flip_owner], len(windows)),
-        _split(roots[extremum], window[owner[extremum]], len(windows)),
+    flips, flip_owner = _flip_roots(
+        roots[flip], owner[flip], lambda j: exact(w[j], index[first[j]]), lo[w], hi[w], k[w]
     )
-
-
-def _evaluate(windows: list, points: list, tol: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The closed-form values and domain verdicts (_float_forms) on the
-    points of every window, from one float evaluation, split back into one
-    (values, in_domain) pair of (5, len(points[i])) arrays per window.  b
-    lies on the window's line, and n is a float array (exact for integers,
-    so every double is the one a scalar n gives)."""
-    sizes = [p.size for p in points]
-    n, k = (np.repeat(np.array(v, dtype=float), sizes) for v in zip(*windows))
-    a = np.concatenate(points)
-    values, in_domain = _float_forms(n, a, _b_line(k, a), tol)
-    cuts = np.cumsum(sizes)[:-1]
-    return list(zip(np.split(values, cuts, axis=1), np.split(in_domain, cuts, axis=1)))
+    return flips, w[flip_owner], roots[extremum], w[owner[extremum]]
 
 
 @dataclass(frozen=True)
@@ -622,45 +612,12 @@ class KSlice:
         return self.lo, self.hi
 
 
-def _window_max(n: int, k: int, edges, xs, values: np.ndarray, in_domain: np.ndarray) -> KSlice:
-    """The slice of a window, from the closed forms evaluated at its piece
-    midpoints (the first len(edges) - 1 columns of values and in_domain)
-    and then at its points xs.  A piece's candidates are those in domain
-    with a finite value at its midpoint.  If some piece has none, the slice
-    is inconclusive and records the stretches of a without a candidate;
-    otherwise phi is the largest Q over xs, NaN values read as +inf."""
-    pieces = len(edges) - 1
-    active = in_domain[:, :pieces] & np.isfinite(values[:, :pieces])
-    empty = np.flatnonzero(~active.any(axis=0))
-    if empty.size:
-        starts = empty[np.diff(empty, prepend=-2) > 1]
-        ends = empty[np.diff(empty, append=empty[-1] + 2) > 1] + 1
-        ranges = tuple((float(edges[i]), float(edges[j])) for i, j in zip(starts, ends))
-        return KSlice(n, k, *interval(k), math.inf, math.nan, math.inf, False, ranges)
-    raw = np.where(np.isnan(values[:, pieces:]), np.inf, values[:, pieces:])
-    # A point on an edge touches the pieces on both sides, any other point one.
-    qs = np.maximum.reduce([
-        np.where(active[:, piece], raw, np.inf).min(axis=0)
-        for piece in (
-            np.maximum(np.searchsorted(edges, xs, side="left") - 1, 0),
-            np.minimum(np.searchsorted(edges, xs, side="right") - 1, pieces - 1),
-        )
-    ])
-    best = int(np.argmax(qs))
-    phi_val = float(qs[best])
-    if math.isinf(phi_val):
-        # The only candidate of a touching piece is singular at this point.
-        return KSlice(n, k, *interval(k), math.inf, math.nan, math.inf, False, ())
-    # Floored, but never below 2n + 3: small windows never beat the trivial bound.
-    omega = max(floor_nudged(phi_val), 2 * n + 3)
-    return KSlice(n, k, *interval(k), phi_val, float(xs[best]), omega, True, ())
-
-
-def _distinct(x: np.ndarray) -> np.ndarray:
-    """The values of a nonempty float array x, sorted, each once: np.unique's
-    result for NaN-free floats, without the numpy.ma import np.unique does."""
-    x = np.sort(x)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+def _stretches(edges: np.ndarray, empty: np.ndarray) -> tuple[tuple[float, float], ...]:
+    """(start, end) edges of each run of neighbouring pieces of one window flagged empty."""
+    gaps = np.flatnonzero(empty)
+    starts = gaps[np.diff(gaps, prepend=-2) > 1]
+    ends = gaps[np.diff(gaps, append=gaps[-1] + 2) > 1] + 1
+    return tuple((float(edges[i]), float(edges[j])) for i, j in zip(starts, ends))
 
 
 def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
@@ -676,27 +633,68 @@ def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
     domain the slice is inconclusive: the LP machinery has no finite bound
     for this (n, k), and the stretches of a without one are recorded.
 
-    The exact polynomials of every window come from one _RatFns pass of
-    the closed forms when the batch has at least BATCH_MIN_WINDOWS windows,
-    and from one _RatFn pass per window otherwise.  Their roots are found
-    for the whole batch, and the closed forms are evaluated in one float
-    pass over the piece midpoints and the points of every window.  A
-    window's result is the same, bit for bit, in any batch.  n and k are
-    taken as Python ints (operator.index), so numpy integers work and
-    floats raise TypeError.
+    The exact polynomials of the batch become float rows (_float_polys)
+    with no gcd taken, their roots are found for the whole batch, and from
+    there on the batch is held in flat arrays: one lexsort by (window, a)
+    gives the edges, points and piece midpoints of every window, the
+    closed forms are evaluated in one float pass over them, the pieces
+    each point touches come from a cumsum of edge flags, and phi is a
+    maximum.reduceat, a* its first point as argmax picks it.  Only the
+    stretches of inconclusive windows and the KSlices are built window by
+    window.  A window's result is the same, bit for bit, in any batch.  n
+    and k are taken as Python ints (operator.index), so numpy integers work
+    and floats raise TypeError.
     """
     check_tol(tol)
     windows = [(operator.index(n), operator.index(k)) for n, k in windows]
     for n, k in windows:
         _check_window(n, k)
-    flips, extrema = _candidate_points(windows, tol)
-    edges = [_distinct(np.concatenate((interval(k), f))) for (_, k), f in zip(windows, flips)]
-    points = [_distinct(np.concatenate((e, x))) for e, x in zip(edges, extrema)]
-    # Each window's piece midpoints, then its points, all in one evaluation.
-    evals = _evaluate(
-        windows, [np.concatenate(((e[:-1] + e[1:]) / 2, x)) for e, x in zip(edges, points)], tol
-    )
-    return [_window_max(*w, e, x, *ev) for w, e, x, ev in zip(windows, edges, points, evals)]
+    ids = np.arange(len(windows))
+    n, k = np.array(windows, dtype=float).T
+    lo, hi = (2.0 - k) / k, 1.0 / (2.0 * k - 1.0)  # interval(k), one entry per window
+    flips, flip_window, extrema, extremum_window = _candidate_points(windows, lo, hi, k, tol)
+    # Ends and flips are edges; equal values of one window are one point, an
+    # edge if any of them is, since the stable lexsort keeps the edges first.
+    a = np.concatenate((lo, hi, flips, extrema))
+    window = np.concatenate((ids, ids, flip_window, extremum_window))
+    order = np.lexsort((a, window))
+    a, window, edge = a[order], window[order], order < 2 * ids.size + flips.size
+    new = np.ones(a.size, dtype=bool)
+    new[1:] = (a[1:] != a[:-1]) | (window[1:] != window[:-1])
+    xs, xw, edge = a[new], window[new], edge[new]
+    ea, ew = xs[edge], xw[edge]
+    inside = ew[1:] == ew[:-1]  # two neighbouring edges of one window bound a piece
+    mids, mw = ((ea[:-1] + ea[1:]) / 2)[inside], ew[1:][inside]
+    # The piece midpoints of every window, then its points, in one evaluation.
+    at, x = np.concatenate((mw, xw)), np.concatenate((mids, xs))
+    values, in_domain = _float_forms(n[at], x, _b_line(k[at], x), tol)
+    pieces = mids.size
+    active = in_domain[:, :pieces] & np.isfinite(values[:, :pieces])
+    empty = ~active.any(axis=0)
+    inconclusive = np.bincount(mw[empty], minlength=ids.size) > 0
+    # Piece j of window w has the index of its left edge among all edges,
+    # less w.  A point on an edge touches the pieces on both sides, any
+    # other point the piece it lies in; a window's first point (its left
+    # end) and its last (its right end, just before the next window's
+    # first) touch one piece only.
+    start = np.searchsorted(xw, ids)
+    right = np.cumsum(edge) - 1 - xw
+    left = right - edge
+    left[start] += 1
+    right[start - 1] -= 1
+    raw = np.where(np.isnan(values[:, pieces:]), np.inf, values[:, pieces:])
+    qs = np.maximum(*(np.where(active[:, p], raw, np.inf).min(axis=0) for p in (left, right)))
+    peak = np.maximum.reduceat(qs, start)
+    hits = np.flatnonzero(qs == peak[xw])
+    best = hits[np.searchsorted(xw[hits], ids)]  # the first point attaining phi
+    slices = []
+    for i, ((wn, wk), p, a_star) in enumerate(zip(windows, peak.tolist(), xs[best].tolist())):
+        if inconclusive[i] or math.isinf(p):  # or the only candidate of a touching piece is singular
+            ranges = _stretches(ea[ew == i], empty[mw == i]) if inconclusive[i] else ()
+            slices.append(KSlice(wn, wk, *interval(wk), math.inf, math.nan, math.inf, False, ranges))
+        else:  # floored, but never below 2n + 3: small windows never beat the trivial bound
+            slices.append(KSlice(wn, wk, *interval(wk), p, a_star, max(floor_nudged(p), 2 * wn + 3), True))
+    return slices
 
 
 @lru_cache(maxsize=512)
@@ -739,7 +737,9 @@ def _worst(slices: list[KSlice]) -> tuple[int | float, int]:
 
 
 def rho(n: int) -> int:
-    """Cardinality of the midpoint construction, n(n+1)/2; the a + b >= 0 ceiling."""
+    """Cardinality of the midpoint construction, n(n+1)/2; the a + b >= 0
+    ceiling.  n is taken as a Python int (operator.index), as in _sweep."""
+    n = operator.index(n)
     if n < 7:
         raise ValueError(f"the a+b >= 0 ceiling requires n >= 7, got {n}")
     return n * (n + 1) // 2

@@ -1,3 +1,4 @@
+import json
 import math
 import operator
 import subprocess
@@ -10,7 +11,7 @@ from numpy.polynomial import polynomial as npoly
 
 import twodist.bound_polys as bound_polys
 import twodist.lrs as lrs
-from test_golden_windows import load as load_golden_windows, record
+from test_golden_windows import WINDOWS, load as load_golden_windows, record
 from twodist.bound_polys import DEFAULT_TOL, MAX_TOL, _forms, candidate_values
 from twodist.lrs import (
     TableRow,
@@ -180,6 +181,20 @@ def test_construction_ceiling():
         rho(6)
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+@pytest.mark.parametrize("entry", [rho, g_upper], ids=["rho", "g_upper"])
+def test_ceiling_returns_python_ints(entry, dtype):
+    # rho let a numpy integer through n(n + 1)/2, so g_upper(np.int64(8))
+    # was np.int64(36), which json cannot encode; rho(7.5) was 31.0.
+    for n in (7, 8, 9, 10, 23):
+        got = entry(dtype(n))
+        assert type(got) is int and got == entry(n)
+        assert json.dumps(got) == str(got)
+    for n in (7.5, 8.0):
+        with pytest.raises(TypeError):
+            entry(n)
+
+
 def test_combined_upper_bound():
     assert g_upper(23) == 277
     assert g_upper(30) == 465
@@ -338,12 +353,66 @@ def test_one_batch_equals_the_golden_windows(monkeypatch):
     assert any(w["inf_ranges"] for w in want.values())
 
 
+def _columns(poly) -> list[tuple]:
+    """The _lowest tuple of each window of a batch polynomial: its column
+    of integer coefficients over its denominator, reduced."""
+    c, d = poly
+    return [lrs._lowest(col, den) for col, den in zip(c.T.tolist(), d.tolist())]
+
+
+_MIXED = [w for n in (44, 45, 46, 7, 8, 22, 23, 40) for w in lrs._windows(n)]
+
+
+@pytest.mark.parametrize(
+    "batch",
+    [
+        [(22, 3), (7, 2), (22, 3), (40, 4), (13, 3)],
+        [(22, 3), (22, 3)],
+        [_MIXED[i] for i in np.random.default_rng(18).permutation(len(_MIXED))],
+        [(45, 2)],
+    ],
+    ids=["(22, 3) twice in a batch", "(22, 3) twice", "inconclusive mixed in", "one window"],
+)
+def test_batch_edge_cases_give_the_golden_windows(batch):
+    # Repeated windows, inconclusive windows (n = 44..46) shuffled among
+    # conclusive ones and one-window batches: each window gets its record.
+    want = {(w["n"], w["k"]): w for w in load_golden_windows()}
+    slices = lrs._sweep(batch, DEFAULT_TOL)
+    assert [(sl.n, sl.k) for sl in slices] == batch
+    for sl in slices:
+        assert record(sl) == want[(sl.n, sl.k)]
+    if len(batch) > 5:
+        assert {sl.conclusive for sl in slices} == {True, False}
+        assert any(sl.inf_ranges for sl in slices)
+
+
 @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, MAX_TOL])
 def test_batch_polys_equal_the_window_polys(tol):
     # The per-window engine is the reference: same domain and extremum
-    # lists, in order, of the same _lowest tuples, for every window.
-    windows = [(n, k) for n in range(7, 61) for k in range(2, k_max(n) + 1)]
-    assert lrs._batch_polys(windows, tol) == [lrs._window_polys(n, k, tol) for n, k in windows]
+    # lists, in order, of the same rational polynomials (equal _lowest
+    # tuples once each batch column is reduced), for every window.
+    domain, extrema = ([_columns(p) for p in polys] for polys in lrs._batch_polys(WINDOWS, tol))
+    got = [(list(d), list(e)) for d, e in zip(zip(*domain), zip(*extrema))]
+    assert got == [lrs._window_polys(n, k, tol) for n, k in WINDOWS]
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, MAX_TOL])
+def test_float_rows_of_both_routes_are_bit_identical(monkeypatch, tol):
+    # The batch divides unreduced integers by their denominator, the window
+    # route its _lowest tuples: int true division is correctly rounded, so
+    # the rows, sizes and exact domain conditions must be the same.
+    routes = []
+    for smallest_batch in (1, len(WINDOWS) + 1):
+        monkeypatch.setattr(lrs, "BATCH_MIN_WINDOWS", smallest_batch)
+        routes.append(lrs._float_polys(WINDOWS, tol))
+    (batch, batch_sizes, domain, batch_exact), (single, single_sizes, single_domain, single_exact) = routes
+    assert batch.dtype == single.dtype == np.float64 and batch.shape == single.shape
+    assert batch.tobytes() == single.tobytes()
+    assert np.array_equal(batch_sizes, single_sizes) and domain == single_domain == 24
+    assert not batch[np.arange(batch.shape[2]) >= batch_sizes[..., None]].any()
+    for w in range(len(WINDOWS)):
+        for i in range(domain):
+            assert lrs._lowest(*batch_exact(w, i)) == single_exact(w, i)
 
 
 def test_batch_same_denominator_shortcut_fails_closed():
@@ -360,7 +429,7 @@ def test_batch_same_denominator_shortcut_fails_closed():
             got = op(batch[u], batch[v])
             for w in range(2):
                 want = op(one / (one + shifts[u][w]), one / (one + shifts[v][w]))
-                assert (lrs._columns(got._num)[w], lrs._columns(got._den)[w]) == (want._num, want._den)
+                assert (_columns(got._num)[w], _columns(got._den)[w]) == (want._num, want._den)
     # Equality is of rational polynomials, not of arrays: 2(a + c) / 2 is a + c.
     num, den = batch["f"]._den
     assert lrs._RatFns._same((num, den), (2 * num, 2 * den))
@@ -406,9 +475,9 @@ def test_batch_scale_reads_a_fraction_and_rationals_alike(f):
     poly = (x * x - lrs._Rationals.of([2, -3, Fraction(5, 2)]) * x + Fraction(1, 3))._num
     unreduced = (np.array([6 * part] * 3, dtype=object) for part in (f.numerator, f.denominator))
     held = [lrs._Rationals.of([f] * 3), lrs._Rationals(*unreduced)]
-    want = lrs._columns(lrs._RatFns._scale(poly, f))
+    want = _columns(lrs._RatFns._scale(poly, f))
     for r in held:
-        assert lrs._columns(lrs._RatFns._scale(poly, r)) == want
+        assert _columns(lrs._RatFns._scale(poly, r)) == want
 
 
 def test_batch_products_take_reduced_operands(monkeypatch):
