@@ -388,10 +388,15 @@ def _parser() -> _Parser:
 def main(argv=None) -> int:
     parser = _parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    # argparse takes "-0.25,0.1" or "-1e-3" for an option name, not a value:
-    # attach such a value to the option before it, as "--t-values=-0.25,0.1".
+    # argparse takes "-0.25,0.1", "-1e-3" or "-inf" for an option name, not a
+    # value: attach such a value to the option before it, as
+    # "--t-values=-0.25,0.1", so that the value's own check reports it.  A
+    # value is negative if it starts with a minus and a number as float()
+    # spells it: digits, or inf, infinity or nan in any case.
     for i in range(len(argv) - 1, 0, -1):
-        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] and re.match(r"-\.?\d", argv[i]):
+        if argv[i - 1].startswith("--") and "=" not in argv[i - 1] and re.match(
+            r"(?i)-(\.?\d|(inf|infinity|nan)\b)", argv[i]
+        ):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
         args = parser.parse_args(argv)

@@ -28,10 +28,11 @@ denominators.  A smaller batch builds them window by window on _RatFn.
 From there on a batch is held in arrays.  Each polynomial becomes a row of
 floats by one int true division per coefficient, with no gcd: the division
 is correctly rounded, so an unreduced c/d gives the double of the reduced
-one.  The roots of all rows come from one stacked eigvals call per degree,
-and the edges, points and maxima of every window from sorts, cumulative
-sums and reductions over the whole batch, with the closed forms evaluated
-in one float pass; a window's result does not depend on its batch.
+one.  Every row is solved as it comes, equal rows included: the roots of
+all rows come from one stacked eigvals call per degree, and the edges,
+points and maxima of every window from sorts, cumulative sums and
+reductions over the whole batch, with the closed forms evaluated in one
+float pass; a window's result does not depend on its batch.
 """
 from __future__ import annotations
 
@@ -167,9 +168,6 @@ def _pder(p) -> tuple:
     return _lowest([i * x for i, x in enumerate(a)][1:] or [0], d)
 
 
-_ONE = ((1,), 1)  # the constant polynomial 1 in _lowest form
-
-
 class _RatFn:
     """num(a) / den(a), exact: just the arithmetic _forms needs, for one window.
 
@@ -289,7 +287,7 @@ class _Rationals:
     @staticmethod
     def _quotient(num, den) -> "_Rationals":
         """num / den, the sign of each denominator moved to its numerator."""
-        if not (den != 0).all():
+        if (den == 0).any():
             raise ZeroDivisionError("_Rationals division by zero")
         negative = den < 0
         return _Rationals(np.where(negative, -num, num), np.where(negative, -den, den))
@@ -409,7 +407,7 @@ class _RatFns(_RatFn):
         """Whether p == q, decided exactly in each window by cross
         multiplication; raises ValueError when the windows disagree, since
         one branch is taken for all of them."""
-        equal = ~(_RatFns._add(p, q, -1)[0] != 0).any(axis=0)
+        equal = (_RatFns._add(p, q, -1)[0] == 0).all(axis=0)
         if equal.all():
             return True
         if not equal.any():
@@ -426,26 +424,28 @@ def _vanishes(poly, x: Fraction) -> bool:
     return sum(ci * p**i * q ** (deg - i) for i, ci in enumerate(c)) == 0
 
 
-def _real_roots(flat, sizes, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+def _real_roots(rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     """Real roots strictly inside (lo, hi) of float polynomials, and for each
-    root the index of the polynomial it belongs to.  flat holds the
-    coefficients of every polynomial one after another, lowest power first,
-    and sizes the number of coefficients of each; lo and hi are floats, or
-    arrays holding one bound per polynomial.
+    root the index of the row it belongs to.  rows holds one polynomial per
+    row, lowest power first and zero-padded on the right; a row's degree is
+    the index of its last nonzero coefficient, so a constant or all-zero row
+    has no root.  lo and hi are floats, or arrays holding one bound per row.
 
     A root is an eigenvalue of the polynomial's companion matrix, built as
     numpy.polynomial.polynomial.polycompanion builds it; a linear
     polynomial's root is -c0/c1.  The matrices of each degree go to one
-    stacked eigvals call, however many windows the polynomials come from;
-    it runs the same LAPACK routine on each matrix, so every root is the
-    double that polyroots gives for that polynomial alone.
+    stacked eigvals call, however many windows the rows come from; it runs
+    the same LAPACK routine on each matrix, so every root is the double that
+    polyroots gives for that polynomial alone, and equal rows give equal
+    roots.
     """
-    flat, sizes = np.asarray(flat, dtype=float), np.asarray(sizes, dtype=np.intp)
-    starts = np.cumsum(sizes) - sizes
+    rows = np.asarray(rows, dtype=float)
+    nonzero = rows != 0
+    degrees = np.where(nonzero.any(axis=1), rows.shape[1] - 1 - nonzero[:, ::-1].argmax(axis=1), 0)
     roots, owner = [np.empty(0)], [np.empty(0, dtype=np.intp)]
-    for deg in (np.flatnonzero(np.bincount(sizes)[2:]) + 1).tolist():
-        idx = np.flatnonzero(sizes == deg + 1)
-        c = flat[starts[idx][:, None] + np.arange(deg + 1)]
+    for deg in (np.flatnonzero(np.bincount(degrees)[1:]) + 1).tolist():
+        idx = np.flatnonzero(degrees == deg)
+        c = rows[idx, : deg + 1]
         if deg == 1:
             r = -c[:, 0] / c[:, 1]
         else:
@@ -458,7 +458,7 @@ def _real_roots(flat, sizes, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     r, owner = np.concatenate(roots), np.concatenate(owner)
     keep = np.abs(r.imag) <= ROOT_IMAG_TOL * np.maximum(1.0, np.abs(r.real))
     x = r.real
-    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (len(sizes),)) for v in (lo, hi))
+    lo, hi = (np.broadcast_to(np.asarray(v, dtype=float), (len(rows),)) for v in (lo, hi))
     keep &= (x > lo[owner]) & (x < hi[owner])
     return x[keep], owner[keep]
 
@@ -527,38 +527,37 @@ def _batch_polys(windows: list, tol: float) -> tuple[list, list]:
 def _float_polys(windows: list, tol: float):
     """The exact polynomials of every window as rows of floats.
 
-    Returns (coeffs, sizes, domain, exact): coeffs[w, i] holds polynomial i
-    of window w, lowest power first and zero-padded to the longest one, the
-    `domain` domain conditions before the extremum polynomials; sizes[w, i]
-    counts its coefficients up to the last nonzero one (1 for the zero
-    polynomial); exact(w, i) reads back domain condition i of window w.
+    Returns (coeffs, domain, exact): coeffs[w, i] holds polynomial i of
+    window w, lowest power first and zero-padded to the longest one, the
+    `domain` domain conditions before the extremum polynomials; exact(w, i)
+    reads back domain condition i of window w.
 
     A batch of at least BATCH_MIN_WINDOWS windows comes from one
     _batch_polys pass, a smaller one from _window_polys window by window.
     Each coefficient is one true division of ints, which is correctly
-    rounded: an unreduced batch column gives the doubles of its _lowest
-    tuple with no gcd taken, so both routes give the same rows bit for bit.
+    rounded and never rounds a nonzero c/d to zero: an unreduced batch
+    column gives the doubles of its _lowest tuple with no gcd taken, and the
+    batch's padding is trimmed to its widest nonzero column, so both routes
+    give the same rows bit for bit.
     """
     if len(windows) >= BATCH_MIN_WINDOWS:
         domain, extrema = _batch_polys(windows, tol)
         polys = domain + extrema
         coeffs = np.zeros((len(windows), len(polys), max(len(c) for c, _ in polys)))
-        sizes = np.empty(coeffs.shape[:2], dtype=np.intp)
         for i, (c, d) in enumerate(polys):
             coeffs[:, i, : len(c)] = (c / d).T
-            nonzero = c != 0
-            sizes[:, i] = np.where(nonzero.any(axis=0), len(c) - nonzero[::-1].argmax(axis=0), 1)
 
         def exact(w, i):
             return domain[i][0][:, w], domain[i][1][w]
 
-        return coeffs[:, :, : sizes.max()], sizes, len(domain), exact
+        width = np.flatnonzero(coeffs.any(axis=(0, 1)))[-1] + 1  # the widest nonzero column
+        return coeffs[:, :, :width], len(domain), exact
     polys = [_window_polys(n, k, tol) for n, k in windows]
     rows = [poly for domain, extrema in polys for poly in domain + extrema]
     sizes = np.array([len(c) for c, _ in rows], dtype=np.intp).reshape(len(windows), -1)
     coeffs = np.zeros((*sizes.shape, sizes.max()))
     coeffs[np.arange(sizes.max()) < sizes[..., None]] = [x / den for c, den in rows for x in c]
-    return coeffs, sizes, len(polys[0][0]), lambda w, i: polys[w][0][i]
+    return coeffs, len(polys[0][0]), lambda w, i: polys[w][0][i]
 
 
 def _candidate_points(windows: list, lo, hi, k, tol: float) -> tuple[np.ndarray, ...]:
@@ -567,30 +566,21 @@ def _candidate_points(windows: list, lo, hi, k, tol: float) -> tuple[np.ndarray,
     Returns (flips, flip_window, extrema, extremum_window): the a where some
     candidate can enter or leave its domain, and the a where one candidate
     has a critical point or two candidates cross, each with the index of
-    its window; lo, hi and k are float arrays, one entry per window.  Equal
-    rows of one window are solved once: a lexsort by (window, coefficients)
-    makes them neighbours, and since it is stable each run lists domain
-    conditions first, so that its first row is one if the run holds one.
-    The polynomials of all windows go to one _real_roots call.
+    its window; lo, hi and k are float arrays, one entry per window.  Every
+    polynomial of every window goes to one _real_roots call, as it comes:
+    a polynomial that appears twice in a window gives the same roots twice,
+    which _sweep merges into one point.
     """
-    coeffs, sizes, domain, exact = _float_polys(windows, tol)
-    polys, length = coeffs.shape[1:]
-    rows, sizes = coeffs.reshape(-1, length), sizes.ravel()
-    window, index = np.divmod(np.arange(sizes.size), polys)
-    keys = np.column_stack((rows, window))
-    order = np.flatnonzero(sizes > 1)  # a constant has no root
-    order = order[np.lexsort(keys[order].T)]
-    run = np.ones(order.size + 1, dtype=bool)  # run[i]: row order[i] starts a run
-    run[1:-1] = (keys[order[1:]] != keys[order[:-1]]).any(axis=1)
-    first, last = order[run[:-1]], order[run[1:]]
-    is_flip, is_extremum, w = index[first] < domain, index[last] >= domain, window[first]
-    kept = rows[first][np.arange(length) < sizes[first][:, None]]
-    roots, owner = _real_roots(kept, sizes[first], lo[w], hi[w])
-    flip, extremum = is_flip[owner], is_extremum[owner]
+    coeffs, domain, exact = _float_polys(windows, tol)
+    polys = coeffs.shape[1]
+    window, index = np.divmod(np.arange(len(windows) * polys), polys)
+    lo, hi, k = lo[window], hi[window], k[window]
+    roots, owner = _real_roots(coeffs.reshape(window.size, -1), lo, hi)
+    flip = index[owner] < domain
     flips, flip_owner = _flip_roots(
-        roots[flip], owner[flip], lambda j: exact(w[j], index[first[j]]), lo[w], hi[w], k[w]
+        roots[flip], owner[flip], lambda j: exact(window[j], index[j]), lo, hi, k
     )
-    return flips, w[flip_owner], roots[extremum], w[owner[extremum]]
+    return flips, window[flip_owner], roots[~flip], window[owner[~flip]]
 
 
 @dataclass(frozen=True)
@@ -634,16 +624,17 @@ def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
     for this (n, k), and the stretches of a without one are recorded.
 
     The exact polynomials of the batch become float rows (_float_polys)
-    with no gcd taken, their roots are found for the whole batch, and from
-    there on the batch is held in flat arrays: one lexsort by (window, a)
-    gives the edges, points and piece midpoints of every window, the
-    closed forms are evaluated in one float pass over them, the pieces
-    each point touches come from a cumsum of edge flags, and phi is a
-    maximum.reduceat, a* its first point as argmax picks it.  Only the
-    stretches of inconclusive windows and the KSlices are built window by
-    window.  A window's result is the same, bit for bit, in any batch.  n
-    and k are taken as Python ints (operator.index), so numpy integers work
-    and floats raise TypeError.
+    with no gcd taken, the roots of every row are found for the whole
+    batch, and from there on the batch is held in flat arrays: one lexsort
+    by (window, a) gives the edges, points and piece midpoints of every
+    window, equal values of one window (the roots of equal rows among them)
+    becoming one point, the closed forms are evaluated in one float pass
+    over them, the pieces each point touches come from a cumsum of edge
+    flags, and phi is a maximum.reduceat, a* its first point as argmax
+    picks it.  Only the stretches of inconclusive windows and the KSlices
+    are built window by window.  A window's result is the same, bit for
+    bit, in any batch.  n and k are taken as Python ints (operator.index),
+    so numpy integers work and floats raise TypeError.
     """
     check_tol(tol)
     windows = [(operator.index(n), operator.index(k)) for n, k in windows]

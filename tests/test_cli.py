@@ -330,6 +330,24 @@ def test_delsarte_check_rejects_non_finite_inputs(capsys):
         assert "finite" in err
 
 
+@pytest.mark.parametrize("value", ["-inf", "-Infinity", "-NAN"])
+def test_bound_reports_a_negative_non_number_b_by_its_own_check(capsys, value):
+    # Spaced, such a value used to stop at "argument --b: expected one
+    # argument"; it now reaches the inner-product check as --b=-inf does.
+    code, out, err = run(capsys, ["bound", "--n", "7", "--a", "0.5", "--b", value])
+    assert code == 1 and out == ""
+    assert "inner products must satisfy -1 <= b < a < 1" in err
+    assert "expected one argument" not in err
+
+
+@pytest.mark.parametrize("value", ["-inf,0", "-infinity,0", "-NaN,0"])
+def test_delsarte_check_reports_negative_non_number_t_values_by_their_own_check(capsys, value):
+    argv = ["delsarte-check", "--n", "7", "--coeffs", "1", "--t-values", value]
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: --t-values must be finite reals, got {value!r}\n"
+
+
 def test_negative_precision_is_usage_error(capsys):
     argv = ["bound", "--n", "7", "--a", "0.2", "--b", "-0.2", "--format", "csv"]
     code, out, err = run(capsys, argv + ["--precision", "-1"])
