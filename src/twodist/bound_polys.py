@@ -262,12 +262,38 @@ def best_bound(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[float,
 
 def best_of(values) -> tuple[float, tuple[int, ...]]:
     """Minimum of the five candidate values, in index order, and the indices
-    whose values lie within WINNER_REL_TOL of it; (+inf, ()) when none is finite."""
+    whose values lie within WINNER_REL_TOL of it; (+inf, ()) when none is finite.
+
+    The rule for one pair; best_of_samples applies it to every column of a
+    (5, S) array at once."""
     best = min(values)
     if math.isinf(best):
         return math.inf, ()
     slack = WINNER_REL_TOL * max(1.0, abs(best))
     return best, tuple(i for i, v in zip(CANDIDATE_INDICES, values) if v - best <= slack)
+
+
+# The winners of each 5-bit mask whose bit i - 1 is set when candidate i wins.
+_WINNERS = np.empty(1 << len(CANDIDATE_INDICES), dtype=object)
+_WINNERS[:] = [tuple(i for i in CANDIDATE_INDICES if m >> (i - 1) & 1) for m in range(len(_WINNERS))]
+
+
+def best_of_samples(values: np.ndarray) -> tuple[list[float], list[tuple[int, ...]]]:
+    """best_of of every column of the (5, S) array values, in array operations.
+
+    The minimum is taken in the order of Python's min, one row after the
+    other, so that a NaN acts as it does in best_of: in row 0 it is the
+    minimum and wins nothing, in a later row it is passed over.  Slack and
+    winners are computed as in best_of; the two rules agree bit for bit."""
+    best = values[0]
+    for row in values[1:]:
+        best = np.where(row < best, row, best)
+    finite = ~np.isinf(best)
+    slack = WINNER_REL_TOL * np.maximum(1.0, np.abs(best))
+    with np.errstate(invalid="ignore"):  # inf - inf where a column holds no finite value
+        wins = (values - best <= slack) & finite
+    masks = (1 << np.arange(len(values))) @ wins
+    return np.where(finite, best, np.inf).tolist(), _WINNERS[masks].tolist()
 
 
 @dataclass(frozen=True)

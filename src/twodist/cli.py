@@ -13,8 +13,9 @@ parsed, except --format and --out.  Exit codes: 0 success, 1 usage error
 3 inconclusive bound under --strict.  All output is deterministic for fixed
 flags.
 
-Each command computes its result once and returns a _Report; _render turns
-it into the one format asked for.
+Each command computes its result once and returns a _Report that holds its
+records as columns; _render turns it into the one format asked for, column
+by column.
 """
 from __future__ import annotations
 
@@ -22,11 +23,13 @@ import argparse
 import functools
 import json
 import math
+import operator
 import re
 import shlex
 import sys
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import Callable
+from itertools import compress, count, repeat
 
 from . import __version__
 from .bound_polys import (
@@ -36,7 +39,6 @@ from .gegenbauer import GegenbauerExpansion
 from .constructions import (
     DEFAULT_SEED, gram_check, independence_rank, lambda_params, lambda_set, verify_two_distance,
 )
-from .lrs import profile, table
 
 MAX_TABLE_N = 60
 # The window sweep needs no grid, so table's --grid changes no result; it is
@@ -62,14 +64,19 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclass
 class _Report:
-    """One command's result; records and pretty lines are built on demand."""
+    """One command's result; columns and pretty lines are built on demand."""
 
     key: str  # JSON key of the records: rows, samples or result (one record)
-    records: Callable[[], list[dict]]  # flat records of raw values
+    columns: Callable[[], dict[str, Sequence]]  # the records as one column of raw values per field
     pretty: Callable[[], list[str]]
     code: int = 0
-    csv: Callable[[], list[dict]] | None = None  # CSV records, where the columns differ
+    csv: Callable[[], dict[str, Sequence]] | None = None  # CSV columns, where they differ
     best: dict | None = None  # JSON "best" and the CSV "# best=" trailer
+
+
+def _columns(records: list[dict]) -> dict[str, list]:
+    """Records that share their keys, as one list of values per key."""
+    return {k: [r[k] for r in records] for k in records[0]}
 
 
 def _fmt(x, p: int) -> str:
@@ -87,41 +94,102 @@ def _fmt(x, p: int) -> str:
     return str(x)
 
 
-def _json(x, p: int):
-    """A value made JSON-ready: reals rounded as _fmt rounds them, inf as "inf"."""
+def _json_text(x, p: int, indent: int) -> str:
+    """x as json.dumps(payload, indent=2) writes it at the given indent (in
+    spaces), once its reals are rounded as _fmt rounds them: whole reals
+    below 1e15 as integers, others to p significant digits, +-inf as "inf"."""
     if isinstance(x, float):
         if x.is_integer() and abs(x) < 1e15:
-            return int(x)
-        return "inf" if math.isinf(x) else float(f"{x:.{p}g}")
-    if isinstance(x, dict):
-        return {k: _json(v, p) for k, v in x.items()}
+            return str(int(x))
+        if math.isinf(x):
+            return '"inf"'
+        x = float(f"{x:.{p}g}")
+        # json.dumps writes a finite real as float.__repr__ does; a NaN, or a
+        # real that rounds past the largest double, as NaN or Infinity.
+        return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+    if x is None:
+        return "null"
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
     if isinstance(x, list):
-        return [_json(v, p) for v in x]
-    return x
+        if not x:
+            return "[]"
+        pad = "\n" + " " * (indent + 2)
+        return "[" + pad + ("," + pad).join(_texts(x, p, indent + 2)) + "\n" + " " * indent + "]"
+    # Other values are written as json.dumps writes them; an encoded string
+    # holds no raw newline, so the replace moves only line breaks of the layout.
+    return json.dumps(x, indent=2).replace("\n", "\n" + " " * indent)
+
+
+def _texts(values: Sequence, p: int, indent: int | None = None) -> list[str]:
+    """Each value of a column as _fmt prints it or, given a JSON indent, as
+    _json_text writes it.  A column of reals, or of ints and None, is
+    converted in one pass; only what that pass does not cover goes value by
+    value: whole reals, reals that are or round to a non-number, and None."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        texts = list(map(float.__format__, values, repeat(f".{p}g")))
+        checked = values
+        if indent is not None:
+            checked = list(map(float, texts))
+            texts = list(map(float.__repr__, checked))
+        non_finite = map(operator.not_, map(math.isfinite, checked))
+        odd = map(operator.or_, map(float.is_integer, values), non_finite)
+    elif kinds <= {int, type(None)}:
+        texts = list(map(str, values))
+        odd = map(operator.is_, values, repeat(None))
+    elif indent is None:
+        return [_fmt(v, p) for v in values]
+    else:
+        return [_json_text(v, p, indent) for v in values]
+    for i in compress(count(), odd):
+        texts[i] = _fmt(values[i], p) if indent is None else _json_text(values[i], p, indent)
+    return texts
+
+
+def _json_objects(columns: dict[str, Sequence], p: int, indent: int) -> list[str]:
+    """Each record of the columns as json.dumps(payload, indent=2) writes an
+    object whose closing brace sits at the given indent; every value is
+    encoded once, column by column, and the records are filled into one
+    template."""
+    pad = "\n" + " " * (indent + 2)
+    keys = (json.dumps(k).replace("{", "{{").replace("}", "}}") for k in columns)
+    template = "{{" + ",".join(f"{pad}{k}: {{}}" for k in keys) + "\n" + " " * indent + "}}"
+    return list(map(template.format, *(_texts(v, p, indent + 2) for v in columns.values())))
 
 
 def _render(args: argparse.Namespace, report: _Report) -> str:
+    """The report in the asked format.  JSON is byte for byte
+    json.dumps(payload, indent=2) of the payload {meta, records, best},
+    with reals rounded as _json_text says, but only meta goes through
+    json.dumps; the records are written column by column."""
     p = args.precision
     # The namespace holds exactly the options the subcommand declares, in
     # declaration order.
     options = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     if args.format == "json":
-        records = report.records()
-        payload = {
-            "meta": {"tool": "twodist", "version": __version__, "command": args.command, "options": options},
-            report.key: _json(records[0] if report.key == "result" else records, p),
-        }
+        meta = {"tool": "twodist", "version": __version__, "command": args.command, "options": options}
+        if report.key == "result":
+            records = _json_objects(report.columns(), p, 2)[0]
+        else:
+            records = "[\n    " + ",\n    ".join(_json_objects(report.columns(), p, 4)) + "\n  ]"
+        fields = [
+            '"meta": ' + json.dumps(meta, indent=2).replace("\n", "\n  "),
+            f"{json.dumps(report.key)}: {records}",
+        ]
         if report.best is not None:
-            payload["best"] = _json(report.best, p)
-        return json.dumps(payload, indent=2) + "\n"
+            fields.append('"best": ' + _json_objects({k: [v] for k, v in report.best.items()}, p, 2)[0])
+        return "{\n  " + ",\n  ".join(fields) + "\n}\n"
     if args.format == "csv":
-        records = (report.csv or report.records)()
+        columns = (report.csv or report.columns)()
         # Quoted as a shell would need, so that "--coeffs '1, 0, 1'" stays one field.
         echo = " ".join(
             f"{k}={shlex.quote(str(v).lower() if isinstance(v, bool) else str(v))}" for k, v in options.items()
         )
-        lines = [f"# twodist {__version__} command={args.command} {echo}", ",".join(records[0])]
-        lines += [",".join([_fmt(v, p) for v in r.values()]) for r in records]
+        lines = [f"# twodist {__version__} command={args.command} {echo}", ",".join(columns)]
+        lines += map(",".join, zip(*(_texts(v, p) for v in columns.values())))
         if report.best is not None:
             best = report.best
             lines.append(f"# best={_fmt(best['value'], p)} winning={_fmt(best['winning'], p)}")
@@ -131,6 +199,8 @@ def _render(args: argparse.Namespace, report: _Report) -> str:
 
 
 def cmd_table(args: argparse.Namespace) -> _Report:
+    from .lrs import table
+
     if not 7 <= args.n_min <= args.n_max <= MAX_TABLE_N:
         raise UsageError(
             f"need 7 <= n-min <= n-max <= {MAX_TABLE_N}, got {args.n_min}..{args.n_max}"
@@ -148,28 +218,25 @@ def cmd_table(args: argparse.Namespace) -> _Report:
         return lines
 
     code = 3 if args.strict and any(not r.conclusive for r in rows) else 0
-    return _Report("rows", lambda: [vars(r) for r in rows], pretty, code)
+    return _Report("rows", lambda: _columns(list(map(vars, rows))), pretty, code)
 
 
 def cmd_profile(args: argparse.Namespace) -> _Report:
-    samples = profile(args.n, args.k, args.samples, tol=args.tol)
+    from .lrs import profile
+
+    a, q, winning = zip(*profile(args.n, args.k, args.samples, tol=args.tol))
     p = args.precision
 
-    def records():
-        return [
-            {"a": s.a, "q": s.q, "winning_i": s.winning[0] if s.winning else None}
-            for s in samples
-        ]
+    def columns():
+        return {"a": a, "q": q, "winning_i": [w[0] if w else None for w in winning]}
 
     def pretty():
-        lines = [f"{'a':>22} {'q':>18} winner"]
-        for s in samples:
-            win = str(s.winning[0]) if s.winning else "-"
-            lines.append(f"{_fmt(s.a, p):>22} {_fmt(s.q, p):>18} {win}")
-        return lines
+        win = [str(w[0]) if w else "-" for w in winning]
+        rows = map("{:>22} {:>18} {}".format, _texts(a, p), _texts(q, p), win)
+        return [f"{'a':>22} {'q':>18} winner", *rows]
 
-    code = 3 if args.strict and any(math.isinf(s.q) for s in samples) else 0
-    return _Report("samples", records, pretty, code)
+    code = 3 if args.strict and any(map(math.isinf, q)) else 0
+    return _Report("samples", columns, pretty, code)
 
 
 def cmd_bound(args: argparse.Namespace) -> _Report:
@@ -178,22 +245,18 @@ def cmd_bound(args: argparse.Namespace) -> _Report:
     value, winning = best_of([cand.value for cand in cands])
     p = args.precision
 
-    def records():
-        return [
-            {
-                "i": cand.index, "in_domain": cand.in_domain, "c": cand.c, "d": cand.d,
-                "f": list(cand.expansion.coeffs) if cand.expansion is not None else None,
-                "value": cand.value,
-            }
-            for cand in cands
-        ]
+    def columns():
+        return {
+            "i": [cand.index for cand in cands], "in_domain": [cand.in_domain for cand in cands],
+            "c": [cand.c for cand in cands], "d": [cand.d for cand in cands],
+            "f": [list(cand.expansion.coeffs) if cand.expansion is not None else None for cand in cands],
+            "value": [cand.value for cand in cands],
+        }
 
     def csv():
-        out = []
-        for r in records():
-            f = r.pop("f") or []
-            out.append(r | {f"f{j}": x for j, x in enumerate(f + [None] * (5 - len(f)))})
-        return out
+        out = columns()
+        f = [x or [] for x in out.pop("f")]
+        return out | {f"f{j}": [x[j] if j < len(x) else None for x in f] for j in range(5)}
 
     def pretty():
         lines = [f"candidate bounds for n={args.n}, a={_fmt(args.a, p)}, b={_fmt(args.b, p)}"]
@@ -215,7 +278,7 @@ def cmd_bound(args: argparse.Namespace) -> _Report:
 
     code = 3 if args.strict and math.isinf(value) else 0
     best = {"value": value, "winning": list(winning)}
-    return _Report("rows", records, pretty, code, csv=csv, best=best)
+    return _Report("rows", columns, pretty, code, csv=csv, best=best)
 
 
 def cmd_verify_lambda(args: argparse.Namespace) -> _Report:
@@ -256,7 +319,7 @@ def cmd_verify_lambda(args: argparse.Namespace) -> _Report:
         ]
 
     code = 0 if passed or n == 2 else 2
-    return _Report("result", lambda: [result], pretty, code, csv=lambda: [row])
+    return _Report("result", lambda: _columns([result]), pretty, code, csv=lambda: _columns([row]))
 
 
 def cmd_independence(args: argparse.Namespace) -> _Report:
@@ -276,7 +339,7 @@ def cmd_independence(args: argparse.Namespace) -> _Report:
             "PASS" if result["pass"] else "FAIL",
         ]
 
-    return _Report("result", lambda: [result], pretty, 0 if result["pass"] else 2)
+    return _Report("result", lambda: _columns([result]), pretty, 0 if result["pass"] else 2)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -297,7 +360,8 @@ def cmd_delsarte_check(args: argparse.Namespace) -> _Report:
     res = delsarte_check(GegenbauerExpansion(args.n, coeffs), t_values, tol=args.tol)
     result = {"bound": res.bound, "ok": res.ok, "violation": res.violation}
     verdict = f"accepted: cardinality bound {res.bound}" if res.ok else f"rejected: {res.violation}"
-    return _Report("result", lambda: [result], lambda: [f"certificate {verdict}"], 0 if res.ok else 2)
+    code = 0 if res.ok else 2
+    return _Report("result", lambda: _columns([result]), lambda: [f"certificate {verdict}"], code)
 
 
 def _tolerance(text: str) -> float:

@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, groupby
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,7 +53,7 @@ from .bound_polys import (
     _float_forms,
     _forms,
     best_bound,
-    best_of,
+    best_of_samples,
     candidate_values,
     check_tol,
     floor_nudged,
@@ -765,8 +766,7 @@ def table(n_min: int, n_max: int, tol: float = DEFAULT_TOL) -> list[TableRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class ProfileSample:
+class ProfileSample(NamedTuple):
     a: float
     q: float
     winning: tuple[int, ...]
@@ -778,5 +778,5 @@ def profile(n: int, k: int, samples: int, tol: float = DEFAULT_TOL) -> list[Prof
         raise ValueError(f"need at least 2 samples, got {samples}")
     _check_window(n, k)
     xs = np.linspace(*interval(k), samples)
-    vals = candidate_values(n, xs, _b_line(k, xs), tol)
-    return [ProfileSample(x, *best_of(col.tolist())) for x, col in zip(xs.tolist(), vals.T)]
+    q, winning = best_of_samples(candidate_values(n, xs, _b_line(k, xs), tol))
+    return list(map(ProfileSample._make, zip(xs.tolist(), q, winning)))

@@ -8,10 +8,12 @@ from twodist.bound_polys import (
     CANDIDATE_INDICES,
     DEFAULT_TOL,
     MAX_TOL,
+    WINNER_REL_TOL,
     InnerProductPair,
     _forms,
     best_bound,
     best_of,
+    best_of_samples,
     build_candidate,
     candidate_values,
     candidates,
@@ -194,6 +196,37 @@ def test_single_pair_routes_agree_bit_for_bit():
         best, winners = best_bound(pair)
         assert best == col.min(), pair
         assert (best, winners) == best_of(col.tolist())
+
+
+def _slack_edge(best: float) -> tuple[float, float]:
+    """The largest value that best_of counts as tied with best, and the next double."""
+    slack = WINNER_REL_TOL * max(1.0, abs(best))
+    v = best + slack
+    while v - best > slack:
+        v = math.nextafter(v, -math.inf)
+    while math.nextafter(v, math.inf) - best <= slack:
+        v = math.nextafter(v, math.inf)
+    return v, math.nextafter(v, math.inf)
+
+
+def test_best_of_samples_equals_best_of_on_edge_columns():
+    nan, inf = math.nan, math.inf
+    columns = [
+        [nan, 3.0, 2.0, inf, 5.0],  # a NaN in row 0 is the minimum and wins nothing
+        [4.0, nan, 2.0, 2.0, inf],  # a NaN in a later row is passed over
+        [inf] * 5,
+        [inf, -inf, inf, 7.0, inf],
+        [0.0, 1e-9, math.nextafter(1e-9, inf), 0.5, inf],  # 1e-9 - 0 is exactly the slack
+        [3.0, *_slack_edge(3.0), 3.0, inf],  # the last tie and one ulp above it
+        [-0.25, *_slack_edge(-0.25), 0.75, -0.25],  # |best| < 1
+        [0.0, -0.0, 0.0, inf, nan],  # the first of equal minima is kept
+        [276.0, 276.0, inf, 276.00000000000006, 300.0],
+    ]
+    q, winning = best_of_samples(np.array(columns).T)
+    expected = [best_of(col) for col in columns]
+    assert [(x.hex(), w) for x, w in zip(q, winning)] == [(x.hex(), w) for x, w in expected]
+    assert [w for _, w in expected[4:7]] == [(1, 2), (1, 2, 4), (1, 2, 5)]
+    assert (expected[0][1], expected[2], expected[3]) == ((), (inf, ()), (inf, ()))
 
 
 def test_three_way_knife_edge_at_n22():

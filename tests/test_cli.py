@@ -524,3 +524,22 @@ def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
         assert len(built) == 1 and twodist.cli._parser() is built[0]
     finally:
         twodist.cli._parser.cache_clear()
+
+
+def test_importing_the_cli_leaves_the_window_sweep_unloaded():
+    # table and profile import lrs when they run, so the commands that do not
+    # sweep a window never pay for its import; constructions is loaded,
+    # since the parser reads its DEFAULT_SEED.
+    probe = "\n".join([
+        "import contextlib, io, sys, twodist.cli",
+        "print(sorted(m for m in sys.modules if m.startswith('twodist.')))",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    code = twodist.cli.main(['profile', '--n', '7', '--k', '2', '--samples', '2'])",
+        "print(code, 'twodist.lrs' in sys.modules)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['twodist.bound_polys', 'twodist.cli', 'twodist.constructions', 'twodist.gegenbauer']",
+        "0 True",
+    ]

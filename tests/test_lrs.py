@@ -15,7 +15,9 @@ from numpy.polynomial import polynomial as npoly
 import twodist.bound_polys as bound_polys
 import twodist.lrs as lrs
 from test_golden_windows import WINDOWS, load as load_golden_windows, record
-from twodist.bound_polys import DEFAULT_TOL, MAX_TOL, _forms, candidate_values
+from twodist.bound_polys import (
+    DEFAULT_TOL, MAX_TOL, InnerProductPair, _forms, best_bound, best_of, candidate_values,
+)
 from twodist.lrs import (
     TableRow,
     b_k,
@@ -254,6 +256,27 @@ def test_q_bound_equals_profile_bit_for_bit():
     for n, k in [(7, 2), (22, 3), (25, 3), (40, 4), (60, 2)]:
         for s in profile(n, k, 101):
             assert q_bound(n, k, s.a) == s.q, (n, k, s.a)
+
+
+@pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, MAX_TOL])
+def test_profile_winners_follow_the_scalar_rule_on_every_window(tol):
+    # profile picks each sample's minimum and winners in one array pass;
+    # every sample of every window of 7..60 must equal best_of on its own
+    # column, and best_bound at (a, b_k(a)) wherever several candidates win
+    # and at every 50th sample.
+    several = 0
+    for n in range(7, 61):
+        for k in range(2, k_max(n) + 1):
+            samples = profile(n, k, 2001, tol)
+            xs = np.array([s.a for s in samples])
+            columns = candidate_values(n, xs, np.maximum(b_k(k, xs), -1.0), tol).T.tolist()
+            assert [(s.q, s.winning) for s in samples] == list(map(best_of, columns)), (n, k)
+            for j, s in enumerate(samples):
+                if len(s.winning) > 1 or j % 50 == 0:
+                    pair = InnerProductPair(n, s.a, max(b_k(k, s.a), -1.0))
+                    assert (s.q, s.winning) == best_bound(pair, tol), (n, k, s)
+            several += sum(len(s.winning) > 1 for s in samples)
+    assert several == (80 if tol == 0 else 148)
 
 
 def test_profile_continuity_on_shared_winner():
