@@ -20,11 +20,10 @@ of polynomials built exactly from the closed forms in bound_polys.
 
 Windows are swept in batches by one engine, _sweep: k_slice sweeps one
 window, omega_hat the windows of one n and table every window of its
-range.  A batch of BATCH_MIN_WINDOWS or more windows builds the exact
-polynomials of all of them in one pass of the closed forms on _RatFns, in
-Python ints only: its coefficients are object arrays with one column per
-window, and n and k are _Rationals, arrays of integer numerators and
-denominators.  A smaller batch builds them window by window on _RatFn.
+range.  Every batch, one window included, builds the exact polynomials of
+all its windows in one pass of the closed forms on _RatFns, in Python ints
+only: its coefficients are object arrays with one column per window, and
+n and k are _Rationals, arrays of integer numerators and denominators.
 From there on a batch is held in arrays.  Each polynomial becomes a row of
 floats by one int true division per coefficient, with no gcd: the division
 is correctly rounded, so an unreduced c/d gives the double of the reduced
@@ -42,7 +41,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby
+from itertools import combinations, groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -67,19 +66,12 @@ WINDOW_SLACK = 1e-12
 # near sqrt(machine epsilon).  Keeping every root this close to the real
 # axis is safe: each kept point only adds a true value of the bound.
 ROOT_IMAG_TOL = 1e-6
-# Sweeps of at least this many windows build their exact polynomials in one
-# _RatFns pass, smaller ones window by window on _RatFn: each object-array
-# operation has a fixed cost that only a larger batch pays back.  Measured
-# crossover (2-vCPU Xeon, Python 3.11, numpy 2.4; best of 9 builds each way):
-# in two draws of 40 random sets of windows of n = 7..60 the batch was faster
-# in 2 and 4 sets of 4 windows, 40 and 40 of 5, and 40 and 37 of 6.  Every
-# n <= 60 has at most 4 windows, so k_slice, omega_hat and single-row tables
-# stay on _RatFn there; table(7, 40) is one batch of 78.
-BATCH_MIN_WINDOWS = 5
 
 
 def b_k(k: int, a: float) -> float:
-    """Forced smaller inner product (k*a - 1)/(k - 1)."""
+    """Forced smaller inner product (k*a - 1)/(k - 1); k is taken as a
+    Python int (operator.index), as in _sweep."""
+    k = operator.index(k)
     if k < 2:
         raise ValueError(f"ratio index must satisfy k >= 2, got {k}")
     return (k * a - 1.0) / (k - 1.0)
@@ -93,14 +85,18 @@ def k_max(n: int) -> int:
 
 
 def interval(k: int) -> tuple[float, float]:
-    """Closure [lo, hi] of the admissible window for a at ratio index k."""
+    """Closure [lo, hi] of the admissible window for a at ratio index k;
+    k is taken as a Python int (operator.index), as in _sweep."""
+    k = operator.index(k)
     if k < 2:
         raise ValueError(f"ratio index must satisfy k >= 2, got {k}")
     return (2.0 - k) / k, 1.0 / (2.0 * k - 1.0)
 
 
 def q_bound(n: int, k: int, a: float, tol: float = DEFAULT_TOL) -> float:
-    """Best candidate value at (a, b_k(a)); +inf when no candidate applies."""
+    """Best candidate value at (a, b_k(a)); +inf when no candidate applies.
+    n and k are taken as Python ints (operator.index), as in _sweep."""
+    n, k = operator.index(n), operator.index(k)
     lo, hi = interval(k)
     if not (lo - WINDOW_SLACK <= a <= hi + WINDOW_SLACK):
         raise ValueError(f"a={a} outside the closed window [{lo}, {hi}] for k={k}")
@@ -119,147 +115,6 @@ def _b_line(k: int, a: np.ndarray) -> np.ndarray:
     return np.maximum((k * a - 1.0) / (k - 1.0), -1.0)
 
 
-def _lowest(coeffs, den: int = 1) -> tuple:
-    """(coefficients, den): integer coefficients, lowest power first and
-    without trailing zeros, over a positive integer denominator, in lowest
-    terms, so that equal polynomials have equal tuples."""
-    c = list(coeffs)
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    g = math.gcd(den, *c)
-    if g != 1:
-        c = [x // g for x in c]
-        den //= g
-    return tuple(c), den
-
-
-def _exact(coeffs) -> tuple:
-    """_lowest form of rational (int or Fraction) coefficients."""
-    fr = [Fraction(x) for x in coeffs]
-    den = math.lcm(*(f.denominator for f in fr))
-    return _lowest([f.numerator * (den // f.denominator) for f in fr], den)
-
-
-def _pmul(p, q) -> tuple:
-    (a, da), (b, db) = p, q
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _lowest(out, da * db)
-
-
-def _pscale(p, f: Fraction) -> tuple:
-    """p * f for a rational scalar f: _pmul(p, ((f.numerator,), f.denominator))."""
-    a, d = p
-    return _lowest([x * f.numerator for x in a], d * f.denominator)
-
-
-def _padd(p, q, sign: int = 1) -> tuple:
-    """p + sign * q."""
-    (a, da), (b, db) = p, q
-    out = [x * db for x in a] + [0] * (len(b) - len(a))
-    for i, y in enumerate(b):
-        out[i] += sign * y * da
-    return _lowest(out, da * db)
-
-
-def _pder(p) -> tuple:
-    a, d = p
-    return _lowest([i * x for i, x in enumerate(a)][1:] or [0], d)
-
-
-class _RatFn:
-    """num(a) / den(a), exact: just the arithmetic _forms needs, for one window.
-
-    Each polynomial is held as integer coefficients over one positive
-    integer denominator in lowest terms (see _lowest), so a product or sum
-    is a short loop over ints and one gcd, not a gcd per coefficient
-    operation; num and den read back as tuples of Fraction.  Terms over
-    the same denominator are added and divided without multiplying it in,
-    and a scalar operand touches the numerator only (_pscale): the result
-    has the tuples that the constant _RatFn([x]) over one would give,
-    without a product by the constant one.  Otherwise the quartic's value
-    would grow from degree 6/6 to 14/14 and its roots would lose accuracy.
-
-    The operators are the only definition of the polynomial operations each
-    rational operation makes, same-denominator shortcuts included.  The
-    polynomial operations themselves are the class attributes _mul, _add,
-    _scale, _der, _neg, _same and _reduced, with _scalar to read a scalar
-    operand; _RatFns replaces them with operations on a whole batch of
-    windows."""
-
-    __slots__ = ("_num", "_den")
-
-    _mul = staticmethod(_pmul)
-    _add = staticmethod(_padd)
-    _scale = staticmethod(_pscale)
-    _der = staticmethod(_pder)
-    _scalar = staticmethod(Fraction)
-    _same = staticmethod(operator.eq)
-    _reduced = staticmethod(lambda p: p)  # every polynomial is in lowest terms
-
-    def __init__(self, num, den=(1,)):
-        self._num, self._den = _exact(num), _exact(den)
-
-    @classmethod
-    def _of(cls, num, den) -> "_RatFn":
-        out = object.__new__(cls)
-        out._num, out._den = num, den
-        return out
-
-    @staticmethod
-    def _neg(p) -> tuple:
-        c, d = p
-        return tuple(-x for x in c), d
-
-    @classmethod
-    def _cross(cls, p, q, r, s):
-        """p q - r s for exact polynomials."""
-        return cls._add(cls._mul(p, q), cls._mul(r, s), -1)
-
-    @property
-    def num(self) -> tuple:
-        c, d = self._num
-        return tuple(Fraction(x, d) for x in c)
-
-    @property
-    def den(self) -> tuple:
-        c, d = self._den
-        return tuple(Fraction(x, d) for x in c)
-
-    def __add__(self, other):
-        if not isinstance(other, _RatFn):
-            return self._of(self._add(self._num, self._scale(self._den, self._scalar(other))), self._den)
-        if self._same(self._den, other._den):
-            return self._of(self._add(self._num, other._num), self._den)
-        num = self._add(self._mul(self._num, other._den), self._mul(other._num, self._den))
-        return self._of(num, self._mul(self._den, other._den))
-
-    def __mul__(self, other):
-        if not isinstance(other, _RatFn):
-            return self._of(self._scale(self._num, self._scalar(other)), self._den)
-        return self._of(self._mul(self._num, other._num), self._mul(self._den, other._den))
-
-    def __truediv__(self, other):
-        if not isinstance(other, _RatFn):
-            return self * (1 / self._scalar(other))
-        if self._same(self._den, other._den):
-            return self._of(self._num, other._num)
-        return self._of(self._mul(self._num, other._den), self._mul(self._den, other._num))
-
-    def __neg__(self):
-        return self._of(self._neg(self._num), self._den)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    __radd__, __rmul__ = __add__, __mul__
-
-
 class _Rationals:
     """One rational number per window of a batch, for the scalars of _forms
     on _RatFns (n, k and what is built from them): numerator and
@@ -267,7 +122,7 @@ class _Rationals:
     positive and left unreduced, so that an operation is a few object-array
     operations instead of one Fraction operation per window.  It combines
     with ints, Fractions and itself in either order.  With any other
-    operand, a _RatFn in particular, it returns NotImplemented, so that
+    operand, a _RatFns in particular, it returns NotImplemented, so that
     _RatFns takes it as a scalar operand."""
 
     __slots__ = ("numerator", "denominator")
@@ -331,28 +186,80 @@ class _Rationals:
 _RATIONAL = (int, Fraction, _Rationals)
 
 
-class _RatFns(_RatFn):
-    """The _RatFn of every window of a batch, from one pass of the same
-    operators: _forms runs once for the whole batch.
+class _RatFns:
+    """num(a) / den(a) in every window of a batch, exact: just the
+    arithmetic _forms needs, so that _forms runs once for the whole batch.
 
     A polynomial is an (L, W) object array of Python ints, row i holding
     the coefficient of a^i in each of the W windows, over a (W,) array of
     positive integer denominators.  Operations reduce nothing, so column w
-    of a final polynomial is window w's _lowest tuple up to a common factor
-    and trailing zeros, which change no rational coefficient; only
+    of a final polynomial is window w's rational polynomial up to a common
+    factor and trailing zeros, which change no rational coefficient; only
     _exact_polys reduces the value polynomials (_reduced) before it
     multiplies them.  A scalar operand is an int, a Fraction or a
-    _Rationals, one rational per window (n and k in _forms).  The
-    same-denominator shortcuts are taken only when the denominators agree
-    in every window or in none (_same)."""
+    _Rationals, one rational per window (n and k in _forms); it touches the
+    numerator only (_scale), without a product by a constant polynomial.
+    Otherwise the quartic's value would grow from degree 6/6 to 14/14 and
+    its roots would lose accuracy.  Terms over the same denominator are
+    added and divided without multiplying it in; the shortcut is taken only
+    when the denominators agree in every window or in none (_same).
 
-    __slots__ = ()
+    The operators are the only definition of the polynomial operations each
+    rational operation makes, same-denominator shortcuts included.  The
+    polynomial operations themselves are the class attributes _mul, _add,
+    _scale, _der, _neg, _same and _reduced, with _scalar to read a scalar
+    operand: a subclass that replaces them makes the same rational
+    operations on another representation."""
+
+    __slots__ = ("_num", "_den")
+
+    @classmethod
+    def _of(cls, num, den) -> "_RatFns":
+        out = object.__new__(cls)
+        out._num, out._den = num, den
+        return out
 
     @classmethod
     def variable(cls, count: int) -> "_RatFns":
         """The identity a / 1 in each of count windows."""
         ones = np.ones(count, dtype=object)
         return cls._of((np.array([[0] * count, [1] * count], dtype=object), ones), (ones[None], ones))
+
+    @classmethod
+    def _cross(cls, p, q, r, s):
+        """p q - r s for exact polynomials."""
+        return cls._add(cls._mul(p, q), cls._mul(r, s), -1)
+
+    def __add__(self, other):
+        if not isinstance(other, _RatFns):
+            return self._of(self._add(self._num, self._scale(self._den, self._scalar(other))), self._den)
+        if self._same(self._den, other._den):
+            return self._of(self._add(self._num, other._num), self._den)
+        num = self._add(self._mul(self._num, other._den), self._mul(other._num, self._den))
+        return self._of(num, self._mul(self._den, other._den))
+
+    def __mul__(self, other):
+        if not isinstance(other, _RatFns):
+            return self._of(self._scale(self._num, self._scalar(other)), self._den)
+        return self._of(self._mul(self._num, other._num), self._mul(self._den, other._den))
+
+    def __truediv__(self, other):
+        if not isinstance(other, _RatFns):
+            return self * (1 / self._scalar(other))
+        if self._same(self._den, other._den):
+            return self._of(self._num, other._num)
+        return self._of(self._mul(self._num, other._den), self._mul(self._den, other._num))
+
+    def __neg__(self):
+        return self._of(self._neg(self._num), self._den)
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    __radd__, __rmul__ = __add__, __mul__
 
     @staticmethod
     def _scalar(x):
@@ -363,9 +270,12 @@ class _RatFns(_RatFn):
         """One skewed outer product: row i of a times b is written at the
         start of row i of a buffer whose rows are one longer than the
         product, so that read back with the product's row length, row i
-        starts i places later; the sum over i is the product."""
+        starts i places later; the sum over i is the product.  A constant
+        operand is a scale of the other, by broadcasting."""
         (a, da), (b, db) = p, q
         la, lb, w = len(a), len(b), a.shape[1]
+        if la == 1 or lb == 1:
+            return a * b, da * db
         out = np.zeros((la, la + lb, w), dtype=object)
         np.multiply(a[:, None], b[None], out=out[:, :lb])
         skewed = out.reshape(-1, w)[: la * (la + lb - 1)].reshape(la, la + lb - 1, w)
@@ -374,10 +284,11 @@ class _RatFns(_RatFn):
     @staticmethod
     def _add(p, q, sign: int = 1) -> tuple:
         (a, da), (b, db) = p, q
-        out = np.zeros((max(len(a), len(b)), a.shape[1]), dtype=object)
-        out[: len(a)] = a * db
-        out[: len(b)] += b * (sign * da)
-        return out, da * db
+        a, b = a * db, b * (da if sign == 1 else -da)
+        if len(a) < len(b):
+            a, b = b, a
+        a[: len(b)] += b  # into the longer of two fresh products
+        return a, da * db
 
     @staticmethod
     def _scale(p, f) -> tuple:
@@ -490,17 +401,17 @@ def _flip_roots(roots, owner, exact, lo, hi, k):
     return roots[~drop], owner[~drop]
 
 
-def _exact_polys(x: _RatFn, n, k, tol: float) -> tuple[list, list]:
-    """The exact polynomials of a window, or of a batch of windows when x is
-    a _RatFns, as (domain, extrema); x is the variable a and n, k the
-    window's (Fraction or int), or _Rationals holding one per window.
+def _exact_polys(x: _RatFns, n, k, tol: float) -> tuple[list, list]:
+    """The exact polynomials of a batch of windows, as (domain, extrema); x
+    is the variable a, one column per window, and n, k are _Rationals
+    holding one per window (or, for a one-window x, a Fraction or an int).
 
     domain holds the numerators and denominators of every domain condition,
     whose roots are where a candidate can enter or leave its domain;
     extrema holds the critical-point polynomial of each candidate and the
     crossing polynomial of each pair.  The value polynomials are reduced
-    (_reduced) before those products, which keeps the operands of a batch
-    as short as the per-window engine's.
+    (_reduced) before those products, which keeps their operands short: no
+    wider than the lowest terms of one window's polynomials.
     """
     forms = _forms(n, x, (k * x - 1) / (k - 1))
     t = Fraction(tol)
@@ -512,15 +423,9 @@ def _exact_polys(x: _RatFn, n, k, tol: float) -> tuple[list, list]:
     return domain, extrema
 
 
-def _window_polys(n: int, k: int, tol: float) -> tuple[list, list]:
-    """The exact polynomials of the (n, k) window (_exact_polys on _RatFn)."""
-    return _exact_polys(_RatFn([0, 1]), Fraction(n), k, tol)
-
-
 def _batch_polys(windows: list, tol: float) -> tuple[list, list]:
     """The exact polynomials of every window from one _exact_polys pass on
-    _RatFns, listed as _window_polys lists them; column w of each, reduced,
-    is the _lowest tuple of window w."""
+    _RatFns; column w of each is a polynomial of window w."""
     n, k = (_Rationals.of(col) for col in zip(*windows))
     return _exact_polys(_RatFns.variable(len(windows)), n, k, tol)
 
@@ -533,32 +438,24 @@ def _float_polys(windows: list, tol: float):
     `domain` domain conditions before the extremum polynomials; exact(w, i)
     reads back domain condition i of window w.
 
-    A batch of at least BATCH_MIN_WINDOWS windows comes from one
-    _batch_polys pass, a smaller one from _window_polys window by window.
-    Each coefficient is one true division of ints, which is correctly
-    rounded and never rounds a nonzero c/d to zero: an unreduced batch
-    column gives the doubles of its _lowest tuple with no gcd taken, and the
-    batch's padding is trimmed to its widest nonzero column, so both routes
-    give the same rows bit for bit.
+    The polynomials come from one _batch_polys pass, whatever the number of
+    windows.  Each coefficient is one true division of ints, which is
+    correctly rounded and never rounds a nonzero c/d to zero: an unreduced
+    column gives the doubles of its lowest terms with no gcd taken, and the
+    padding is trimmed to the widest nonzero column, so a window's rows are
+    the same bit for bit in any batch.
     """
-    if len(windows) >= BATCH_MIN_WINDOWS:
-        domain, extrema = _batch_polys(windows, tol)
-        polys = domain + extrema
-        coeffs = np.zeros((len(windows), len(polys), max(len(c) for c, _ in polys)))
-        for i, (c, d) in enumerate(polys):
-            coeffs[:, i, : len(c)] = (c / d).T
+    domain, extrema = _batch_polys(windows, tol)
+    polys = domain + extrema
+    coeffs = np.zeros((len(windows), len(polys), max(len(c) for c, _ in polys)))
+    for i, (c, d) in enumerate(polys):
+        coeffs[:, i, : len(c)] = (c / d).T
 
-        def exact(w, i):
-            return domain[i][0][:, w], domain[i][1][w]
+    def exact(w, i):
+        return domain[i][0][:, w], domain[i][1][w]
 
-        width = np.flatnonzero(coeffs.any(axis=(0, 1)))[-1] + 1  # the widest nonzero column
-        return coeffs[:, :, :width], len(domain), exact
-    polys = [_window_polys(n, k, tol) for n, k in windows]
-    rows = [poly for domain, extrema in polys for poly in domain + extrema]
-    sizes = np.array([len(c) for c, _ in rows], dtype=np.intp).reshape(len(windows), -1)
-    coeffs = np.zeros((*sizes.shape, sizes.max()))
-    coeffs[np.arange(sizes.max()) < sizes[..., None]] = [x / den for c, den in rows for x in c]
-    return coeffs, len(polys[0][0]), lambda w, i: polys[w][0][i]
+    width = np.flatnonzero(coeffs.any(axis=(0, 1)))[-1] + 1  # the widest nonzero column
+    return coeffs[:, :, :width], len(domain), exact
 
 
 def _candidate_points(windows: list, lo, hi, k, tol: float) -> tuple[np.ndarray, ...]:
@@ -693,8 +590,9 @@ def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
 def k_slice(n: int, k: int, tol: float = DEFAULT_TOL) -> KSlice:
     """Maximize Q over the closed window for (n, k) and floor the result.
 
-    A batch of one window for _sweep; omega_hat and table sweep their
-    windows as one batch and do not go through this cache.  tol must
+    A batch of one window for _sweep, built on _RatFns as every batch is;
+    omega_hat and table sweep their windows as one batch and do not go
+    through this cache.  tol must
     satisfy 0 <= tol <= MAX_TOL.
     """
     return _sweep(((n, k),), tol)[0]
@@ -773,10 +671,13 @@ class ProfileSample(NamedTuple):
 
 
 def profile(n: int, k: int, samples: int, tol: float = DEFAULT_TOL) -> list[ProfileSample]:
-    """Uniform samples of Q over the closed window, with the attaining candidates."""
+    """Uniform samples of Q over the closed window, with the attaining
+    candidates.  n and k are taken as Python ints (operator.index), as in
+    _sweep."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
+    n, k = operator.index(n), operator.index(k)
     _check_window(n, k)
     xs = np.linspace(*interval(k), samples)
     q, winning = best_of_samples(candidate_values(n, xs, _b_line(k, xs), tol))
-    return list(map(ProfileSample._make, zip(xs.tolist(), q, winning)))
+    return list(map(tuple.__new__, repeat(ProfileSample), zip(xs.tolist(), q, winning)))

@@ -89,8 +89,8 @@ def test_known_set_is_exactly_two_distance_in_its_window(build, size, n, k, a, b
 
 @pytest.mark.parametrize("build, size, n, k, a, b", SETS, ids=IDS)
 def test_sweep_never_undercuts_a_known_set(build, size, n, k, a, b):
-    # Both routes: k_slice sweeps the window alone on _RatFn, and a batch
-    # that also holds the 78 windows of 7..40 builds it on _RatFns.
+    # Alone and in a batch: k_slice sweeps the window as a batch of one, and
+    # a batch that also holds the 78 windows of 7..40 sweeps it among them.
     lrs.k_slice.cache_clear()
     assert lrs.k_slice(n, k).omega_hat_nk >= size
     batch = [(5, 2), (6, 2)] + [w for m in range(7, 41) for w in lrs._windows(m)]

@@ -14,6 +14,7 @@ from numpy.polynomial import polynomial as npoly
 
 import twodist.bound_polys as bound_polys
 import twodist.lrs as lrs
+from fraction_fns import FractionFns, trimmed, window_polys
 from test_golden_windows import WINDOWS, load as load_golden_windows, record
 from twodist.bound_polys import (
     DEFAULT_TOL, MAX_TOL, InnerProductPair, _forms, best_bound, best_of, candidate_values,
@@ -126,7 +127,7 @@ def test_window_maxima_on_three_way_crossings():
 
 
 def _exact_forms(n, k):
-    x = lrs._RatFn([0, 1])
+    x = FractionFns.of([0, 1])
     return _forms(Fraction(n), x, (k * x - 1) / (k - 1))
 
 
@@ -139,13 +140,13 @@ def test_exact_forms_match_float_forms():
     # must be the same functions candidate_values evaluates in floating point.
     for n, k in [(7, 2), (22, 3), (25, 4)]:
         forms = _exact_forms(n, k)
-        assert [len(f.value.num) - 1 for f in forms] == [2, 4, 3, 6, 4]  # shared denominators kept
+        assert [len(f.value._num) - 1 for f in forms] == [2, 4, 3, 6, 4]  # shared denominators kept
         lo, hi = interval(k)
         for a in np.linspace(lo, hi, 9)[1:-1]:
             floats = candidate_values(n, a, b_k(k, a))[:, 0]
             for form, want in zip(forms, floats):
                 if math.isfinite(want):
-                    got = _at(form.value.num, Fraction(a)) / _at(form.value.den, Fraction(a))
+                    got = _at(form.value._num, Fraction(a)) / _at(form.value._den, Fraction(a))
                     assert abs(float(got) - want) <= 1e-12 * abs(want), (n, k, a)
 
 
@@ -154,7 +155,7 @@ def test_three_way_crossings_are_exact_integers():
         forms = _exact_forms(n, k)
         for i in (1, 3, 4):
             v = forms[i - 1].value
-            assert _at(v.num, a) / _at(v.den, a) == value, (n, i)
+            assert _at(v._num, a) / _at(v._den, a) == value, (n, i)
 
 
 def test_window_bound_respects_trivial_floor():
@@ -328,18 +329,25 @@ def test_slice_validation():
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
 @pytest.mark.parametrize("entry, args", [
     (k_slice, (23, 3)), (omega_hat, (23,)), (g_upper, (23,)), (omega_hat_nk, (40, 4)),
-], ids=["k_slice", "omega_hat", "g_upper", "omega_hat_nk"])
+    (lambda n, k: profile(n, k, 11), (7, 2)), (lambda n, k: q_bound(n, k, 0.1), (7, 2)),
+    (lambda k: b_k(k, 0.1), (3,)), (interval, (3,)),
+], ids=["k_slice", "omega_hat", "g_upper", "omega_hat_nk", "profile", "q_bound", "b_k", "interval"])
 def test_sweep_takes_numpy_integers(entry, args, dtype):
     # Fraction(np.int64) kept numpy integers in the exact coefficients,
     # which overflowed to "Python int too large to convert to C long".
+    # Every n and k is an integer: profile(7.5, 2, 11) gave samples and
+    # q_bound(7, 2.5, 0.1) gave 14.54, both with no error.
     k_slice.cache_clear()
     expected = entry(*args)
     for i in range(len(args)):
         k_slice.cache_clear()
         assert entry(*args[:i], dtype(args[i]), *args[i + 1:]) == expected
-    k_slice.cache_clear()
-    with pytest.raises(TypeError):
-        entry(*args[:-1], float(args[-1]))
+        k_slice.cache_clear()
+        with pytest.raises(TypeError):
+            entry(*args[:i], args[i] + 0.5, *args[i + 1:])
+        k_slice.cache_clear()
+        with pytest.raises(TypeError):
+            entry(*args[:i], float(args[i]), *args[i + 1:])
 
 
 @pytest.mark.parametrize("entry", [
@@ -361,8 +369,7 @@ def test_tolerance_outside_range_is_rejected(entry):
 
 def test_one_batch_equals_the_golden_windows(monkeypatch):
     # Every window of n = 7..60 in one _sweep, in order and shuffled, must
-    # give each window the record it has when swept alone (k_slice, whose
-    # single window is built on _RatFn); the batch is built on _RatFns.
+    # give each window the record it has when swept alone (k_slice).
     batch_polys, batched = lrs._batch_polys, []
     monkeypatch.setattr(
         lrs, "_batch_polys", lambda ws, tol: batched.append(len(ws)) or batch_polys(ws, tol)
@@ -379,11 +386,16 @@ def test_one_batch_equals_the_golden_windows(monkeypatch):
     assert any(w["inf_ranges"] for w in want.values())
 
 
+def _column(c, den) -> tuple:
+    """One window's polynomial, integer coefficients c over den, as
+    FractionFns holds it: Fractions in lowest terms, no trailing zeros."""
+    return trimmed(Fraction(x, den) for x in c)
+
+
 def _columns(poly) -> list[tuple]:
-    """The _lowest tuple of each window of a batch polynomial: its column
-    of integer coefficients over its denominator, reduced."""
+    """The _column of each window of a batch polynomial."""
     c, d = poly
-    return [lrs._lowest(col, den) for col, den in zip(c.T.tolist(), d.tolist())]
+    return [_column(col, den) for col, den in zip(c.T.tolist(), d.tolist())]
 
 
 _MIXED = [w for n in (44, 45, 46, 7, 8, 22, 23, 40) for w in lrs._windows(n)]
@@ -414,30 +426,30 @@ def test_batch_edge_cases_give_the_golden_windows(batch):
 
 @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, MAX_TOL])
 def test_batch_polys_equal_the_window_polys(tol):
-    # The per-window engine is the reference: same domain and extremum
-    # lists, in order, of the same rational polynomials (equal _lowest
-    # tuples once each batch column is reduced), for every window.
+    # The same operators on Fraction tuples, window by window, are the
+    # reference: same domain and extremum lists, in order, of the same
+    # rational polynomials (each batch column reduced), for every window.
     domain, extrema = ([_columns(p) for p in polys] for polys in lrs._batch_polys(WINDOWS, tol))
     got = [(list(d), list(e)) for d, e in zip(zip(*domain), zip(*extrema))]
-    assert got == [lrs._window_polys(n, k, tol) for n, k in WINDOWS]
+    assert got == [window_polys(n, k, tol) for n, k in WINDOWS]
 
 
 @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, MAX_TOL])
-def test_float_rows_of_both_routes_are_bit_identical(monkeypatch, tol):
-    # The batch divides unreduced integers by their denominator, the window
-    # route its _lowest tuples: int true division is correctly rounded, so
-    # the rows, their padding and the exact domain conditions must be the same.
-    routes = []
-    for smallest_batch in (1, len(WINDOWS) + 1):
-        monkeypatch.setattr(lrs, "BATCH_MIN_WINDOWS", smallest_batch)
-        routes.append(lrs._float_polys(WINDOWS, tol))
-    (batch, domain, batch_exact), (single, single_domain, single_exact) = routes
-    assert batch.dtype == single.dtype == np.float64 and batch.shape == single.shape
-    assert batch.tobytes() == single.tobytes()
-    assert domain == single_domain == 24
-    for w in range(len(WINDOWS)):
+def test_float_rows_of_both_routes_are_bit_identical(tol):
+    # The two routes are a window swept alone and the same window among the
+    # 158 of 7..60.  Each divides its unreduced integers by their
+    # denominator, and int true division is correctly rounded, so the rows
+    # and the exact domain conditions must be the same whatever the batch;
+    # the padding may only be wider in the larger batch.
+    batch, domain, batch_exact = lrs._float_polys(WINDOWS, tol)
+    assert batch.dtype == np.float64 and domain == 24
+    for w, window in enumerate(WINDOWS):
+        single, single_domain, single_exact = lrs._float_polys([window], tol)
+        width = single.shape[2]
+        assert single_domain == domain and not batch[w, :, width:].any()
+        assert batch[w, :, :width].tobytes() == single[0].tobytes(), window
         for i in range(domain):
-            assert lrs._lowest(*batch_exact(w, i)) == single_exact(w, i)
+            assert _column(*batch_exact(w, i)) == _column(*single_exact(0, i))
 
 
 def test_batch_same_denominator_shortcut_fails_closed():
@@ -445,7 +457,7 @@ def test_batch_same_denominator_shortcut_fails_closed():
     # denominators agree in both windows (f, f), in neither (f, h) or in one
     # only (f, g), where no single branch is right for the whole batch.
     shifts = {"f": (1, 1), "g": (1, 2), "h": (2, 2)}
-    x, one = lrs._RatFns.variable(2), lrs._RatFn([0, 1])
+    x, one = lrs._RatFns.variable(2), FractionFns.of([0, 1])
     batch = {name: x / (x + lrs._Rationals.of(c)) for name, c in shifts.items()}
     for op in (operator.add, operator.sub, operator.truediv):
         with pytest.raises(ValueError, match="1 of 2 windows"):
@@ -485,10 +497,10 @@ def test_rationals_match_fractions_window_by_window():
         y / x
     with pytest.raises(ZeroDivisionError):
         1 / x
-    # A _RatFn operand is left to _RatFn, which reads x as a scalar operand.
+    # A _RatFns operand is left to _RatFns, which reads x as a scalar operand.
     batch = lrs._RatFns.variable(len(_WINDOW_VALUES))
     for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
-        for other in (lrs._RatFn([0, 1]), batch):
+        for other in (FractionFns.of([0, 1]), batch):
             assert getattr(x, f"__{name}__")(other) is NotImplemented
 
 
@@ -539,19 +551,18 @@ def test_zero_tolerance_table_matches_default():
 def _polyroots_inside(poly, lo, hi):
     """Reference root finder, one polynomial at a time: sorted float.hex of
     the npoly.polyroots roots that pass the same filters as the sweep's."""
-    c, d = poly
-    if len(c) < 2:
+    if len(poly) < 2:
         return []
-    r = npoly.polyroots(np.array([x / d for x in c]))
+    r = npoly.polyroots(np.array([float(x) for x in poly]))
     r = r.real[np.abs(r.imag) <= lrs.ROOT_IMAG_TOL * np.maximum(1.0, np.abs(r.real))]
     return sorted(x.hex() for x in r[(r > lo) & (r < hi)].tolist())
 
 
 def _padded_rows(polys, width=0) -> np.ndarray:
     """Float rows of exact polynomials, zero-padded to the longest one (or width)."""
-    rows = np.zeros((len(polys), max(width, *(len(c) for c, _ in polys))))
-    for row, (c, d) in zip(rows, polys):
-        row[: len(c)] = [x / d for x in c]
+    rows = np.zeros((len(polys), max(width, *map(len, polys))))
+    for row, poly in zip(rows, polys):
+        row[: len(poly)] = [float(x) for x in poly]
     return rows
 
 
@@ -560,7 +571,7 @@ def test_batched_roots_match_polyroots_bit_for_bit():
     for n in range(7, 61):
         for k in range(2, k_max(n) + 1):
             lo, hi = interval(k)
-            domain, extrema = lrs._window_polys(n, k, DEFAULT_TOL)
+            domain, extrema = window_polys(n, k, DEFAULT_TOL)
             polys = domain + extrema
             roots, owner = lrs._real_roots(_padded_rows(polys), lo, hi)
             for i, poly in enumerate(polys):
@@ -575,7 +586,7 @@ def test_real_roots_read_each_degree_from_the_padded_row():
     # and the zero row: the padding is no leading zero coefficient (which
     # would divide by zero in the companion matrix), and the last two rows
     # have no root.
-    polys = [((-1, 1, 12), 12), ((-1, 5), 5), ((7,), 1), ((0,), 1)]
+    polys = [(Fraction(-1, 12), Fraction(1, 12), 1), (Fraction(-1, 5), 1), (7,), (0,)]
     rows = _padded_rows(polys, width=6)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -591,7 +602,7 @@ def test_real_roots_of_a_repeated_row_are_bit_identical():
     # The sweep solves equal rows of a window each time they come: every
     # copy of a row in one stack, whatever stands between the copies, gives
     # the same doubles as the row alone.
-    domain, extrema = lrs._window_polys(23, 3, DEFAULT_TOL)
+    domain, extrema = window_polys(23, 3, DEFAULT_TOL)
     polys = domain + extrema
     lo, hi = interval(3)
     alone = _padded_rows(polys)
@@ -642,8 +653,8 @@ def test_cold_table_solves_each_degree_once_per_window(monkeypatch):
     windows = [(n, k) for n in range(7, 41) for k in range(2, k_max(n) + 1)]
     degrees = 0
     for n, k in windows:
-        domain, extrema = lrs._window_polys(n, k, DEFAULT_TOL)
-        degrees += len({len(c) - 1 for c, _ in domain + extrema if len(c) > 2})
+        domain, extrema = window_polys(n, k, DEFAULT_TOL)
+        degrees += len({len(c) - 1 for c in domain + extrema if len(c) > 2})
     eigvals, shapes = np.linalg.eigvals, []
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: shapes.append(m.shape) or eigvals(m))
     k_slice.cache_clear()
@@ -659,10 +670,10 @@ def test_cold_table_solves_each_degree_once_per_window(monkeypatch):
     "x", [0, -1, -12, 7, Fraction(3, 4), Fraction(-5, 12), Fraction(1e-9), Fraction(-1, 3)]
 )
 def test_scalar_operand_equals_exact_constant(x):
-    exact = lrs._RatFn([x])
-    one = ((1,), 1)
-    assert (lrs._pscale(one, Fraction(x)), one) == (exact._num, exact._den)
-    f = lrs._RatFn([Fraction(1, 2), -3], [2, 0, Fraction(5, 7)])
+    exact = FractionFns.of([x])
+    one = (Fraction(1),)
+    assert (FractionFns._scale(one, Fraction(x)), one) == (exact._num, exact._den)
+    f = FractionFns.of([Fraction(1, 2), -3], [2, 0, Fraction(5, 7)])
     for got, want in [
         (f + x, f + exact), (x + f, exact + f), (f * x, f * exact), (x * f, exact * f),
         (f - x, f - exact), (x - f, exact - f),
@@ -679,7 +690,7 @@ def _random_ratfn(rng):
     den = [1] if rng.random() < 1 / 3 else coeffs(int(rng.integers(0, 4)))
     if all(c == 0 for c in den):
         den = [1]
-    return lrs._RatFn(num, den)
+    return FractionFns.of(num, den)
 
 
 def test_scalar_and_negation_paths_match_the_general_path():
@@ -688,17 +699,17 @@ def test_scalar_and_negation_paths_match_the_general_path():
     for _ in range(60):
         f = _random_ratfn(rng)
         for x in scalars:
-            c = lrs._RatFn([x])
+            c = FractionFns.of([x])
             pairs = [
                 (f + x, f + c), (x + f, c + f), (f - x, f - c), (x - f, c - f),
-                (f * x, f * c), (x * f, c * f), (-f, f * lrs._RatFn([-1])),
+                (f * x, f * c), (x * f, c * f), (-f, f * FractionFns.of([-1])),
             ]
             if x != 0:
-                # f / x is f times the constant 1/x; f / _RatFn([x]) would
-                # instead fold x into the denominator.
-                pairs.append((f / x, f * lrs._RatFn([1 / Fraction(x)])))
+                # f / x is f times the constant 1/x; f / FractionFns.of([x])
+                # would instead fold x into the denominator.
+                pairs.append((f / x, f * FractionFns.of([1 / Fraction(x)])))
             for got, want in pairs:
-                assert (got._num, got._den) == (want._num, want._den), (f.num, f.den, x)
+                assert (got._num, got._den) == (want._num, want._den), (f._num, f._den, x)
 
 
 def _count_eigvals(monkeypatch) -> list:
@@ -711,8 +722,8 @@ def _distinct_degrees(windows) -> int:
     """Distinct polynomial degrees of at least 2 over all windows together."""
     degrees = set()
     for n, k in windows:
-        domain, extrema = lrs._window_polys(n, k, DEFAULT_TOL)
-        degrees |= {len(c) - 1 for c, _ in domain + extrema if len(c) > 2}
+        domain, extrema = window_polys(n, k, DEFAULT_TOL)
+        degrees |= {len(c) - 1 for c in domain + extrema if len(c) > 2}
     return len(degrees)
 
 
@@ -727,56 +738,42 @@ def test_cold_table_solves_each_degree_once_per_batch(monkeypatch, n_min, n_max)
     assert all(len(shape) == 3 for shape in shapes)
 
 
-_SMALLEST_BATCH = [(n, 2) for n in range(7, 7 + lrs.BATCH_MIN_WINDOWS)]
-
-
 @pytest.mark.parametrize(
-    "windows, batched",
-    [
-        ([(23, 3)], False),
-        (lrs._windows(60), False),
-        (_SMALLEST_BATCH[:-1], False),
-        (_SMALLEST_BATCH, True),
-        ([w for n in range(7, 41) for w in lrs._windows(n)], True),
-    ],
-    ids=["one window", "one n", "below the batch size", "smallest batch", "7..40"],
+    "windows",
+    [[(23, 3)], lrs._windows(60), [w for n in range(7, 41) for w in lrs._windows(n)]],
+    ids=["one window", "one n", "7..40"],
 )
-def test_sweep_evaluates_the_float_forms_once(monkeypatch, windows, batched):
+def test_sweep_evaluates_the_float_forms_once(monkeypatch, windows):
     # Both names of _forms are counted: lrs imports it for the exact
-    # rational functions, and bound_polys evaluates it on floats.  A batch
-    # builds its exact polynomials in one _RatFns pass, a smaller sweep in
-    # one _RatFn pass per window; the largest n <= 60 has 4 windows.
+    # rational functions, and bound_polys evaluates it on floats.  Every
+    # sweep, one window included, builds its exact polynomials in one
+    # _RatFns pass.
     operands = []
     for module in (lrs, bound_polys):
         monkeypatch.setattr(module, "_forms", lambda n, a, b: operands.append(type(a)) or _forms(n, a, b))
     lrs._sweep(windows, DEFAULT_TOL)
-    exact = [t for t in operands if t is not np.ndarray]
-    assert exact == ([lrs._RatFns] if batched else [lrs._RatFn] * len(windows))
+    assert [t for t in operands if t is not np.ndarray] == [lrs._RatFns]
     assert operands.count(np.ndarray) == 1
 
 
 def test_cold_table_stays_cold(monkeypatch):
     # A memo of roots or of exact polynomials that outlived a call would make
     # the second table solve smaller stacks or multiply fewer polynomials.
-    # table(7, 40) is one _RatFns batch and table(40, 40) three _RatFn
-    # windows, so the products of both engines are counted.
+    # table(7, 40), a batch of 78 windows, and table(40, 40), one of three,
+    # each make one _RatFns pass.
     shapes = _count_eigvals(monkeypatch)
-    products = []
-
-    def counting(cls):
-        mul = cls._mul
-        return staticmethod(lambda p, q: products.append(cls) or mul(p, q))
-
-    for cls in (lrs._RatFn, lrs._RatFns):
-        monkeypatch.setattr(cls, "_mul", counting(cls))
+    products, passes = [], []
+    mul, exact_polys = lrs._RatFns._mul, lrs._exact_polys
+    monkeypatch.setattr(lrs._RatFns, "_mul", staticmethod(lambda p, q: products.append(p) or mul(p, q)))
+    monkeypatch.setattr(lrs, "_exact_polys", lambda x, *args: passes.append(type(x)) or exact_polys(x, *args))
     runs = []
     for _ in range(2):
         k_slice.cache_clear()
-        del shapes[:], products[:]
+        del shapes[:], products[:], passes[:]
         tables = table(7, 40), table(40, 40)
-        runs.append((tables, list(shapes), products.count(lrs._RatFn), products.count(lrs._RatFns)))
+        runs.append((tables, list(shapes), len(products), list(passes)))
     assert runs[0] == runs[1]
-    assert runs[0][1] and runs[0][2] and runs[0][3]
+    assert runs[0][1] and runs[0][2] and runs[0][3] == [lrs._RatFns] * 2
 
 
 def test_sweep_leaves_out_numpy_ma():
