@@ -2,8 +2,8 @@
 
 Subcommands: table, profile, bound, verify-lambda, independence,
 delsarte-check.  Each takes only the options it reads (listed in _COMMANDS);
-any other option is a usage error.  table's --grid and --seed change no
-result and are kept so that existing command lines keep working.
+any other option is a usage error.  table's --grid, --tol and --seed change
+no result and are kept so that existing command lines keep working.
 
 Output formats: csv (comment-row provenance, exact headers), json (meta
 object + rows, samples or result, and best for bound), pretty.  The
@@ -205,7 +205,7 @@ def cmd_table(args: argparse.Namespace) -> _Report:
         raise UsageError(
             f"need 7 <= n-min <= n-max <= {MAX_TABLE_N}, got {args.n_min}..{args.n_max}"
         )
-    rows = table(args.n_min, args.n_max, tol=args.tol)
+    rows = table(args.n_min, args.n_max)
     p = args.precision
 
     def pretty():

@@ -54,7 +54,6 @@ from .bound_polys import (
     best_bound,
     best_of_samples,
     candidate_values,
-    check_tol,
     floor_nudged,
 )
 
@@ -66,6 +65,8 @@ WINDOW_SLACK = 1e-12
 # near sqrt(machine epsilon).  Keeping every root this close to the real
 # axis is safe: each kept point only adds a true value of the bound.
 ROOT_IMAG_TOL = 1e-6
+# Every sweep decides its domain (f0 > tol, fj >= -tol) at tol = DEFAULT_TOL.
+_EXACT_TOL = Fraction(DEFAULT_TOL)
 
 
 def b_k(k: int, a: float) -> float:
@@ -401,7 +402,7 @@ def _flip_roots(roots, owner, exact, lo, hi, k):
     return roots[~drop], owner[~drop]
 
 
-def _exact_polys(x: _RatFns, n, k, tol: float) -> tuple[list, list]:
+def _exact_polys(x: _RatFns, n, k) -> tuple[list, list]:
     """The exact polynomials of a batch of windows, as (domain, extrema); x
     is the variable a, one column per window, and n, k are _Rationals
     holding one per window (or, for a one-window x, a Fraction or an int).
@@ -414,8 +415,8 @@ def _exact_polys(x: _RatFns, n, k, tol: float) -> tuple[list, list]:
     wider than the lowest terms of one window's polynomials.
     """
     forms = _forms(n, x, (k * x - 1) / (k - 1))
-    t = Fraction(tol)
-    conditions = [c for f in forms for c in (f.f0 - t, f.fj + t, f.divisor) if c is not None]
+    shifted = ((f.f0 - _EXACT_TOL, f.fj + _EXACT_TOL, f.divisor) for f in forms)
+    conditions = [c for triple in shifted for c in triple if c is not None]
     domain = [poly for c in conditions for poly in (c._num, c._den)]
     values = [(x._reduced(f.value._num), x._reduced(f.value._den)) for f in forms]
     extrema = [x._cross(x._der(num), den, num, x._der(den)) for num, den in values]
@@ -423,14 +424,14 @@ def _exact_polys(x: _RatFns, n, k, tol: float) -> tuple[list, list]:
     return domain, extrema
 
 
-def _batch_polys(windows: list, tol: float) -> tuple[list, list]:
+def _batch_polys(windows: list) -> tuple[list, list]:
     """The exact polynomials of every window from one _exact_polys pass on
     _RatFns; column w of each is a polynomial of window w."""
     n, k = (_Rationals.of(col) for col in zip(*windows))
-    return _exact_polys(_RatFns.variable(len(windows)), n, k, tol)
+    return _exact_polys(_RatFns.variable(len(windows)), n, k)
 
 
-def _float_polys(windows: list, tol: float):
+def _float_polys(windows: list):
     """The exact polynomials of every window as rows of floats.
 
     Returns (coeffs, domain, exact): coeffs[w, i] holds polynomial i of
@@ -445,7 +446,7 @@ def _float_polys(windows: list, tol: float):
     padding is trimmed to the widest nonzero column, so a window's rows are
     the same bit for bit in any batch.
     """
-    domain, extrema = _batch_polys(windows, tol)
+    domain, extrema = _batch_polys(windows)
     polys = domain + extrema
     coeffs = np.zeros((len(windows), len(polys), max(len(c) for c, _ in polys)))
     for i, (c, d) in enumerate(polys):
@@ -458,7 +459,7 @@ def _float_polys(windows: list, tol: float):
     return coeffs[:, :, :width], len(domain), exact
 
 
-def _candidate_points(windows: list, lo, hi, k, tol: float) -> tuple[np.ndarray, ...]:
+def _candidate_points(windows: list, lo, hi, k) -> tuple[np.ndarray, ...]:
     """Domain flips and interior extremum candidates of every window.
 
     Returns (flips, flip_window, extrema, extremum_window): the a where some
@@ -469,7 +470,7 @@ def _candidate_points(windows: list, lo, hi, k, tol: float) -> tuple[np.ndarray,
     a polynomial that appears twice in a window gives the same roots twice,
     which _sweep merges into one point.
     """
-    coeffs, domain, exact = _float_polys(windows, tol)
+    coeffs, domain, exact = _float_polys(windows)
     polys = coeffs.shape[1]
     window, index = np.divmod(np.arange(len(windows) * polys), polys)
     lo, hi, k = lo[window], hi[window], k[window]
@@ -508,7 +509,7 @@ def _stretches(edges: np.ndarray, empty: np.ndarray) -> tuple[tuple[float, float
     return tuple((float(edges[i]), float(edges[j])) for i, j in zip(starts, ends))
 
 
-def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
+def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
     """Maximize Q over each closed (n, k) window of windows and floor the
     result; one KSlice per window, in order.  Every sweep goes through here.
 
@@ -534,14 +535,13 @@ def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
     bit, in any batch.  n and k are taken as Python ints (operator.index),
     so numpy integers work and floats raise TypeError.
     """
-    check_tol(tol)
     windows = [(operator.index(n), operator.index(k)) for n, k in windows]
     for n, k in windows:
         _check_window(n, k)
     ids = np.arange(len(windows))
     n, k = np.array(windows, dtype=float).T
     lo, hi = (2.0 - k) / k, 1.0 / (2.0 * k - 1.0)  # interval(k), one entry per window
-    flips, flip_window, extrema, extremum_window = _candidate_points(windows, lo, hi, k, tol)
+    flips, flip_window, extrema, extremum_window = _candidate_points(windows, lo, hi, k)
     # Ends and flips are edges; equal values of one window are one point, an
     # edge if any of them is, since the stable lexsort keeps the edges first.
     a = np.concatenate((lo, hi, flips, extrema))
@@ -556,7 +556,7 @@ def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
     mids, mw = ((ea[:-1] + ea[1:]) / 2)[inside], ew[1:][inside]
     # The piece midpoints of every window, then its points, in one evaluation.
     at, x = np.concatenate((mw, xw)), np.concatenate((mids, xs))
-    values, in_domain = _float_forms(n[at], x, _b_line(k[at], x), tol)
+    values, in_domain = _float_forms(n[at], x, _b_line(k[at], x), DEFAULT_TOL)
     pieces = mids.size
     active = in_domain[:, :pieces] & np.isfinite(values[:, :pieces])
     empty = ~active.any(axis=0)
@@ -586,33 +586,33 @@ def _sweep(windows: Sequence[tuple[int, int]], tol: float) -> list[KSlice]:
     return slices
 
 
-@lru_cache(maxsize=512)
-def k_slice(n: int, k: int, tol: float = DEFAULT_TOL) -> KSlice:
+@lru_cache(maxsize=512, typed=True)
+def k_slice(n: int, k: int) -> KSlice:
     """Maximize Q over the closed window for (n, k) and floor the result.
 
     A batch of one window for _sweep, built on _RatFns as every batch is;
     omega_hat and table sweep their windows as one batch and do not go
-    through this cache.  tol must
-    satisfy 0 <= tol <= MAX_TOL.
+    through this cache.  The cache is typed, so a float n or k raises
+    TypeError on a warm cache too.
     """
-    return _sweep(((n, k),), tol)[0]
+    return _sweep(((n, k),))[0]
 
 
-def phi(n: int, k: int, tol: float = DEFAULT_TOL) -> float:
+def phi(n: int, k: int) -> float:
     """Maximum of Q over the closed window; +inf when inconclusive."""
-    return k_slice(n, k, tol).phi
+    return k_slice(n, k).phi
 
 
-def omega_hat_nk(n: int, k: int, tol: float = DEFAULT_TOL) -> int | float:
+def omega_hat_nk(n: int, k: int) -> int | float:
     """Cardinality bound for the (n, k) window (an integer, or +inf)."""
-    return k_slice(n, k, tol).omega_hat_nk
+    return k_slice(n, k).omega_hat_nk
 
 
-def omega_hat(n: int, tol: float = DEFAULT_TOL) -> tuple[int | float, int]:
+def omega_hat(n: int) -> tuple[int | float, int]:
     """Worst (largest) window bound over k = 2..k_max(n), with the smallest k attaining it."""
     if n < 7:
         raise ValueError(f"the sweep bound requires n >= 7, got {n}")
-    return _worst(_sweep(_windows(n), tol))
+    return _worst(_sweep(_windows(n)))
 
 
 def _windows(n: int) -> list[tuple[int, int]]:
@@ -635,9 +635,9 @@ def rho(n: int) -> int:
     return n * (n + 1) // 2
 
 
-def g_upper(n: int, tol: float = DEFAULT_TOL) -> int | float:
+def g_upper(n: int) -> int | float:
     """Upper bound for the maximum two-distance set size in R^n (n >= 7)."""
-    return max(omega_hat(n, tol)[0], rho(n))
+    return max(omega_hat(n)[0], rho(n))
 
 
 @dataclass(frozen=True)
@@ -650,13 +650,13 @@ class TableRow:
     conclusive: bool
 
 
-def table(n_min: int, n_max: int, tol: float = DEFAULT_TOL) -> list[TableRow]:
+def table(n_min: int, n_max: int) -> list[TableRow]:
     """Bound table rows for n_min..n_max; inconclusive rows are flagged, not fatal.
 
     Every window of the range is swept in one batch."""
     if not 7 <= n_min <= n_max:
         raise ValueError(f"need 7 <= n_min <= n_max, got {n_min}..{n_max}")
-    slices = _sweep([w for n in range(n_min, n_max + 1) for w in _windows(n)], tol)
+    slices = _sweep([w for n in range(n_min, n_max + 1) for w in _windows(n)])
     rows = []
     for n, group in groupby(slices, key=lambda sl: sl.n):
         w, ks = _worst(list(group))

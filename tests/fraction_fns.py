@@ -61,7 +61,7 @@ class FractionFns(lrs._RatFns):
 
 
 @lru_cache(maxsize=None)
-def window_polys(n: int, k: int, tol: float) -> tuple[list, list]:
+def window_polys(n: int, k: int) -> tuple[list, list]:
     """The exact polynomials of the (n, k) window, as lrs._exact_polys lists
     them, from one pass of the closed forms on FractionFns."""
-    return lrs._exact_polys(FractionFns.of([0, 1]), Fraction(n), k, tol)
+    return lrs._exact_polys(FractionFns.of([0, 1]), Fraction(n), k)

@@ -507,6 +507,14 @@ def test_tolerance_range_ends_are_accepted(capsys):
     assert code == 2 and default == "certificate rejected: negative Gegenbauer coefficient f_1 = -0.9\n"
     for tol in ("0", "1e-6"):
         assert run(capsys, argv + ["--tol", tol])[:2] == (2, default)
+    # table's --tol changes no result, only the echo in its # line: a + b = 0
+    # at every window's right end once cut a sliver piece at tol 0 (n = 15 gave 398).
+    argv = ["table", "--n-min", "7", "--n-max", "60", "--format", "csv"]
+    code, default, _ = run(capsys, argv)
+    assert code == 0 and "tol=1e-09" in default.splitlines()[0]
+    for tol in ("0", "1e-6"):
+        code, out, _ = run(capsys, argv + ["--tol", tol])
+        assert code == 0 and out == default.replace("tol=1e-09", f"tol={float(tol)}", 1)
 
 
 def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import twodist.lrs as lrs
-from twodist.bound_polys import DEFAULT_TOL, floor_nudged
+from twodist.bound_polys import floor_nudged
 from twodist.constructions import UnitPointSet, verify_two_distance
 
 
@@ -94,7 +94,7 @@ def test_sweep_never_undercuts_a_known_set(build, size, n, k, a, b):
     lrs.k_slice.cache_clear()
     assert lrs.k_slice(n, k).omega_hat_nk >= size
     batch = [(5, 2), (6, 2)] + [w for m in range(7, 41) for w in lrs._windows(m)]
-    slices = lrs._sweep(batch, DEFAULT_TOL)
+    slices = lrs._sweep(batch)
     assert slices[batch.index((n, k))].omega_hat_nk >= size
     assert floor_nudged(lrs.q_bound(n, k, float(a))) >= size
 

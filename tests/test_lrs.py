@@ -1,5 +1,4 @@
-import dataclasses
-import hashlib
+import inspect
 import json
 import math
 import operator
@@ -322,8 +321,6 @@ def test_slice_validation():
         k_slice(10, 1)
     with pytest.raises(ValueError):
         k_slice(10, 3)  # k_max(10) == 2
-    with pytest.raises(ValueError):
-        k_slice(10, 2, math.nan)
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -336,49 +333,52 @@ def test_sweep_takes_numpy_integers(entry, args, dtype):
     # Fraction(np.int64) kept numpy integers in the exact coefficients,
     # which overflowed to "Python int too large to convert to C long".
     # Every n and k is an integer: profile(7.5, 2, 11) gave samples and
-    # q_bound(7, 2.5, 0.1) gave 14.54, both with no error.
+    # q_bound(7, 2.5, 0.1) gave 14.54, both with no error.  The k_slice
+    # cache is typed: warm, it returned the KSlice of (23, 3) for (23.0, 3).
     k_slice.cache_clear()
     expected = entry(*args)
     for i in range(len(args)):
         k_slice.cache_clear()
-        assert entry(*args[:i], dtype(args[i]), *args[i + 1:]) == expected
-        k_slice.cache_clear()
         with pytest.raises(TypeError):
             entry(*args[:i], args[i] + 0.5, *args[i + 1:])
-        k_slice.cache_clear()
-        with pytest.raises(TypeError):
-            entry(*args[:i], float(args[i]), *args[i + 1:])
+        for prepare in (k_slice.cache_clear, lambda: entry(*args)):  # a cold cache, then a warm one
+            prepare()
+            assert entry(*args[:i], dtype(args[i]), *args[i + 1:]) == expected
+            prepare()
+            with pytest.raises(TypeError):
+                entry(*args[:i], float(args[i]), *args[i + 1:])
 
 
 @pytest.mark.parametrize("entry", [
-    lambda tol: k_slice(22, 3, tol),
-    lambda tol: omega_hat(22, tol),
-    lambda tol: g_upper(22, tol),
-    lambda tol: table(7, 9, tol),
     lambda tol: profile(22, 3, 5, tol),
     lambda tol: q_bound(22, 3, 0.1, tol),
-], ids=["k_slice", "omega_hat", "g_upper", "table", "profile", "q_bound"])
+], ids=["profile", "q_bound"])
 def test_tolerance_outside_range_is_rejected(entry):
-    # A negative tol let (22, 3) report phi = 4.3e14 as conclusive, and
-    # tol = 0.5 gave all-inf table rows: both with no error.
+    # The tol of a caller's points: out of range it is an error, as a
+    # negative tol once let the sweep report phi(22, 3) = 4.3e14 as conclusive.
     for tol in (-1e-3, -1e-12, 0.5, 2 * MAX_TOL, math.inf, math.nan):
         with pytest.raises(ValueError, match=r"tolerance must satisfy 0 <= tol <= 1e-06"):
             entry(tol)
     entry(MAX_TOL)
 
 
+def test_sweep_takes_no_tolerance():
+    # A sweep decides its domain at DEFAULT_TOL: no stage of it takes a tol.
+    sweep = [k_slice, phi, omega_hat_nk, omega_hat, g_upper, table, lrs._sweep,
+             lrs._candidate_points, lrs._float_polys, lrs._batch_polys, lrs._exact_polys]
+    assert [f.__name__ for f in sweep if "tol" in inspect.signature(f).parameters] == []
+
+
 def test_one_batch_equals_the_golden_windows(monkeypatch):
     # Every window of n = 7..60 in one _sweep, in order and shuffled, must
     # give each window the record it has when swept alone (k_slice).
     batch_polys, batched = lrs._batch_polys, []
-    monkeypatch.setattr(
-        lrs, "_batch_polys", lambda ws, tol: batched.append(len(ws)) or batch_polys(ws, tol)
-    )
+    monkeypatch.setattr(lrs, "_batch_polys", lambda ws: batched.append(len(ws)) or batch_polys(ws))
     want = {(w["n"], w["k"]): w for w in load_golden_windows()}
     windows = list(want)
     shuffled = [windows[i] for i in np.random.default_rng(10).permutation(len(windows))]
     for batch in (windows, shuffled):
-        slices = lrs._sweep(batch, DEFAULT_TOL)
+        slices = lrs._sweep(batch)
         assert [(sl.n, sl.k) for sl in slices] == batch
         for sl in slices:
             assert record(sl) == want[(sl.n, sl.k)]
@@ -415,7 +415,7 @@ def test_batch_edge_cases_give_the_golden_windows(batch):
     # Repeated windows, inconclusive windows (n = 44..46) shuffled among
     # conclusive ones and one-window batches: each window gets its record.
     want = {(w["n"], w["k"]): w for w in load_golden_windows()}
-    slices = lrs._sweep(batch, DEFAULT_TOL)
+    slices = lrs._sweep(batch)
     assert [(sl.n, sl.k) for sl in slices] == batch
     for sl in slices:
         assert record(sl) == want[(sl.n, sl.k)]
@@ -424,32 +424,60 @@ def test_batch_edge_cases_give_the_golden_windows(batch):
         assert any(sl.inf_ranges for sl in slices)
 
 
-@pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, MAX_TOL])
-def test_batch_polys_equal_the_window_polys(tol):
+def test_batch_polys_equal_the_window_polys():
     # The same operators on Fraction tuples, window by window, are the
     # reference: same domain and extremum lists, in order, of the same
     # rational polynomials (each batch column reduced), for every window.
-    domain, extrema = ([_columns(p) for p in polys] for polys in lrs._batch_polys(WINDOWS, tol))
+    domain, extrema = ([_columns(p) for p in polys] for polys in lrs._batch_polys(WINDOWS))
     got = [(list(d), list(e)) for d, e in zip(zip(*domain), zip(*extrema))]
-    assert got == [window_polys(n, k, tol) for n, k in WINDOWS]
+    assert got == [window_polys(n, k) for n, k in WINDOWS]
 
 
-@pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL, MAX_TOL])
-def test_float_rows_of_both_routes_are_bit_identical(tol):
+def test_float_rows_of_both_routes_are_bit_identical():
     # The two routes are a window swept alone and the same window among the
     # 158 of 7..60.  Each divides its unreduced integers by their
     # denominator, and int true division is correctly rounded, so the rows
     # and the exact domain conditions must be the same whatever the batch;
     # the padding may only be wider in the larger batch.
-    batch, domain, batch_exact = lrs._float_polys(WINDOWS, tol)
+    batch, domain, batch_exact = lrs._float_polys(WINDOWS)
     assert batch.dtype == np.float64 and domain == 24
     for w, window in enumerate(WINDOWS):
-        single, single_domain, single_exact = lrs._float_polys([window], tol)
+        single, single_domain, single_exact = lrs._float_polys([window])
         width = single.shape[2]
         assert single_domain == domain and not batch[w, :, width:].any()
         assert batch[w, :, :width].tobytes() == single[0].tobytes(), window
         for i in range(domain):
             assert _column(*batch_exact(w, i)) == _column(*single_exact(0, i))
+
+
+def test_flip_guard_drops_the_roots_of_conditions_that_vanish_at_an_end(monkeypatch):
+    # A domain condition can vanish exactly at a window end (a + b = 0 at
+    # a = 1/(2k - 1)), and its float root can land just inside.  Over 7..60 the
+    # guard drops such roots, each checked against the Fraction reference
+    # polynomial of its condition, and keeps none.
+    guard, calls = lrs._flip_roots, []
+
+    def recording(roots, owner, *args):
+        kept = guard(roots, owner, *args)
+        calls.append((roots, owner, *kept))
+        return kept
+
+    monkeypatch.setattr(lrs, "_flip_roots", recording)
+    lrs._sweep(WINDOWS)
+    ((roots, owner, kept, kept_owner),) = calls
+    polys = sum(map(len, window_polys(*WINDOWS[0])))  # rows per window
+
+    def at_a_vanishing_end(root, j):
+        (n, k), i = WINDOWS[j // polys], j % polys
+        return any(
+            abs(root - end) <= lrs.WINDOW_SLACK and _at(window_polys(n, k)[0][i], end) == 0
+            for end in lrs._exact_interval(k)
+        )
+
+    kept_pairs = set(zip(kept.tolist(), kept_owner.tolist()))
+    dropped = [pair for pair in zip(roots.tolist(), owner.tolist()) if pair not in kept_pairs]
+    assert dropped and all(at_a_vanishing_end(*pair) for pair in dropped)
+    assert not any(at_a_vanishing_end(*pair) for pair in kept_pairs)
 
 
 def test_batch_same_denominator_shortcut_fails_closed():
@@ -529,7 +557,7 @@ def test_batch_products_take_reduced_operands(monkeypatch):
         return mul(p, q)
 
     monkeypatch.setattr(lrs._RatFns, "_mul", staticmethod(measuring))
-    lrs._batch_polys([w for n in range(7, 41) for w in lrs._windows(n)], DEFAULT_TOL)
+    lrs._batch_polys([w for n in range(7, 41) for w in lrs._windows(n)])
     assert 0 < widest[0] < 64
 
 
@@ -539,11 +567,15 @@ def test_table_equals_rows_from_omega_hat():
         assert row == TableRow(row.n, w, rho(row.n), ks, max(w, rho(row.n)), math.isfinite(w))
 
 
-def test_zero_tolerance_table_matches_default():
+def test_zero_tolerance_table_matches_default(monkeypatch):
     # a + b = 0 exactly at the right end 1/(2k - 1) of every window; its float
     # root used to land an ulp inside and cut off a sliver piece whose
     # candidate set was read at the degenerate point (n = 15 gave 398).
-    zero, default = table(7, 60, tol=0.0), table(7, 60)
+    # The sweep's one tolerance is set to 0 in both its exact and float stages.
+    default = table(7, 60)
+    monkeypatch.setattr(lrs, "DEFAULT_TOL", 0.0)
+    monkeypatch.setattr(lrs, "_EXACT_TOL", Fraction(0))
+    zero = table(7, 60)
     assert [r.omega_hat for r in zero] == [r.omega_hat for r in default]
     assert zero == default
 
@@ -571,7 +603,7 @@ def test_batched_roots_match_polyroots_bit_for_bit():
     for n in range(7, 61):
         for k in range(2, k_max(n) + 1):
             lo, hi = interval(k)
-            domain, extrema = window_polys(n, k, DEFAULT_TOL)
+            domain, extrema = window_polys(n, k)
             polys = domain + extrema
             roots, owner = lrs._real_roots(_padded_rows(polys), lo, hi)
             for i, poly in enumerate(polys):
@@ -602,7 +634,7 @@ def test_real_roots_of_a_repeated_row_are_bit_identical():
     # The sweep solves equal rows of a window each time they come: every
     # copy of a row in one stack, whatever stands between the copies, gives
     # the same doubles as the row alone.
-    domain, extrema = window_polys(23, 3, DEFAULT_TOL)
+    domain, extrema = window_polys(23, 3)
     polys = domain + extrema
     lo, hi = interval(3)
     alone = _padded_rows(polys)
@@ -617,43 +649,11 @@ def test_real_roots_of_a_repeated_row_are_bit_identical():
     assert tested > 10
 
 
-def _slice_digest(slices) -> str:
-    """SHA-256 of every field of every KSlice, floats as float.hex."""
-
-    def text(value):
-        if isinstance(value, float):
-            return value.hex()
-        if isinstance(value, tuple):
-            return "(" + ",".join(map(text, value)) + ")"
-        return repr(value)
-
-    lines = (" ".join(text(getattr(sl, f.name)) for f in dataclasses.fields(sl)) for sl in slices)
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
-
-
-# Recorded for the 158 windows of 7..60 before the sweep stopped merging
-# equal rows of a window ahead of the root finder; tests/golden/windows.json
-# pins the default tol only.  At tol 0 one more row of each window repeats
-# another: domain condition 15 equals domain condition 12.
-_SLICE_DIGESTS = {
-    0.0: "a3e8e5667129e21d697b301fd7cc3bfb02397542a6ab6278e9a3db275c8ef137",
-    MAX_TOL: "f2a0674e8e470631937d39d33cdb524ca00b0f724f68059a5f80c91de57e905f",
-}
-
-
-@pytest.mark.parametrize("tol", sorted(_SLICE_DIGESTS))
-@pytest.mark.parametrize("batched", [True, False], ids=["one batch", "per window"])
-def test_sweep_digest_at_the_tolerance_ends(tol, batched):
-    slices = lrs._sweep(WINDOWS, tol) if batched else [lrs._sweep([w], tol)[0] for w in WINDOWS]
-    assert len(slices) == 158
-    assert _slice_digest(slices) == _SLICE_DIGESTS[tol]
-
-
 def test_cold_table_solves_each_degree_once_per_window(monkeypatch):
     windows = [(n, k) for n in range(7, 41) for k in range(2, k_max(n) + 1)]
     degrees = 0
     for n, k in windows:
-        domain, extrema = window_polys(n, k, DEFAULT_TOL)
+        domain, extrema = window_polys(n, k)
         degrees += len({len(c) - 1 for c in domain + extrema if len(c) > 2})
     eigvals, shapes = np.linalg.eigvals, []
     monkeypatch.setattr(np.linalg, "eigvals", lambda m: shapes.append(m.shape) or eigvals(m))
@@ -722,7 +722,7 @@ def _distinct_degrees(windows) -> int:
     """Distinct polynomial degrees of at least 2 over all windows together."""
     degrees = set()
     for n, k in windows:
-        domain, extrema = window_polys(n, k, DEFAULT_TOL)
+        domain, extrema = window_polys(n, k)
         degrees |= {len(c) - 1 for c in domain + extrema if len(c) > 2}
     return len(degrees)
 
@@ -751,7 +751,7 @@ def test_sweep_evaluates_the_float_forms_once(monkeypatch, windows):
     operands = []
     for module in (lrs, bound_polys):
         monkeypatch.setattr(module, "_forms", lambda n, a, b: operands.append(type(a)) or _forms(n, a, b))
-    lrs._sweep(windows, DEFAULT_TOL)
+    lrs._sweep(windows)
     assert [t for t in operands if t is not np.ndarray] == [lrs._RatFns]
     assert operands.count(np.ndarray) == 1
 
