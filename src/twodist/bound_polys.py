@@ -172,7 +172,8 @@ _SHAPES = {1: (2, 1), 2: (3, 2), 3: (3, 1), 4: (4, 3), 5: (4, 1)}
 
 def _regular(form: _Form):
     """False where the form divides by a singular divisor: one below
-    SINGULAR_REL_TOL * max(1, scale())."""
+    SINGULAR_REL_TOL * max(1, scale()).  For the array routes; candidates
+    applies this rule and _in_domain's on Python floats."""
     if form.divisor is None:
         return True
     return np.abs(form.divisor) >= SINGULAR_REL_TOL * np.maximum(1.0, form.scale())
@@ -197,18 +198,22 @@ def candidates(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[Candid
     n = pair.n
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         forms = _forms(n, np.float64(pair.a), np.float64(pair.b))
-        regular = [bool(_regular(form)) for form in forms]
-        verdicts = [bool(_in_domain(form, tol)) for form in forms]
     out = []
-    for i, form, ok, in_domain in zip(CANDIDATE_INDICES, forms, regular, verdicts):
-        if not ok:
-            out.append(_undefined(i))
-            continue
+    for i, form in zip(CANDIDATE_INDICES, forms):
+        # _regular and _in_domain, decided once on Python floats.  A NaN
+        # scale leaves the divisor singular, as np.maximum passes NaN on.
+        if form.divisor is not None:
+            scale = float(form.scale())
+            if not abs(float(form.divisor)) >= SINGULAR_REL_TOL * (1.0 if scale <= 1.0 else scale):
+                out.append(_undefined(i))
+                continue
+        f0, fj = float(form.f0), float(form.fj)
+        in_domain = fj >= -tol and f0 > tol
         c = None if form.c is None else float(form.c)
         d = None if form.d is None else float(form.d)
         deg, slot = _SHAPES[i]
         f = [0.0] * (deg + 1)
-        f[0], f[slot], f[deg] = float(form.f0), float(form.fj), 1.0 / _gegenbauer_coeffs(n, deg)[deg]
+        f[0], f[slot], f[deg] = f0, fj, 1.0 / _gegenbauer_coeffs(n, deg)[deg]
         value = float(form.value) if in_domain else math.inf
         out.append(CandidateBound(i, c, d, GegenbauerExpansion(n, f), in_domain, value))
     return tuple(out)
@@ -316,12 +321,13 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
     must satisfy 0 <= tol <= MAX_TOL.
     """
     check_tol(tol)
-    f = expansion.coeffs
-    if not np.all(np.isfinite(f)):
-        k = int(np.argmin(np.isfinite(f)))
+    f = expansion.coeffs.tolist()
+    k = next((k for k, x in enumerate(f) if not math.isfinite(x)), None)
+    if k is not None:
         return DelsarteCheck(None, f"non-finite Gegenbauer coefficient f_{k} = {f[k]}")
-    if np.any(f < -tol):
-        k = int(np.argmin(f))
+    low = min(f)
+    if low < -tol:
+        k = f.index(low)  # the first smallest, as np.argmin picks
         return DelsarteCheck(None, f"negative Gegenbauer coefficient f_{k} = {f[k]:.6g}")
     if not f[0] > tol:
         return DelsarteCheck(None, f"nonpositive constant coefficient f_0 = {f[0]:.6g}")
@@ -330,7 +336,7 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
         if not val <= tol:  # a NaN value rejects the certificate
             return DelsarteCheck(None, f"positive value f({t:.6g}) = {val:.6g} on the inner-product set")
     with np.errstate(over="ignore"):
-        ratio = float(f.sum()) / float(f[0])
+        ratio = float(expansion.coeffs.sum()) / f[0]
     if not math.isfinite(ratio):  # f(1) overflows
         return DelsarteCheck(None, f"non-finite bound f(1)/f_0 = {ratio}")
     return DelsarteCheck(floor_nudged(ratio), None)

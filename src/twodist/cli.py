@@ -13,6 +13,12 @@ parsed, except --format and --out.  Exit codes: 0 success, 1 usage error
 3 inconclusive bound under --strict.  All output is deterministic for fixed
 flags.
 
+main parses argv in one argparse pass: argv that starts with a command name
+goes straight to that command's subparser, with the name already in the
+namespace, which is all the top-level parser would add.  Anything else (no
+command, an unknown one, options before it) goes through the top-level
+parser, so namespaces, usage errors and help read as they would there.
+
 Each command computes its result once and returns a _Report that holds its
 records as columns; _render turns it into the one format asked for, column
 by column.
@@ -29,7 +35,7 @@ import shlex
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import compress, count, repeat
+from itertools import chain, compress, count, islice, repeat
 
 from . import __version__
 from .bound_polys import (
@@ -51,6 +57,12 @@ CENTER_TOL = 1e-9
 # Namespace entries left out of provenance: the subcommand's name, and the
 # options that only direct the output.
 _NOT_ECHOED = ("command", "format", "out")
+# Kinds of column that _texts converts in one pass: reals, ints with None and,
+# in JSON, lists with None.
+_REALS = frozenset((float,))
+_NONE = type(None)
+_INTS = frozenset((int, _NONE))
+_LISTS = frozenset((list, _NONE))
 
 
 class UsageError(Exception):
@@ -74,9 +86,9 @@ class _Report:
     best: dict | None = None  # JSON "best" and the CSV "# best=" trailer
 
 
-def _columns(records: list[dict]) -> dict[str, list]:
-    """Records that share their keys, as one list of values per key."""
-    return {k: [r[k] for r in records] for k in records[0]}
+def _columns(records: list[dict]) -> dict[str, tuple]:
+    """Records that share their keys, as one tuple of values per key."""
+    return dict(zip(records[0], zip(*map(dict.values, records))))
 
 
 def _fmt(x, p: int) -> str:
@@ -101,35 +113,38 @@ def _json_text(x, p: int, indent: int) -> str:
     if isinstance(x, float):
         if x.is_integer() and abs(x) < 1e15:
             return str(int(x))
-        if math.isinf(x):
-            return '"inf"'
-        x = float(f"{x:.{p}g}")
-        # json.dumps writes a finite real as float.__repr__ does; a NaN, or a
-        # real that rounds past the largest double, as NaN or Infinity.
-        return float.__repr__(x) if math.isfinite(x) else json.dumps(x)
+        return '"inf"' if math.isinf(x) else _json_scalar(float(f"{x:.{p}g}"))
+    if isinstance(x, list):
+        return _texts([x], p, indent)[0]
+    if x is None or isinstance(x, (int, str)):
+        return _json_scalar(x)
+    # Other values are written as json.dumps writes them; an encoded string
+    # holds no raw newline, so the replace moves only line breaks of the layout.
+    return json.dumps(x, indent=2).replace("\n", "\n" + " " * indent)
+
+
+def _json_scalar(x) -> str:
+    """x, a str, int, bool, real or None, as json.dumps writes it."""
     if x is None:
         return "null"
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, int):
         return int.__repr__(x)
-    if isinstance(x, list):
-        if not x:
-            return "[]"
-        pad = "\n" + " " * (indent + 2)
-        return "[" + pad + ("," + pad).join(_texts(x, p, indent + 2)) + "\n" + " " * indent + "]"
-    # Other values are written as json.dumps writes them; an encoded string
-    # holds no raw newline, so the replace moves only line breaks of the layout.
-    return json.dumps(x, indent=2).replace("\n", "\n" + " " * indent)
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x)  # a string, or a real written as NaN, Infinity or -Infinity
 
 
 def _texts(values: Sequence, p: int, indent: int | None = None) -> list[str]:
     """Each value of a column as _fmt prints it or, given a JSON indent, as
     _json_text writes it.  A column of reals, or of ints and None, is
     converted in one pass; only what that pass does not cover goes value by
-    value: whole reals, reals that are or round to a non-number, and None."""
+    value: whole reals, reals that are or round to a non-number, and None.
+    In JSON, the items of a column of lists (and None) go through one call
+    for all the lists."""
     kinds = set(map(type, values))
-    if kinds == {float}:
+    if kinds == _REALS:
         texts = list(map(float.__format__, values, repeat(f".{p}g")))
         checked = values
         if indent is not None:
@@ -137,9 +152,19 @@ def _texts(values: Sequence, p: int, indent: int | None = None) -> list[str]:
             texts = list(map(float.__repr__, checked))
         non_finite = map(operator.not_, map(math.isfinite, checked))
         odd = map(operator.or_, map(float.is_integer, values), non_finite)
-    elif kinds <= {int, type(None)}:
+    elif kinds <= _INTS:
         texts = list(map(str, values))
+        if _NONE not in kinds:
+            return texts
         odd = map(operator.is_, values, repeat(None))
+    elif indent is not None and kinds <= _LISTS:
+        items = iter(_texts([*chain.from_iterable(filter(None, values))], p, indent + 2))
+        pad = "\n" + " " * (indent + 2)
+        return [
+            "null" if v is None else "[]" if not v
+            else "[" + pad + ("," + pad).join(islice(items, len(v))) + "\n" + " " * indent + "]"
+            for v in values
+        ]
     elif indent is None:
         return [_fmt(v, p) for v in values]
     else:
@@ -149,39 +174,54 @@ def _texts(values: Sequence, p: int, indent: int | None = None) -> list[str]:
     return texts
 
 
+@functools.lru_cache(maxsize=64)
+def _object_template(keys: tuple[str, ...], indent: int) -> str:
+    """A JSON object with these keys as json.dumps(payload, indent=2) writes
+    it, its closing brace at the given indent, as a str.format template with
+    one {} slot per value.  The keys are fixed by the code, so each
+    command's templates are built once."""
+    pad = "\n" + " " * (indent + 2)
+    fields = ",".join(pad + json.dumps(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
+    return "{{" + fields + "\n" + " " * indent + "}}"
+
+
+def _json_object(fields: dict[str, str], indent: int) -> str:
+    """An object of encoded values as json.dumps(payload, indent=2) writes
+    it, its closing brace at the given indent."""
+    return _object_template(tuple(fields), indent).format(*fields.values())
+
+
 def _json_objects(columns: dict[str, Sequence], p: int, indent: int) -> list[str]:
     """Each record of the columns as json.dumps(payload, indent=2) writes an
     object whose closing brace sits at the given indent; every value is
     encoded once, column by column, and the records are filled into one
     template."""
-    pad = "\n" + " " * (indent + 2)
-    keys = (json.dumps(k).replace("{", "{{").replace("}", "}}") for k in columns)
-    template = "{{" + ",".join(f"{pad}{k}: {{}}" for k in keys) + "\n" + " " * indent + "}}"
+    template = _object_template(tuple(columns), indent)
     return list(map(template.format, *(_texts(v, p, indent + 2) for v in columns.values())))
 
 
 def _render(args: argparse.Namespace, report: _Report) -> str:
     """The report in the asked format.  JSON is byte for byte
     json.dumps(payload, indent=2) of the payload {meta, records, best},
-    with reals rounded as _json_text says, but only meta goes through
-    json.dumps; the records are written column by column."""
+    with reals rounded as _json_text says; it is written without the
+    json encoder, from templates of its objects and values encoded column
+    by column."""
     p = args.precision
     # The namespace holds exactly the options the subcommand declares, in
     # declaration order.
     options = {k: v for k, v in vars(args).items() if k not in _NOT_ECHOED}
     if args.format == "json":
-        meta = {"tool": "twodist", "version": __version__, "command": args.command, "options": options}
+        meta = {"tool": "twodist", "version": __version__, "command": args.command}
+        meta = {k: _json_scalar(v) for k, v in meta.items()}
+        meta["options"] = _json_object({k: _json_scalar(v) for k, v in options.items()}, 4)
+        payload = {"meta": _json_object(meta, 2)}
         if report.key == "result":
-            records = _json_objects(report.columns(), p, 2)[0]
+            payload["result"] = _json_objects(report.columns(), p, 2)[0]
         else:
-            records = "[\n    " + ",\n    ".join(_json_objects(report.columns(), p, 4)) + "\n  ]"
-        fields = [
-            '"meta": ' + json.dumps(meta, indent=2).replace("\n", "\n  "),
-            f"{json.dumps(report.key)}: {records}",
-        ]
+            payload[report.key] = "[\n    " + ",\n    ".join(_json_objects(report.columns(), p, 4)) + "\n  ]"
         if report.best is not None:
-            fields.append('"best": ' + _json_objects({k: [v] for k, v in report.best.items()}, p, 2)[0])
-        return "{\n  " + ",\n  ".join(fields) + "\n}\n"
+            payload["best"] = _json_object({k: _json_text(v, p, 4) for k, v in report.best.items()}, 2)
+        return _json_object(payload, 0) + "\n"
     if args.format == "csv":
         columns = (report.csv or report.columns)()
         # Quoted as a shell would need, so that "--coeffs '1, 0, 1'" stays one field.
@@ -242,21 +282,19 @@ def cmd_profile(args: argparse.Namespace) -> _Report:
 def cmd_bound(args: argparse.Namespace) -> _Report:
     pair = InnerProductPair(args.n, args.a, args.b)
     cands = candidates(pair, tol=args.tol)
-    value, winning = best_of([cand.value for cand in cands])
+    i, in_domain, c, d, values = zip(*map(operator.attrgetter("index", "in_domain", "c", "d", "value"), cands))
+    f = [None if cand.expansion is None else cand.expansion.coeffs.tolist() for cand in cands]
+    value, winning = best_of(values)
     p = args.precision
 
     def columns():
-        return {
-            "i": [cand.index for cand in cands], "in_domain": [cand.in_domain for cand in cands],
-            "c": [cand.c for cand in cands], "d": [cand.d for cand in cands],
-            "f": [list(cand.expansion.coeffs) if cand.expansion is not None else None for cand in cands],
-            "value": [cand.value for cand in cands],
-        }
+        return {"i": i, "in_domain": in_domain, "c": c, "d": d, "f": f, "value": values}
 
     def csv():
-        out = columns()
-        f = [x or [] for x in out.pop("f")]
-        return out | {f"f{j}": [x[j] if j < len(x) else None for x in f] for j in range(5)}
+        # One column per expansion slot, empty past a candidate's degree.
+        rows = [x or [] for x in f]
+        slots = dict(zip(("f0", "f1", "f2", "f3", "f4"), zip(*[x + [None] * (5 - len(x)) for x in rows])))
+        return {"i": i, "in_domain": in_domain, "c": c, "d": d, "value": values, **slots}
 
     def pretty():
         lines = [f"candidate bounds for n={args.n}, a={_fmt(args.a, p)}, b={_fmt(args.b, p)}"]
@@ -437,6 +475,7 @@ def build_parser() -> _Parser:
         command = sub.add_parser(name, help=help_text)
         for flag in flags.split():
             command.add_argument(flag, **_OPTIONS[flag])
+    parser.commands = sub.choices  # name -> that command's subparser, read by _parse
     return parser
 
 
@@ -447,6 +486,16 @@ def _parser() -> _Parser:
     the time of a short in-process query.  Not built at import, so that
     importing the package costs no more."""
     return build_parser()
+
+
+def _parse(parser: _Parser, argv: list[str]) -> argparse.Namespace:
+    """parser.parse_args(argv), in one argparse pass where argv starts with a
+    command name: the top-level parser would only set "command" and hand the
+    rest to that command's subparser, which fills the namespace with the
+    command's options in declaration order either way."""
+    if argv and argv[0] in _COMMANDS:
+        return parser.commands[argv[0]].parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+    return parser.parse_args(argv)
 
 
 def main(argv=None) -> int:
@@ -463,7 +512,7 @@ def main(argv=None) -> int:
         ):
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     try:
-        args = parser.parse_args(argv)
+        args = _parse(parser, argv)
         report = _COMMANDS[args.command][0](args)
     # ValueError: the library's own input checks; OverflowError: an int option too large for a float
     except (UsageError, ValueError, OverflowError) as exc:

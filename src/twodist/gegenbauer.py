@@ -36,8 +36,8 @@ def _check_degree(k: int) -> None:
 
 
 def _coeff_array(coeffs) -> np.ndarray:
-    """coeffs as a one-dimensional, nonempty float array (a scalar gives length 1)."""
-    arr = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    """coeffs as a new one-dimensional, nonempty float array (a scalar gives length 1)."""
+    arr = np.array(coeffs, dtype=float, ndmin=1)
     if arr.ndim != 1:
         raise ValueError("coefficient array must be one-dimensional")
     if arr.size == 0:
@@ -53,21 +53,38 @@ def as_monomial(coeffs) -> np.ndarray:
     """
     arr = _coeff_array(coeffs)
     kept = np.flatnonzero(np.abs(arr) > COEFF_TRIM_TOL)
-    return arr[: kept[-1] + 1].copy() if kept.size else arr[:1] * 0
+    return arr[: kept[-1] + 1] if kept.size else arr[:1] * 0
+
+
+def _argument(t):
+    """t as a Python float when it is a scalar, else as a new float array."""
+    t = np.array(t, dtype=float)
+    return t if t.ndim else float(t)
+
+
+def _gegenbauer_values(n: int, t, k: int):
+    """Yield G_0(t), ..., G_k(t) from the recurrence, on a Python float t or
+    a float array t (G_1 is t itself).  Each G_j comes from the same IEEE
+    operations either way, so the two give the same bits."""
+    prev = np.ones_like(t) if isinstance(t, np.ndarray) else 1.0
+    yield prev
+    if k == 0:
+        return
+    cur = t
+    yield cur
+    for j in range(2, k + 1):
+        prev, cur = cur, ((2 * j + n - 4) * t * cur - (j - 1) * prev) / (j + n - 3)
+        yield cur
 
 
 def gegenbauer_eval(n: int, k: int, t):
     """Evaluate G_k^{(n)} at t (scalar or array) via the recurrence."""
     _check_dimension(n)
     _check_degree(k)
-    t = np.asarray(t, dtype=float)
-    prev = np.ones_like(t)
-    if k == 0:
-        return prev if prev.ndim else float(prev)
-    cur = t.copy()
-    for j in range(2, k + 1):
-        prev, cur = cur, ((2 * j + n - 4) * t * cur - (j - 1) * prev) / (j + n - 3)
-    return cur if cur.ndim else float(cur)
+    t = _argument(t)
+    for g in _gegenbauer_values(n, t, k):
+        pass
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -116,12 +133,15 @@ class GegenbauerExpansion:
         return len(self.coeffs) - 1
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        total = np.zeros_like(t)
-        for k, f in enumerate(self.coeffs):
+        """sum_k coeffs[k] * G_k(t), added in index order over the nonzero
+        coeffs, in one pass of the recurrence: a float for a scalar t, an
+        array otherwise."""
+        t = _argument(t)
+        total = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
+        for f, g in zip(self.coeffs.tolist(), _gegenbauer_values(self.n, t, self.degree)):
             if f != 0.0:
-                total = total + f * gegenbauer_eval(self.n, k, t)
-        return total if total.ndim else float(total)
+                total = total + f * g
+        return total
 
 
 def to_gegenbauer(n: int, poly) -> GegenbauerExpansion:
@@ -132,7 +152,7 @@ def to_gegenbauer(n: int, poly) -> GegenbauerExpansion:
     solvable.
     """
     _check_dimension(n)
-    work = as_monomial(poly).copy()
+    work = as_monomial(poly)
     deg = len(work) - 1
     out = np.zeros(deg + 1)
     for k in range(deg, -1, -1):

@@ -10,7 +10,10 @@ from twodist.bound_polys import (
     MAX_TOL,
     WINNER_REL_TOL,
     InnerProductPair,
+    _SHAPES,
     _forms,
+    _in_domain,
+    _regular,
     best_bound,
     best_of,
     best_of_samples,
@@ -20,7 +23,7 @@ from twodist.bound_polys import (
     delsarte_check,
     floor_nudged,
 )
-from twodist.gegenbauer import GegenbauerExpansion, from_gegenbauer, to_gegenbauer
+from twodist.gegenbauer import GegenbauerExpansion, _gegenbauer_coeffs, from_gegenbauer, to_gegenbauer
 from twodist.constructions import lambda_params
 from twodist.lrs import q_bound
 
@@ -198,6 +201,49 @@ def test_single_pair_routes_agree_bit_for_bit():
         assert (best, winners) == best_of(col.tolist())
 
 
+def _hex(x):
+    return None if x is None else float(x).hex()  # every NaN is "nan"
+
+
+def _numpy_rule_fields(pair, tol):
+    """Each candidate's (c, d, in_domain, value, expansion) as float.hex
+    strings, with the domain rule decided by _regular and _in_domain as
+    numpy operations on the np.float64 closed forms."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        forms = _forms(pair.n, np.float64(pair.a), np.float64(pair.b))
+        verdicts = [(bool(_regular(f)), bool(_in_domain(f, tol))) for f in forms]
+    out = []
+    for i, form, (regular, in_domain) in zip(CANDIDATE_INDICES, forms, verdicts):
+        if not regular:
+            out.append((None, None, False, _hex(math.inf), None))
+            continue
+        deg, slot = _SHAPES[i]
+        f = [0.0] * (deg + 1)
+        f[0], f[slot], f[deg] = form.f0, form.fj, 1.0 / _gegenbauer_coeffs(pair.n, deg)[deg]
+        value = form.value if in_domain else math.inf
+        out.append((_hex(form.c), _hex(form.d), in_domain, _hex(value), [_hex(x) for x in f]))
+    return out
+
+
+def test_candidates_decide_the_domain_as_numpy_does():
+    rng = np.random.default_rng(29)
+    pairs = [
+        InnerProductPair(23, 0.2, -0.2), InnerProductPair(22, 1.0 / 6, -0.25),
+        InnerProductPair(46, 1.0 / 8, -1.0 / 6), InnerProductPair(7, 0.9, -0.95),
+        InnerProductPair(9, 0.0, -0.5), InnerProductPair(9, 0.5, 0.0), InnerProductPair(2, 0.0, -1.0),
+        # a + b = 1.1e-12 lies below SINGULAR_REL_TOL * (|a| + |b|) but not below SINGULAR_REL_TOL
+        InnerProductPair(9, 0.6, -0.6 + 1.1e-12),
+    ] + [_random_pair(rng, n_hi=61) for _ in range(1000)]
+    for pair in pairs:
+        for tol in (DEFAULT_TOL, 0.0, MAX_TOL):
+            got = [
+                (_hex(c.c), _hex(c.d), c.in_domain, _hex(c.value),
+                 None if c.expansion is None else [_hex(x) for x in c.expansion.coeffs])
+                for c in candidates(pair, tol)
+            ]
+            assert got == _numpy_rule_fields(pair, tol), (pair, tol)
+
+
 def _slack_edge(best: float) -> tuple[float, float]:
     """The largest value that best_of counts as tied with best, and the next double."""
     slack = WINNER_REL_TOL * max(1.0, abs(best))
@@ -326,6 +372,9 @@ def test_delsarte_check_rejects_negative_coefficient():
     res = delsarte_check(GegenbauerExpansion(7, [-1.0, 0.0, 1.0]), [0.0])
     assert not res.ok
     assert "negative" in res.violation
+    # the first of equal smallest coefficients is the one named
+    res = delsarte_check(GegenbauerExpansion(7, [1.0, 0.5, -0.25, 0.5, -0.25]), [0.0])
+    assert res.violation == "negative Gegenbauer coefficient f_2 = -0.25"
 
 
 def test_delsarte_check_rejects_zero_constant_term():

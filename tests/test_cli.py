@@ -439,6 +439,59 @@ def test_options_a_command_does_not_read_are_usage_errors(capsys, command):
         assert err.startswith("error:") and len(err.strip().splitlines()) == 1, (command, name)
 
 
+# Argvs that each command's subparser parses alone in main (valid, missing a
+# required option, an option of another command, a bad int or tolerance,
+# negative values in both spellings), and argvs that still go through the
+# top-level parser: no command, an unknown one, an option before the command.
+DISPATCH_ARGV = [
+    *(argv for argv, _ in ACCEPTED.values()),
+    *(argv[:-1] for argv, _ in ACCEPTED.values()),
+    *(argv[:-2] for argv, _ in ACCEPTED.values()),
+    *(argv + ["--grid", "5001"] for argv, _ in ACCEPTED.values()),
+    *(argv + ["--samples", "9"] for argv, _ in ACCEPTED.values()),
+    *(argv[:1] + ["--n", "x", *argv[3:]] for argv, _ in ACCEPTED.values() if argv[1] == "--n"),
+    ["table", "--n-min", "7", "--n-max", "7.5"],
+    ["table", "--n-min", "7", "--n-max", "7", "--tol", "oops", "--format", "json"],
+    ["bound", "--n", "23", "--a", "0.2", "--b", "-0.2", "--tol", "oops"],
+    ["bound", "--n", "23", "--a", "0.2", "--b", "-0.2", "--tol", "-1e-12"],
+    ["bound", "--n", "23", "--a=0.2", "--b=-0.2", "--strict", "--precision", "3"],
+    ["bound", "--n", "23", "--a", "0.2", "--b", "-1e-3"],
+    ["profile", "--n", "-25", "--k", "3", "--samples=-3", "--format", "csv"],
+    ["delsarte-check", "--n", "7", "--coeffs", "-0.25,0.1", "--t-values", "0.5"],
+    ["delsarte-check", "--n", "7", "--coeffs=-0.25,0.1", "--t-values=-0.5,-inf", "--tol", "0"],
+    ["verify-lambda", "--n", "7", "--format", "xml"],
+    ["independence", "--n", "7", "--seed", "-3", "extra"],
+    [],
+    ["nope", "--n", "7"],
+    ["--n", "7", "bound"],
+]
+
+
+def _parsed(parse, argv):
+    """The namespace's items in order, or the UsageError's text."""
+    try:
+        return list(vars(parse(argv)).items())
+    except twodist.cli.UsageError as exc:
+        return f"error: {exc}"
+
+
+@pytest.mark.parametrize("argv", DISPATCH_ARGV, ids=" ".join)
+def test_one_pass_parse_equals_the_top_level_parse(argv):
+    parser = twodist.cli.build_parser()
+    assert _parsed(lambda a: twodist.cli._parse(parser, a), argv) == _parsed(parser.parse_args, argv)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["bound", "-h"], ["delsarte-check", "--n", "7", "--help"]])
+def test_help_is_printed_as_the_top_level_parser_prints_it(capsys, argv):
+    with pytest.raises(SystemExit) as want:
+        twodist.cli.build_parser().parse_args(argv)
+    expected = capsys.readouterr().out
+    with pytest.raises(SystemExit) as got:
+        main(argv)
+    assert got.value.code == want.value.code == 0
+    assert capsys.readouterr().out == expected and expected.startswith("usage: twodist")
+
+
 def test_table_grid_and_seed_change_no_bytes(capsys):
     argv = ["table", "--n-min", "20", "--n-max", "23", "--format", "csv"]
     _, plain, _ = run(capsys, argv)

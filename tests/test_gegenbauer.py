@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -140,6 +142,40 @@ def test_expansion_call_matches_monomial_value():
     e = to_gegenbauer(9, [0.5, -1.0, 0.0, 2.0])
     t = np.linspace(-1, 1, 11)
     assert np.max(np.abs(e(t) - npoly.polyval(t, [0.5, -1.0, 0.0, 2.0]))) < 1e-12
+
+
+def _term_sum(n, f, t):
+    """f_k * gegenbauer_eval(n, k, t) summed over the nonzero f_k in index order."""
+    total = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
+    for k, fk in enumerate(f):
+        if fk != 0.0:
+            total = total + fk * gegenbauer_eval(n, k, t)
+    return total
+
+
+def _bits(x):
+    return [v.hex() for v in np.atleast_1d(x).tolist()]
+
+
+def test_expansion_call_is_the_sum_of_its_terms():
+    # One recurrence pass gives each G_k by the IEEE operations gegenbauer_eval
+    # uses, on Python floats for a scalar t and on arrays otherwise, so the
+    # sums agree bit for bit, overflow, NaN and infinite coefficients included.
+    rng = np.random.default_rng(11)
+    ts = np.array([-1.0, -0.5, -0.0, 0.0, 0.3, 1.0, 7.5, -1e3, 1e200, math.nan, math.inf])
+    specials = np.array([0.0, math.nan, math.inf, -math.inf])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(2, 61):
+            for deg in range(9):
+                f = rng.uniform(-2.0, 2.0, deg + 1)
+                odd = rng.random(deg + 1) < 0.3
+                f[odd] = rng.choice(specials, odd.sum())
+                e = GegenbauerExpansion(n, f)
+                whole = e(ts)
+                assert _bits(whole) == _bits(_term_sum(n, f, ts)), (n, f)
+                for t, want in zip(ts.tolist(), _bits(whole)):
+                    got = e(t)
+                    assert type(got) is float and got.hex() == want == _term_sum(n, f, t).hex(), (n, f, t)
 
 
 def test_trailing_zeros_are_stripped():
