@@ -16,19 +16,21 @@ The five shapes:
 
 Each multiplier, each domain verdict, each value and the nonzero entries
 of each expansion (f_0, the one free f_j and the top coefficient) have a
-closed form in n, a and b (_forms), and every route evaluates those forms:
-candidates and best_bound on one pair, candidate_values on arrays of pairs,
-and the window sweep in lrs on arrays and on exact rational functions of a.
-A candidate holds its certificate only as that expansion, read from the
-forms (P is never multiplied out), so the f_0 and f_j it shows are the
-numbers the domain verdict tests.  The i=2 multiplier is undefined when
-a + b = 0 and the i=4 one when its 2x2 system is singular; such
-candidates, like every other one outside its domain, carry the value +inf
-so that minima over candidates are always well defined.
+closed form in n, a and b, one builder per candidate (_forms), and every
+route evaluates those forms: candidates and best_bound on one pair's
+Python floats, candidate_values on arrays of pairs, and the window sweep
+in lrs on arrays and on exact rational functions of a.  A candidate holds
+its certificate only as that expansion, read from the forms (P is never
+multiplied out), so the f_0 and f_j it shows are the numbers the domain
+verdict tests.  The i=2 multiplier is undefined when a + b = 0 and the
+i=4 one when its 2x2 system is singular; such candidates, like every
+other one outside its domain, carry the value +inf so that minima over
+candidates are always well defined.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -108,13 +110,13 @@ def _undefined(index: int) -> CandidateBound:
 
 class _Form(NamedTuple):
     """One candidate in closed form.  P is (t - a)(t - b) times 1, t + c or
-    t^2 + c t + d (c and d are None where the shape lacks them), value is
-    P(1) / f_0 and fj is the one expansion coefficient besides f_0 and the
-    top one that the construction leaves free.  _in_domain holds the domain
+    t^2 + c t + d (c and d are None where the shape lacks them), at_one is
+    P(1) and fj is the one expansion coefficient besides f_0 and the top
+    one that the construction leaves free.  _in_domain holds the domain
     rule; scale is deferred because it takes absolute values, which only
     the float routes evaluate."""
 
-    value: object
+    at_one: object
     f0: object
     fj: object
     divisor: object = None
@@ -122,47 +124,67 @@ class _Form(NamedTuple):
     c: object = None
     d: object = None
 
+    @property
+    def value(self):
+        """P(1) / f_0, divided where it is read: f_0 may vanish out of domain."""
+        return self.at_one / self.f0
 
-def _forms(n, a, b) -> tuple[_Form, ...]:
-    """The five candidates in closed form, written with + - * / only.
 
-    Evaluated on float arrays by _float_forms (for candidate_values and the
-    window sweep in lrs, which passes n as an array), on float scalars by
-    candidates, and on exact rational functions of a by the sweep; all
-    routes rely on the operations and their order here being the only
-    definition.
-    """
-    s = a + b
-    p = a * b
-    at_one = (1 - a) * (1 - b)  # quadratic factor evaluated at t = 1
-    # i = 2: c zeroes f_1; undefined at s = 0
+def _form1(n, a, b, s, p, at_one) -> _Form:
+    return _Form(at_one, p + 1 / n, -s)
+
+
+def _form2(n, a, b, s, p, at_one) -> _Form:
+    # c zeroes f_1; undefined at s = 0
     c2 = ((n + 2) * p + 3) / ((n + 2) * s)
-    f0_2 = p * c2 + (c2 - s) / n
-    # i = 4: quartic with f_1 = f_2 = 0
+    f0 = p * c2 + (c2 - s) / n
+    return _Form(at_one * (1 + c2), f0, (c2 - s) * (n - 1) / n, s, lambda: abs(a) + abs(b), c=c2)
+
+
+def _form3(n, a, b, s, p, at_one) -> _Form:
+    # extra root at -(a+b) forces f_2 = 0
+    return _Form(at_one * (1 + s), p * s, p - s * s + 3 / (n + 2), c=s)
+
+
+def _form4(n, a, b, s, p, at_one) -> _Form:
+    # quartic with f_1 = f_2 = 0; undefined where det = 0
     alpha = p + 3 / (n + 2)
     det = alpha - s * s
     beta = 3 * s / (n + 2)
     gamma = -p - 6 / (n + 4)
     c4 = (beta + s * gamma) / det
     d4 = (alpha * gamma + s * beta) / det
-    f0_4 = p * d4 + (d4 - s * c4 + p) / n + 3 / (n * (n + 2))
-    # i = 5: quartic with f_2 = f_3 = 0, solved by c = s directly
+    f0 = p * d4 + (d4 - s * c4 + p) / n + 3 / (n * (n + 2))
+    return _Form(at_one * (1 + c4 + d4), f0, (c4 - s) * (n - 1) / (n + 2),
+                 det, lambda: np.maximum(abs(alpha), s * s), c=c4, d=d4)
+
+
+def _form5(n, a, b, s, p, at_one) -> _Form:
+    # quartic with f_2 = f_3 = 0, solved by c = s directly
     d5 = s * s - p - 6 / (n + 4)
-    f0_5 = p * d5 + (d5 - s * s + p) / n + 3 / (n * (n + 2))
-    return (
-        _Form(at_one / (p + 1 / n), p + 1 / n, -s),
-        _Form(
-            at_one * (1 + c2) / f0_2, f0_2, (c2 - s) * (n - 1) / n,
-            s, lambda: abs(a) + abs(b), c=c2,
-        ),
-        # i = 3: extra root at -(a+b) forces f_2 = 0
-        _Form(at_one * (1 + s) / (p * s), p * s, p - s * s + 3 / (n + 2), c=s),
-        _Form(
-            at_one * (1 + c4 + d4) / f0_4, f0_4, (c4 - s) * (n - 1) / (n + 2),
-            det, lambda: np.maximum(abs(alpha), s * s), c=c4, d=d4,
-        ),
-        _Form(at_one * (1 + s + d5) / f0_5, f0_5, s * (p - d5), c=s, d=d5),
-    )
+    f0 = p * d5 + (d5 - s * s + p) / n + 3 / (n * (n + 2))
+    return _Form(at_one * (1 + s + d5), f0, s * (p - d5), c=s, d=d5)
+
+
+def _forms(n, a, b) -> tuple[_Form | None, ...]:
+    """The five candidates in closed form, written with + - * / only: one
+    builder each, on the shared s, p and at_one.  Evaluated on float arrays
+    by _float_forms (for candidate_values and the window sweep in lrs, which
+    passes n as an array), on Python floats by candidates, and on exact
+    rational functions of a by the sweep; all routes rely on the operations
+    and their order here being the only definition.  A builder that divides
+    by an exact zero (i=2 at s = 0, i=4 at det = 0, on Python floats or
+    exact operands) gives None for its own candidate only."""
+    s = a + b
+    p = a * b
+    at_one = (1 - a) * (1 - b)  # quadratic factor evaluated at t = 1
+    out = []
+    for build in (_form1, _form2, _form3, _form4, _form5):
+        try:
+            out.append(build(n, a, b, s, p, at_one))
+        except ZeroDivisionError:
+            out.append(None)
+    return tuple(out)
 
 
 # Degree of candidate i's polynomial and the expansion slot of its free
@@ -172,8 +194,8 @@ _SHAPES = {1: (2, 1), 2: (3, 2), 3: (3, 1), 4: (4, 3), 5: (4, 1)}
 
 def _regular(form: _Form):
     """False where the form divides by a singular divisor: one below
-    SINGULAR_REL_TOL * max(1, scale()).  For the array routes; candidates
-    applies this rule and _in_domain's on Python floats."""
+    SINGULAR_REL_TOL * max(1, scale()).  A NaN scale leaves the divisor
+    singular, as np.maximum passes NaN on."""
     if form.divisor is None:
         return True
     return np.abs(form.divisor) >= SINGULAR_REL_TOL * np.maximum(1.0, form.scale())
@@ -186,36 +208,27 @@ def _in_domain(form: _Form, tol: float):
 
 def candidates(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[CandidateBound, ...]:
     """The five candidates for the pair, in index order, from one evaluation
-    of the closed forms of _forms.
-
-    c, d, in_domain and value are the form's, so each value is bit for bit
-    the entry candidate_values gives.  The expansion is read from the form
-    too: f_0 and the free f_j are the numbers the domain verdict tests, the
-    top coefficient is 1 over the leading coefficient of G_deg (P is
-    monic), and the entries the construction zeroes are exact zeros.
+    of _forms on the pair's n, a and b as a Python int and floats.  A form
+    that is None or not _regular is undefined, _in_domain decides the rest,
+    and the value is read only in domain: the rules and operations of
+    candidate_values, so each value is bit for bit its entry.  The expansion
+    is read from the form: f_0 and the free f_j are the numbers the domain
+    verdict tests, the top coefficient is 1 over the leading coefficient of
+    G_deg (P is monic), and the entries the construction zeroes are 0.
     """
     check_tol(tol)
-    n = pair.n
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        forms = _forms(n, np.float64(pair.a), np.float64(pair.b))
+    n = operator.index(pair.n)
     out = []
-    for i, form in zip(CANDIDATE_INDICES, forms):
-        # _regular and _in_domain, decided once on Python floats.  A NaN
-        # scale leaves the divisor singular, as np.maximum passes NaN on.
-        if form.divisor is not None:
-            scale = float(form.scale())
-            if not abs(float(form.divisor)) >= SINGULAR_REL_TOL * (1.0 if scale <= 1.0 else scale):
-                out.append(_undefined(i))
-                continue
-        f0, fj = float(form.f0), float(form.fj)
-        in_domain = fj >= -tol and f0 > tol
-        c = None if form.c is None else float(form.c)
-        d = None if form.d is None else float(form.d)
+    for i, form in zip(CANDIDATE_INDICES, _forms(n, float(pair.a), float(pair.b))):
+        if form is None or not _regular(form):
+            out.append(_undefined(i))
+            continue
+        in_domain = bool(_in_domain(form, tol))
         deg, slot = _SHAPES[i]
         f = [0.0] * (deg + 1)
-        f[0], f[slot], f[deg] = f0, fj, 1.0 / _gegenbauer_coeffs(n, deg)[deg]
-        value = float(form.value) if in_domain else math.inf
-        out.append(CandidateBound(i, c, d, GegenbauerExpansion(n, f), in_domain, value))
+        f[0], f[slot], f[deg] = form.f0, form.fj, 1.0 / _gegenbauer_coeffs(n, deg)[deg]
+        value = form.value if in_domain else math.inf
+        out.append(CandidateBound(i, form.c, form.d, GegenbauerExpansion(n, f), in_domain, value))
     return tuple(out)
 
 
@@ -232,8 +245,9 @@ def candidate_values(n: int, a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
 
     Returns an array of shape (5, len(a)); entry [i-1, j] is the value of
     candidate i at (a[j], b[j]), +inf when out of domain.  Every value
-    comes from the closed forms of _forms, as do those of candidates, so the
-    two agree bit for bit.  tol must satisfy 0 <= tol <= MAX_TOL.
+    comes from the closed forms of _forms, as do those of candidates (the
+    route for one pair), so the two agree bit for bit.  tol must satisfy
+    0 <= tol <= MAX_TOL.
     """
     if n < 2:
         raise ValueError(f"dimension must satisfy n >= 2, got {n}")
@@ -258,11 +272,11 @@ def _float_forms(n, a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarra
 
 def best_bound(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[float, tuple[int, ...]]:
     """Minimum candidate value for the pair and the indices attaining it,
-    read from candidate_values.
+    read from candidates.
 
     Returns (+inf, ()) when no candidate is in domain.
     """
-    return best_of(candidate_values(pair.n, pair.a, pair.b, tol)[:, 0].tolist())
+    return best_of([cand.value for cand in candidates(pair, tol)])
 
 
 def best_of(values) -> tuple[float, tuple[int, ...]]:

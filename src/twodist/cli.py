@@ -116,11 +116,7 @@ def _json_text(x, p: int, indent: int) -> str:
         return '"inf"' if math.isinf(x) else _json_scalar(float(f"{x:.{p}g}"))
     if isinstance(x, list):
         return _texts([x], p, indent)[0]
-    if x is None or isinstance(x, (int, str)):
-        return _json_scalar(x)
-    # Other values are written as json.dumps writes them; an encoded string
-    # holds no raw newline, so the replace moves only line breaks of the layout.
-    return json.dumps(x, indent=2).replace("\n", "\n" + " " * indent)
+    return _json_scalar(x)
 
 
 def _json_scalar(x) -> str:

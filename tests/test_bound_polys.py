@@ -1,4 +1,6 @@
 import math
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -233,6 +235,8 @@ def test_candidates_decide_the_domain_as_numpy_does():
         InnerProductPair(9, 0.0, -0.5), InnerProductPair(9, 0.5, 0.0), InnerProductPair(2, 0.0, -1.0),
         # a + b = 1.1e-12 lies below SINGULAR_REL_TOL * (|a| + |b|) but not below SINGULAR_REL_TOL
         InnerProductPair(9, 0.6, -0.6 + 1.1e-12),
+        # det4 = 0 with s != 0; s = 0 and det4 = 0 together; p + 1/n = 0
+        InnerProductPair(10, 0.5, 0.0), InnerProductPair(10, 0.5, -0.5), InnerProductPair(2, 0.5, -1.0),
     ] + [_random_pair(rng, n_hi=61) for _ in range(1000)]
     for pair in pairs:
         for tol in (DEFAULT_TOL, 0.0, MAX_TOL):
@@ -242,6 +246,38 @@ def test_candidates_decide_the_domain_as_numpy_does():
                 for c in candidates(pair, tol)
             ]
             assert got == _numpy_rule_fields(pair, tol), (pair, tol)
+
+
+@pytest.mark.parametrize("n, a, b, value", [
+    (22, Fraction(1, 6), Fraction(-1, 4), 275), (46, Fraction(1, 8), Fraction(-1, 6), 1127),
+], ids=["n22", "n46"])
+def test_exact_forms_survive_a_vanishing_f0(n, a, b, value):
+    # At these three-way crossings candidate 2's f_0 is exactly 0.  Its
+    # value is divided only where it is read, so the other four forms stand.
+    forms = _forms(Fraction(n), a, b)
+    assert len(forms) == 5 and None not in forms
+    assert [forms[i - 1].value for i in (1, 3, 4)] == [value] * 3
+    assert forms[1].f0 == 0
+    with pytest.raises(ZeroDivisionError):
+        forms[1].value
+
+
+def test_a_zero_divisor_ends_only_its_own_candidate():
+    # s = 0 and det4 = 0 at (10, 0.5, -0.5): on Python floats the builders of
+    # candidates 2 and 4 raise, and only those two forms are None.
+    assert [f is None for f in _forms(10, 0.5, -0.5)] == [False, True, False, True, False]
+    assert [f is None for f in _forms(10, 0.5, 0.0)] == [False, False, False, True, False]
+    # candidates reads n, a and b as a Python int and floats, so numpy scalars
+    # raise there too instead of dividing by zero with a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cands = candidates(InnerProductPair(np.int64(10), np.float64(0.5), np.float64(-0.5)))
+    assert [c.expansion is None for c in cands] == [False, True, False, True, False]
+
+
+def test_candidate_values_rejects_dimension_below_two():
+    with pytest.raises(ValueError, match=r"n >= 2, got 1"):
+        candidate_values(1, [0.2], [-0.2])
 
 
 def _slack_edge(best: float) -> tuple[float, float]:

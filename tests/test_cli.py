@@ -311,6 +311,9 @@ def test_delsarte_check_parses_inputs(capsys):
     )
     assert code == 1
     assert "comma-separated" in err
+    code, out, err = run(capsys, ["delsarte-check", "--n", "7", "--coeffs", ",", "--t-values", "0"])
+    assert code == 1 and out == ""
+    assert "at least one coefficient" in err
 
 
 def test_delsarte_check_rejects_non_finite_inputs(capsys):

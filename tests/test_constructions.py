@@ -45,6 +45,8 @@ def test_midpoint_parameters_examples():
     a23, b23 = lambda_params(23)
     assert abs(a23 - 5.0 / 11) < 1e-15 and abs(b23 + 1.0 / 11) < 1e-15
     assert lambda_params(3) == (0.0, -1.0)
+    with pytest.raises(ValueError, match=r"n >= 2, got 1"):
+        lambda_params(1)
 
 
 def test_midpoint_sets_are_two_distance():

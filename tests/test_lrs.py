@@ -314,6 +314,15 @@ def test_inconclusive_slice_is_flagged_not_fatal():
     assert row.rho == 45 * 46 // 2
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: k_max(1), r"n >= 2, got 1"), (lambda: interval(1), r"k >= 2, got 1"),
+    (lambda: omega_hat(6), r"n >= 7, got 6"),
+], ids=["k_max", "interval", "omega_hat"])
+def test_sweep_inputs_out_of_range_are_rejected(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_slice_validation():
     with pytest.raises(ValueError):
         k_slice(3, 2)
