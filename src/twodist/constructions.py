@@ -28,7 +28,8 @@ IDENTITY_BLOCK_TOL) and raises ValueError when the points are not a
 two-distance set with the given a and b.
 
 Both certificates still read every pair of points once, but never through
-an m x m array: they compute X X^T GRAM_BLOCK_ROWS rows at a time.
+an m x m array: they compute X X^T GRAM_BLOCK_ROWS rows at a time into one
+block allocated per call, not a fresh (page-faulting) array per block.
 verify_two_distance keeps only the m(m-1)/2 entries above the diagonal (one
 buffer, sorted in place); independence_rank evaluates F in place on each
 block and keeps only its largest deviation from the identity.
@@ -139,21 +140,23 @@ def verify_two_distance(s: UnitPointSet) -> TwoDistanceCertificate:
 
     The m(m-1)/2 entries above the diagonal of X X^T, X the m x n array of
     points, go row by row into one buffer.  Each block of GRAM_BLOCK_ROWS rows
-    is computed from its own diagonal on (x[start:stop] @ x[start:].T) and
-    dropped, so no m x m array is formed.  The buffer is sorted in place and
-    split at its first largest gap, found in chunks of GRAM_BLOCK_ROWS * m
-    entries without a whole np.diff array.  a and b are the means of the two
-    sides; the set is two-distance when each side spans less than
-    CLUSTER_DIAMETER_TOL and the gap exceeds CLUSTER_GAP_TOL.
+    is computed from its own diagonal on (x[start:stop] @ x[start:].T) into
+    one block buffer, so no m x m array is formed.  The buffer is sorted in
+    place and split at its first largest gap, its gaps taken in chunks of
+    GRAM_BLOCK_ROWS * m entries written into the block buffer.  a and b are
+    the means of the two sides; the set is two-distance when each side spans
+    less than CLUSTER_DIAMETER_TOL and the gap exceeds CLUSTER_GAP_TOL.
     """
     x = s.points
     m = len(x)
     if m < 3:
         raise ValueError(f"need at least 3 points to classify, got {m}")
     vals = np.empty(m * (m - 1) // 2)
+    buf = np.empty((min(GRAM_BLOCK_ROWS, m), m))
     pos = 0
     for start in range(0, m, GRAM_BLOCK_ROWS):
-        block = x[start : start + GRAM_BLOCK_ROWS] @ x[start:].T
+        stop = min(start + GRAM_BLOCK_ROWS, m)
+        block = np.matmul(x[start:stop], x[start:].T, out=buf[: stop - start, : m - start])
         for i, row in enumerate(block):
             vals[pos : pos + m - start - i - 1] = row[i + 1 :]
             pos += m - start - i - 1
@@ -168,7 +171,8 @@ def verify_two_distance(s: UnitPointSet) -> TwoDistanceCertificate:
     split, gap = 0, -math.inf
     chunk = GRAM_BLOCK_ROWS * m
     for lo in range(0, len(vals) - 1, chunk):
-        gaps = np.diff(vals[lo : lo + chunk + 1])
+        part = vals[lo : lo + chunk + 1]
+        gaps = np.subtract(part[1:], part[:-1], out=buf.reshape(-1)[: len(part) - 1])
         i = int(np.argmax(gaps))
         if gaps[i] > gap:
             split, gap = lo + i, float(gaps[i])
@@ -243,16 +247,18 @@ def independence_rank(s: UnitPointSet, a: float, b: float, seed: int = DEFAULT_S
     m, n = x.shape
     scale = (1.0 - a) * (1.0 - b)
 
-    def f(t: np.ndarray) -> np.ndarray:
-        """F(t), in place: the same bits as (t - a) * (t - b) / scale."""
-        u = t - b
+    def f(t: np.ndarray, u: np.ndarray | None = None) -> np.ndarray:
+        """F(t), in place with the temporary u: the same bits as (t - a) * (t - b) / scale."""
+        u = np.subtract(t, b, out=u)
         t -= a
         t *= u
         t /= scale
         return t
 
+    buf, tmp = np.empty((2, min(GRAM_BLOCK_ROWS, m), m))
     for start in range(0, m, GRAM_BLOCK_ROWS):
-        block = f(x[start : start + GRAM_BLOCK_ROWS] @ x.T)
+        stop = min(start + GRAM_BLOCK_ROWS, m)
+        block = f(np.matmul(x[start:stop], x.T, out=buf[: stop - start]), tmp[: stop - start])
         rows = np.arange(len(block))
         block[rows, start + rows] -= 1.0
         dev = float(np.abs(block, out=block).max())

@@ -16,22 +16,22 @@ Because b is affine in a, every candidate value and every domain condition
 is a rational function of a on a window.  The maximum is therefore found
 without sampling: it sits at a window end, a domain flip, a critical point
 of one candidate or a crossing of two, and those points are the real roots
-of polynomials built exactly from the closed forms in bound_polys.
+of polynomials built exactly from the closed forms in bound_polys.  The
+domain is Delsarte's, f0 > 0 and fj >= 0 with a regular divisor, tested at
+tol 0: its flips are the roots of the unshifted conditions.
 
 Windows are swept in batches by one engine, _sweep: k_slice sweeps one
 window, omega_hat the windows of one n and table every window of its
 range.  Every batch, one window included, builds the exact polynomials of
 all its windows in one pass of the closed forms on _RatFns, in Python ints
-only: its coefficients are object arrays with one column per window, and
-n and k are _Rationals, arrays of integer numerators and denominators.
-From there on a batch is held in arrays.  Each polynomial becomes a row of
-floats by one int true division per coefficient, with no gcd: the division
-is correctly rounded, so an unreduced c/d gives the double of the reduced
-one.  Every row is solved as it comes, equal rows included: the roots of
-all rows come from one stacked eigvals call per degree, and the edges,
-points and maxima of every window from sorts, cumulative sums and
-reductions over the whole batch, with the closed forms evaluated in one
-float pass; a window's result does not depend on its batch.
+only (object arrays, one column per window; n and k are _Rationals).  Each
+polynomial becomes a row of floats by one correctly rounded int true
+division per coefficient, with no gcd, so an unreduced c/d gives the double
+of the reduced one.  The roots of all rows, equal rows included, come from
+one stacked eigvals call per degree, and the edges, points and maxima of
+every window from sorts, cumulative sums and reductions over the whole
+batch, with the closed forms evaluated in one float pass; a window's result
+does not depend on its batch.
 """
 from __future__ import annotations
 
@@ -65,8 +65,6 @@ WINDOW_SLACK = 1e-12
 # near sqrt(machine epsilon).  Keeping every root this close to the real
 # axis is safe: each kept point only adds a true value of the bound.
 ROOT_IMAG_TOL = 1e-6
-# Every sweep decides its domain (f0 > tol, fj >= -tol) at tol = DEFAULT_TOL.
-_EXACT_TOL = Fraction(DEFAULT_TOL)
 
 
 def b_k(k: int, a: float) -> float:
@@ -79,10 +77,10 @@ def b_k(k: int, a: float) -> float:
 
 
 def k_max(n: int) -> int:
-    """Largest ratio index to sweep: max(floor((1 + sqrt(2n))/2), 2)."""
+    """Largest ratio index to sweep: the largest k with (2k - 1)^2 <= 2n, at least 2."""
     if n < 2:
         raise ValueError(f"dimension must satisfy n >= 2, got {n}")
-    return max(math.floor((1.0 + math.sqrt(2.0 * n)) / 2.0), 2)
+    return max((math.isqrt(2 * n) + 1) // 2, 2)
 
 
 def interval(k: int) -> tuple[float, float]:
@@ -415,8 +413,7 @@ def _exact_polys(x: _RatFns, n, k) -> tuple[list, list]:
     wider than the lowest terms of one window's polynomials.
     """
     forms = _forms(n, x, (k * x - 1) / (k - 1))
-    shifted = ((f.f0 - _EXACT_TOL, f.fj + _EXACT_TOL, f.divisor) for f in forms)
-    conditions = [c for triple in shifted for c in triple if c is not None]
+    conditions = [c for f in forms for c in (f.f0, f.fj, f.divisor) if c is not None]
     domain = [poly for c in conditions for poly in (c._num, c._den)]
     values = [(x._reduced(f.value._num), x._reduced(f.value._den)) for f in forms]
     extrema = [x._cross(x._der(num), den, num, x._der(den)) for num, den in values]
@@ -514,26 +511,27 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
     result; one KSlice per window, in order.  Every sweep goes through here.
 
     The domain flips split a window into pieces on which the set of
-    in-domain candidates is fixed (read off the closed forms at each
-    piece's midpoint), so Q is the minimum of fixed rational functions
+    in-domain candidates is fixed (read off the closed forms at tol 0 at
+    each piece's midpoint), so Q is the minimum of fixed rational functions
     there.  Q is evaluated at every window end, flip, critical point and
     crossing, once with the candidate set of each piece the point touches;
     the largest of these values is phi.  If some piece has no candidate in
     domain the slice is inconclusive: the LP machinery has no finite bound
     for this (n, k), and the stretches of a without one are recorded.
+    A factor shared by two conditions (D = fj3 = det4, say) gives float
+    roots some ulps apart, and the sliver piece between them gets a verdict
+    of float noise.  Slivers are safe: a point's value is the largest over
+    the pieces it touches, so a sliver can only raise it or make its window
+    inconclusive, never lower phi.
 
-    The exact polynomials of the batch become float rows (_float_polys)
-    with no gcd taken, the roots of every row are found for the whole
-    batch, and from there on the batch is held in flat arrays: one lexsort
-    by (window, a) gives the edges, points and piece midpoints of every
-    window, equal values of one window (the roots of equal rows among them)
-    becoming one point, the closed forms are evaluated in one float pass
-    over them, the pieces each point touches come from a cumsum of edge
-    flags, and phi is a maximum.reduceat, a* its first point as argmax
-    picks it.  Only the stretches of inconclusive windows and the KSlices
-    are built window by window.  A window's result is the same, bit for
-    bit, in any batch.  n and k are taken as Python ints (operator.index),
-    so numpy integers work and floats raise TypeError.
+    The batch is held in flat arrays: one lexsort by (window, a) gives the
+    edges, points and piece midpoints of every window, equal values of one
+    window becoming one point; the closed forms are evaluated in one float
+    pass, the pieces each point touches come from a cumsum of edge flags,
+    and phi is a maximum.reduceat, a* its first point as argmax picks it.
+    A window's result is the same, bit for bit, in any batch.  n and k are
+    taken as Python ints (operator.index): numpy integers work, floats
+    raise TypeError.
     """
     windows = [(operator.index(n), operator.index(k)) for n, k in windows]
     for n, k in windows:
@@ -556,7 +554,7 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
     mids, mw = ((ea[:-1] + ea[1:]) / 2)[inside], ew[1:][inside]
     # The piece midpoints of every window, then its points, in one evaluation.
     at, x = np.concatenate((mw, xw)), np.concatenate((mids, xs))
-    values, in_domain = _float_forms(n[at], x, _b_line(k[at], x), DEFAULT_TOL)
+    values, in_domain = _float_forms(n[at], x, _b_line(k[at], x), 0.0)
     pieces = mids.size
     active = in_domain[:, :pieces] & np.isfinite(values[:, :pieces])
     empty = ~active.any(axis=0)

@@ -1,4 +1,5 @@
-"""Bit-exact window results for every (n, k) with n = 7..60 at the default tol.
+"""Bit-exact window results for every (n, k) with n = 7..60, the domain
+decided at tol 0 (f0 > 0, fj >= 0) as in every sweep.
 
 tests/golden/windows.json holds phi and a_star as float.hex strings, the
 floored bound, the conclusive flag and the exact ends of the inf stretches,

@@ -14,6 +14,7 @@ from numpy.polynomial import polynomial as npoly
 import twodist.bound_polys as bound_polys
 import twodist.lrs as lrs
 from fraction_fns import FractionFns, trimmed, window_polys
+from test_acceptance import EXPECTED
 from test_golden_windows import WINDOWS, load as load_golden_windows, record
 from twodist.bound_polys import (
     DEFAULT_TOL, MAX_TOL, InnerProductPair, _forms, best_bound, best_of, candidate_values,
@@ -55,6 +56,14 @@ def test_k_max_examples():
     assert k_max(32) == 4
     assert k_max(40) == 4
     assert k_max(2) == 2  # the formula gives 1; the sweep floor is 2
+
+
+def test_k_max_steps_where_2n_reaches_an_odd_square():
+    # k_max(n) is the largest k with (2k - 1)^2 <= 2n (at least 2); (2k - 1)^2
+    # is odd, so 2n first reaches it at n = ((2k - 1)^2 + 1) / 2.
+    for k in range(2, 1001):
+        edge = (2 * k - 1) ** 2 // 2
+        assert [k_max(edge - 1), k_max(edge), k_max(edge + 1)] == [max(k - 1, 2)] * 2 + [k], k
 
 
 def test_interval_examples():
@@ -118,11 +127,31 @@ def test_window_bound_examples():
 def test_window_maxima_on_three_way_crossings():
     # Three certificates (i = 1, 3, 4) cross exactly on an integer at
     # a = 1/6 for (22, 3) and at a = 1/8 for (46, 4); a sampled sweep that
-    # misses the crossing floors these to 274 and 1126.
+    # misses the crossing floors these to 274 and 1126.  With the domain at
+    # tol 0, phi at (46, 4) is the integer itself; shifted by 1e-9 it was
+    # 1126.9999999999995.
     sl = k_slice(22, 3)
     assert sl.omega_hat_nk == 275 and abs(sl.a_star - 1.0 / 6) < 1e-12
     sl = k_slice(46, 4)
     assert omega_hat_nk(46, 4) == 1127 and abs(sl.a_star - 1.0 / 8) < 1e-12
+    assert sl.phi == 1127.0
+
+
+_TIGHT_FAMILY_DEFECT = (15, 20, 25, 27, 29, 30)  # ROADMAP item 16
+
+
+@pytest.mark.parametrize("k", [
+    pytest.param(k, marks=pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 16: the float phi lands below n(n + 3)/2 by more than FLOOR_NUDGE"))
+    if k in _TIGHT_FAMILY_DEFECT else k
+    for k in range(2, 31)
+])
+def test_tight_family_floors_to_the_absolute_bound(k):
+    # At n = (2k - 1)^2 - 3, a = 1/(2k) lies in the window and candidates 1, 3
+    # and 4 all equal the absolute bound n(n + 3)/2 there, so the window's
+    # floor can be no lower.
+    n = (2 * k - 1) ** 2 - 3
+    assert omega_hat_nk(n, k) == n * (n + 3) // 2
 
 
 def _exact_forms(n, k):
@@ -372,7 +401,8 @@ def test_tolerance_outside_range_is_rejected(entry):
 
 
 def test_sweep_takes_no_tolerance():
-    # A sweep decides its domain at DEFAULT_TOL: no stage of it takes a tol.
+    # A sweep decides its domain at tol 0 (f0 > 0, fj >= 0): no stage of it
+    # takes a tol.
     sweep = [k_slice, phi, omega_hat_nk, omega_hat, g_upper, table, lrs._sweep,
              lrs._candidate_points, lrs._float_polys, lrs._batch_polys, lrs._exact_polys]
     assert [f.__name__ for f in sweep if "tol" in inspect.signature(f).parameters] == []
@@ -576,17 +606,54 @@ def test_table_equals_rows_from_omega_hat():
         assert row == TableRow(row.n, w, rho(row.n), ks, max(w, rho(row.n)), math.isfinite(w))
 
 
-def test_zero_tolerance_table_matches_default(monkeypatch):
+def test_zero_tolerance_table_matches_default():
     # a + b = 0 exactly at the right end 1/(2k - 1) of every window; its float
     # root used to land an ulp inside and cut off a sliver piece whose
     # candidate set was read at the degenerate point (n = 15 gave 398).
-    # The sweep's one tolerance is set to 0 in both its exact and float stages.
-    default = table(7, 60)
-    monkeypatch.setattr(lrs, "DEFAULT_TOL", 0.0)
-    monkeypatch.setattr(lrs, "_EXACT_TOL", Fraction(0))
-    zero = table(7, 60)
-    assert [r.omega_hat for r in zero] == [r.omega_hat for r in default]
-    assert zero == default
+    # The domain at tol 0 gives the rows the sweep gave at the default tol
+    # of 1e-9: n = 7..40 as in the acceptance table, then these.
+    rows = {**EXPECTED, 41: (1279, 2), 42: (2006, 2), 43: (4404, 2)}
+    rows.update((n, (math.inf, 2)) for n in range(44, 61))
+    want = []
+    for n, (w, ks) in sorted(rows.items()):
+        ceiling = n * (n + 1) // 2
+        want.append(TableRow(n, w, ceiling, ks, max(w, ceiling), math.isfinite(w)))
+    assert table(7, 60) == want
+
+
+def _sign_change(poly, x: float, width: Fraction):
+    """The exact point, to within 2^-80, where poly changes sign in
+    [x - width, x + width], found by bisection; None if its signs at the
+    two ends do not differ."""
+    lo, hi = Fraction(x) - width, Fraction(x) + width
+    low = _at(poly, lo)
+    if low * _at(poly, hi) >= 0:
+        return None
+    while hi - lo > Fraction(1, 2**80):
+        mid = (lo + hi) / 2
+        if (_at(poly, mid) < 0) == (low < 0):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+def test_inf_stretch_ends_sit_on_unshifted_flips():
+    # Each end of the inf stretch of (n, 2), n = 44..60, is a root of one of
+    # the window's domain conditions f0, fj and the divisors as _forms builds
+    # them, with no tolerance shift.  The companion-matrix roots of these
+    # degree-6 conditions are good to some hundreds of ulps (912 at worst);
+    # the shift by 1e-9 put every end 3e8 ulps or more away.
+    for n in range(44, 61):
+        conditions = [
+            poly for f in _exact_forms(n, 2) for c in (f.f0, f.fj, f.divisor) if c is not None
+            for poly in (c._num, c._den)
+        ]
+        (stretch,) = k_slice(n, 2).inf_ranges
+        for end in stretch:
+            roots = [r for p in conditions if (r := _sign_change(p, end, Fraction(1, 2**20))) is not None]
+            ulps = min(abs(r - Fraction(end)) for r in roots) / Fraction(math.ulp(end))
+            assert ulps <= 1024, (n, end, float(ulps))
 
 
 def _polyroots_inside(poly, lo, hi):
