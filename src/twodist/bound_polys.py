@@ -19,7 +19,9 @@ of each expansion (f_0, the one free f_j and the top coefficient) have a
 closed form in n, a and b, one builder per candidate (_forms), and every
 route evaluates those forms: candidates and best_bound on one pair's
 Python floats, candidate_values on arrays of pairs, and the window sweep
-in lrs on arrays and on exact rational functions of a.  A candidate holds
+in lrs on arrays.  The sweep's exact polynomials are these forms on rational
+functions of a with n and k symbolic, written once into a table
+(twodist._sweep_table, by tools/make_sweep_table.py).  A candidate holds
 its certificate only as that expansion, read from the forms (P is never
 multiplied out), so the f_0 and f_j it shows are the numbers the domain
 verdict tests.  The i=2 multiplier is undefined when a + b = 0 and the
@@ -171,8 +173,10 @@ def _forms(n, a, b) -> tuple[_Form | None, ...]:
     builder each, on the shared s, p and at_one.  Evaluated on float arrays
     by _float_forms (for candidate_values and the window sweep in lrs, which
     passes n as an array), on Python floats by candidates, and on exact
-    rational functions of a by the sweep; all routes rely on the operations
-    and their order here being the only definition.  A builder that divides
+    rational functions of a by tools/make_sweep_table.py, which writes the
+    sweep's polynomials into twodist._sweep_table, and by the tests' exact
+    reference; all routes rely on the operations and their order here being
+    the only definition.  A builder that divides
     by an exact zero (i=2 at s = 0, i=4 at det = 0, on Python floats or
     exact operands) gives None for its own candidate only."""
     s = a + b

@@ -22,16 +22,19 @@ tol 0: its flips are the roots of the unshifted conditions.
 
 Windows are swept in batches by one engine, _sweep: k_slice sweeps one
 window, omega_hat the windows of one n and table every window of its
-range.  Every batch, one window included, builds the exact polynomials of
-all its windows in one pass of the closed forms on _RatFns, in Python ints
-only (object arrays, one column per window; n and k are _Rationals).  Each
-polynomial becomes a row of floats by one correctly rounded int true
-division per coefficient, with no gcd, so an unreduced c/d gives the double
-of the reduced one.  The roots of all rows, equal rows included, come from
-one stacked eigvals call per degree, and the edges, points and maxima of
-every window from sorts, cumulative sums and reductions over the whole
-batch, with the closed forms evaluated in one float pass; a window's result
-does not depend on its batch.
+range.  The polynomials of a window are rows of a checked-in table
+(_sweep_table) whose coefficients are integer polynomials in n and k over
+one integer polynomial per row, made once from the closed forms by
+tools/make_sweep_table.py.  Every batch, one window included, evaluates the
+table in one matmul by the monomials n^i k^j of its windows: in float64,
+exact while every term and partial sum is an integer below 2^53, else in
+Python ints.  Each coefficient is then one correctly rounded division of
+two integers, so it is the double nearest the rational in either route.
+The roots of all rows, equal rows included, come from one stacked eigvals
+call per degree, and the edges, points and maxima of every window from
+sorts, cumulative sums and reductions over the whole batch, with the closed
+forms evaluated in one float pass; a window's result does not depend on
+its batch.
 """
 from __future__ import annotations
 
@@ -39,18 +42,17 @@ import math
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, groupby, repeat
+from itertools import groupby, repeat
 from typing import NamedTuple
 
 import numpy as np
 
+from . import _sweep_table
 from .bound_polys import (
     DEFAULT_TOL,
     InnerProductPair,
     _float_forms,
-    _forms,
     best_bound,
     best_of_samples,
     candidate_values,
@@ -114,225 +116,11 @@ def _b_line(k: int, a: np.ndarray) -> np.ndarray:
     return np.maximum((k * a - 1.0) / (k - 1.0), -1.0)
 
 
-class _Rationals:
-    """One rational number per window of a batch, for the scalars of _forms
-    on _RatFns (n, k and what is built from them): numerator and
-    denominator are (W,) object arrays of Python ints, each denominator
-    positive and left unreduced, so that an operation is a few object-array
-    operations instead of one Fraction operation per window.  It combines
-    with ints, Fractions and itself in either order.  With any other
-    operand, a _RatFns in particular, it returns NotImplemented, so that
-    _RatFns takes it as a scalar operand."""
-
-    __slots__ = ("numerator", "denominator")
-    __array_ufunc__ = None
-
-    def __init__(self, numerator, denominator):
-        self.numerator, self.denominator = numerator, denominator
-
-    @classmethod
-    def of(cls, values) -> "_Rationals":
-        """The rationals of a sequence of ints or Fractions, one per window."""
-        fr = [Fraction(v) for v in values]
-        return cls(
-            np.array([f.numerator for f in fr], dtype=object),
-            np.array([f.denominator for f in fr], dtype=object),
-        )
-
-    @staticmethod
-    def _quotient(num, den) -> "_Rationals":
-        """num / den, the sign of each denominator moved to its numerator."""
-        if (den == 0).any():
-            raise ZeroDivisionError("_Rationals division by zero")
-        negative = den < 0
-        return _Rationals(np.where(negative, -num, num), np.where(negative, -den, den))
-
-    def __add__(self, other):
-        if not isinstance(other, _RATIONAL):
-            return NotImplemented
-        p, q, r, s = self.numerator, self.denominator, other.numerator, other.denominator
-        return _Rationals(p * s + r * q, q * s)
-
-    def __sub__(self, other):
-        return self + -other if isinstance(other, _RATIONAL) else NotImplemented
-
-    def __rsub__(self, other):
-        return -self + other if isinstance(other, _RATIONAL) else NotImplemented
-
-    def __mul__(self, other):
-        if not isinstance(other, _RATIONAL):
-            return NotImplemented
-        return _Rationals(self.numerator * other.numerator, self.denominator * other.denominator)
-
-    def __truediv__(self, other):
-        if not isinstance(other, _RATIONAL):
-            return NotImplemented
-        return self._quotient(self.numerator * other.denominator, self.denominator * other.numerator)
-
-    def __rtruediv__(self, other):
-        if not isinstance(other, _RATIONAL):
-            return NotImplemented
-        return self._quotient(other.numerator * self.denominator, other.denominator * self.numerator)
-
-    def __neg__(self):
-        return _Rationals(-self.numerator, self.denominator)
-
-    __radd__, __rmul__ = __add__, __mul__
-
-
-# The operands _Rationals combines with; ints and Fractions have numerator
-# and denominator too.
-_RATIONAL = (int, Fraction, _Rationals)
-
-
-class _RatFns:
-    """num(a) / den(a) in every window of a batch, exact: just the
-    arithmetic _forms needs, so that _forms runs once for the whole batch.
-
-    A polynomial is an (L, W) object array of Python ints, row i holding
-    the coefficient of a^i in each of the W windows, over a (W,) array of
-    positive integer denominators.  Operations reduce nothing, so column w
-    of a final polynomial is window w's rational polynomial up to a common
-    factor and trailing zeros, which change no rational coefficient; only
-    _exact_polys reduces the value polynomials (_reduced) before it
-    multiplies them.  A scalar operand is an int, a Fraction or a
-    _Rationals, one rational per window (n and k in _forms); it touches the
-    numerator only (_scale), without a product by a constant polynomial.
-    Otherwise the quartic's value would grow from degree 6/6 to 14/14 and
-    its roots would lose accuracy.  Terms over the same denominator are
-    added and divided without multiplying it in; the shortcut is taken only
-    when the denominators agree in every window or in none (_same).
-
-    The operators are the only definition of the polynomial operations each
-    rational operation makes, same-denominator shortcuts included.  The
-    polynomial operations themselves are the class attributes _mul, _add,
-    _scale, _der, _neg, _same and _reduced, with _scalar to read a scalar
-    operand: a subclass that replaces them makes the same rational
-    operations on another representation."""
-
-    __slots__ = ("_num", "_den")
-
-    @classmethod
-    def _of(cls, num, den) -> "_RatFns":
-        out = object.__new__(cls)
-        out._num, out._den = num, den
-        return out
-
-    @classmethod
-    def variable(cls, count: int) -> "_RatFns":
-        """The identity a / 1 in each of count windows."""
-        ones = np.ones(count, dtype=object)
-        return cls._of((np.array([[0] * count, [1] * count], dtype=object), ones), (ones[None], ones))
-
-    @classmethod
-    def _cross(cls, p, q, r, s):
-        """p q - r s for exact polynomials."""
-        return cls._add(cls._mul(p, q), cls._mul(r, s), -1)
-
-    def __add__(self, other):
-        if not isinstance(other, _RatFns):
-            return self._of(self._add(self._num, self._scale(self._den, self._scalar(other))), self._den)
-        if self._same(self._den, other._den):
-            return self._of(self._add(self._num, other._num), self._den)
-        num = self._add(self._mul(self._num, other._den), self._mul(other._num, self._den))
-        return self._of(num, self._mul(self._den, other._den))
-
-    def __mul__(self, other):
-        if not isinstance(other, _RatFns):
-            return self._of(self._scale(self._num, self._scalar(other)), self._den)
-        return self._of(self._mul(self._num, other._num), self._mul(self._den, other._den))
-
-    def __truediv__(self, other):
-        if not isinstance(other, _RatFns):
-            return self * (1 / self._scalar(other))
-        if self._same(self._den, other._den):
-            return self._of(self._num, other._num)
-        return self._of(self._mul(self._num, other._den), self._mul(self._den, other._num))
-
-    def __neg__(self):
-        return self._of(self._neg(self._num), self._den)
-
-    def __sub__(self, other):
-        return self + -other
-
-    def __rsub__(self, other):
-        return -self + other
-
-    __radd__, __rmul__ = __add__, __mul__
-
-    @staticmethod
-    def _scalar(x):
-        return x if isinstance(x, _Rationals) else Fraction(x)
-
-    @staticmethod
-    def _mul(p, q) -> tuple:
-        """One skewed outer product: row i of a times b is written at the
-        start of row i of a buffer whose rows are one longer than the
-        product, so that read back with the product's row length, row i
-        starts i places later; the sum over i is the product.  A constant
-        operand is a scale of the other, by broadcasting."""
-        (a, da), (b, db) = p, q
-        la, lb, w = len(a), len(b), a.shape[1]
-        if la == 1 or lb == 1:
-            return a * b, da * db
-        out = np.zeros((la, la + lb, w), dtype=object)
-        np.multiply(a[:, None], b[None], out=out[:, :lb])
-        skewed = out.reshape(-1, w)[: la * (la + lb - 1)].reshape(la, la + lb - 1, w)
-        return skewed.sum(axis=0), da * db
-
-    @staticmethod
-    def _add(p, q, sign: int = 1) -> tuple:
-        (a, da), (b, db) = p, q
-        a, b = a * db, b * (da if sign == 1 else -da)
-        if len(a) < len(b):
-            a, b = b, a
-        a[: len(b)] += b  # into the longer of two fresh products
-        return a, da * db
-
-    @staticmethod
-    def _scale(p, f) -> tuple:
-        c, d = p
-        return c * f.numerator, d * f.denominator
-
-    @staticmethod
-    def _reduced(p) -> tuple:
-        """p with the gcd of each window's coefficients and denominator divided out."""
-        c, d = p
-        g = np.gcd.reduce(np.vstack((c, d)), axis=0)
-        return c // g, d // g
-
-    @staticmethod
-    def _der(p) -> tuple:
-        c, d = p
-        if len(c) == 1:
-            return np.zeros_like(c), d
-        return c[1:] * np.array(range(1, len(c)), dtype=object)[:, None], d
-
-    @staticmethod
-    def _neg(p) -> tuple:
-        c, d = p
-        return -c, d
-
-    @staticmethod
-    def _same(p, q) -> bool:
-        """Whether p == q, decided exactly in each window by cross
-        multiplication; raises ValueError when the windows disagree, since
-        one branch is taken for all of them."""
-        equal = (_RatFns._add(p, q, -1)[0] == 0).all(axis=0)
-        if equal.all():
-            return True
-        if not equal.any():
-            return False
-        raise ValueError(
-            f"same-denominator shortcut holds in {int(equal.sum())} of {equal.size} windows of a batch"
-        )
-
-
-def _vanishes(poly, x: Fraction) -> bool:
-    """Whether an exact polynomial (trailing zeros allowed) is zero at the rational x, in integers."""
-    c, _ = poly
-    p, q, deg = x.numerator, x.denominator, len(c) - 1
-    return sum(ci * p**i * q ** (deg - i) for i, ci in enumerate(c)) == 0
+def _vanishes(coeffs, p: int, q: int) -> bool:
+    """Whether the integer polynomial coeffs (trailing zeros allowed) is zero
+    at the rational p/q, decided in integers."""
+    deg = len(coeffs) - 1
+    return sum(c * p**i * q ** (deg - i) for i, c in enumerate(coeffs)) == 0
 
 
 def _real_roots(rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -374,18 +162,19 @@ def _real_roots(rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return x[keep], owner[keep]
 
 
-def _exact_interval(k: int) -> tuple[Fraction, Fraction]:
-    """interval(k) in exact arithmetic."""
-    return Fraction(2 - k, k), Fraction(1, 2 * k - 1)
+def _exact_ends(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends of interval(k) as exact fractions (numerator, denominator)."""
+    return (2 - k, k), (1, 2 * k - 1)
 
 
-def _flip_roots(roots, owner, exact, lo, hi, k):
+def _flip_roots(roots, owner, vanishes_at, lo, hi):
     """The roots of domain conditions, less those that are an end of their
     window; returns (roots, owner) for the roots kept.
 
-    owner indexes the polynomials of the batch; exact(j) reads back the
-    exact polynomial of domain condition j, and lo, hi and k hold the
-    window of each polynomial.  A domain condition can vanish exactly at an
+    owner indexes the polynomials of the batch, lo and hi hold the window
+    ends of each polynomial, and vanishes_at(j, side) tells whether
+    polynomial j is exactly zero at the exact lower (side 0) or upper
+    (side 1) end of its window.  A domain condition can vanish exactly at an
     end (a + b = 0 at a = 1/(2k - 1)), and its float root may land an ulp
     inside.  Kept, it would cut off a sliver piece whose candidate set is
     read at the degenerate point itself.  Only roots within WINDOW_SLACK of
@@ -395,37 +184,74 @@ def _flip_roots(roots, owner, exact, lo, hi, k):
     drop = np.zeros(roots.size, dtype=bool)
     for side, ends in enumerate((lo, hi)):
         for i in np.flatnonzero(np.abs(roots - ends[owner]) <= WINDOW_SLACK):
-            j = owner[i]
-            drop[i] = _vanishes(exact(j), _exact_interval(int(k[j]))[side])
+            drop[i] = vanishes_at(owner[i], side)
     return roots[~drop], owner[~drop]
 
 
-def _exact_polys(x: _RatFns, n, k) -> tuple[list, list]:
-    """The exact polynomials of a batch of windows, as (domain, extrema); x
-    is the variable a, one column per window, and n, k are _Rationals
-    holding one per window (or, for a one-window x, a Fraction or an int).
+class _Table(NamedTuple):
+    """The sweep table (_sweep_table) as arrays.
 
-    domain holds the numerators and denominators of every domain condition,
-    whose roots are where a candidate can enter or leave its domain;
-    extrema holds the critical-point polynomial of each candidate and the
-    crossing polynomial of each pair.  The value polynomials are reduced
-    (_reduced) before those products, which keeps their operands short: no
-    wider than the lowest terms of one window's polynomials.
+    coeffs has one row per polynomial in n and k of the table, the
+    denominator D of each sweep polynomial first, in order, then the
+    numerators N_m of the coefficients of each sweep polynomial, in order;
+    and one column per monomial n^i k^j that occurs, with i = n_power and
+    j = k_power.  Its entries are integers below 2^14, held in float64.
+    poly and power give the sweep polynomial and the power of a of each
+    numerator row, starts[i] the first numerator row of sweep polynomial i,
+    counted from the first numerator row."""
+
+    coeffs: np.ndarray
+    n_power: np.ndarray
+    k_power: np.ndarray
+    poly: np.ndarray
+    power: np.ndarray
+    starts: np.ndarray
+
+
+def _load_table() -> _Table:
+    den = np.fromstring(_sweep_table.DENOMINATORS, dtype=np.int64, sep=" ").reshape(-1, 4)
+    num = np.fromstring(_sweep_table.NUMERATORS, dtype=np.int64, sep=" ").reshape(-1, 5)
+    polys = den[-1, 0] + 1
+    lengths = np.zeros(polys, dtype=np.int64)
+    np.maximum.at(lengths, num[:, 0], num[:, 1] + 1)  # a row's top coefficient is nonzero
+    starts = np.concatenate(([0], np.cumsum(lengths)))
+    row = np.concatenate((den[:, 0], polys + starts[num[:, 0]] + num[:, 1]))
+    i, j, c = np.concatenate((den[:, 1:], num[:, 2:])).T
+    width = j.max() + 1
+    coeffs = np.zeros((polys + starts[-1], (i.max() + 1) * width))
+    coeffs[row, i * width + j] = c
+    used = np.flatnonzero(coeffs.any(axis=0))
+    poly = np.repeat(np.arange(polys), lengths)
+    return _Table(coeffs[:, used], *np.divmod(used, width), poly, np.arange(starts[-1]) - starts[poly], starts)
+
+
+_TABLE = _load_table()
+# An evaluation of the table runs in float64 while the sum of |c| n^i k^j
+# over each of its rows stays below this.  Every product and partial sum is
+# then an integer that float64 holds exactly; the factor two below 2^53
+# covers the rounding of the float sum that checks it.
+_EXACT_FLOAT_LIMIT = 2.0**52
+
+
+def _table_values(n, k) -> np.ndarray:
+    """Every polynomial in n and k of the sweep table at the windows
+    (n[w], k[w]): an (R, W) array of exact integers, in the row order of
+    _TABLE.coeffs.
+
+    One matmul of the table by the monomial values n^i k^j of the batch.
+    The batch's largest n and largest k bound every |c| n^i k^j, and while
+    the sum of those bounds over each row stays below _EXACT_FLOAT_LIMIT the
+    matmul runs in float64, exact in any order of summation; beyond it, it
+    runs in Python ints (object dtype).
     """
-    forms = _forms(n, x, (k * x - 1) / (k - 1))
-    conditions = [c for f in forms for c in (f.f0, f.fj, f.divisor) if c is not None]
-    domain = [poly for c in conditions for poly in (c._num, c._den)]
-    values = [(x._reduced(f.value._num), x._reduced(f.value._den)) for f in forms]
-    extrema = [x._cross(x._der(num), den, num, x._der(den)) for num, den in values]
-    extrema += [x._cross(vn, wd, wn, vd) for (vn, vd), (wn, wd) in combinations(values, 2)]
-    return domain, extrema
-
-
-def _batch_polys(windows: list) -> tuple[list, list]:
-    """The exact polynomials of every window from one _exact_polys pass on
-    _RatFns; column w of each is a polynomial of window w."""
-    n, k = (_Rationals.of(col) for col in zip(*windows))
-    return _exact_polys(_RatFns.variable(len(windows)), n, k)
+    t = _TABLE
+    top = np.abs(t.coeffs) @ (float(max(n)) ** t.n_power * float(max(k)) ** t.k_power)
+    if top.max() < _EXACT_FLOAT_LIMIT:
+        n, k = np.array(n, dtype=np.int64), np.array(k, dtype=np.int64)
+        return t.coeffs @ (n ** t.n_power[:, None] * k ** t.k_power[:, None]).astype(float)
+    powers = zip(t.n_power.tolist(), t.k_power.tolist())
+    monomials = np.array([[m**i * l**j for m, l in zip(n, k)] for i, j in powers], dtype=object)
+    return t.coeffs.astype(np.int64).astype(object) @ monomials
 
 
 def _float_polys(windows: list):
@@ -434,35 +260,36 @@ def _float_polys(windows: list):
     Returns (coeffs, domain, exact): coeffs[w, i] holds polynomial i of
     window w, lowest power first and zero-padded to the longest one, the
     `domain` domain conditions before the extremum polynomials; exact(w, i)
-    reads back domain condition i of window w.
+    reads back domain condition i of window w as the integers N_m(n, k), its
+    coefficients times their common denominator D(n, k) > 0.
 
-    The polynomials come from one _batch_polys pass, whatever the number of
-    windows.  Each coefficient is one true division of ints, which is
-    correctly rounded and never rounds a nonzero c/d to zero: an unreduced
-    column gives the doubles of its lowest terms with no gcd taken, and the
-    padding is trimmed to the widest nonzero column, so a window's rows are
-    the same bit for bit in any batch.
+    The polynomials are the rows of the sweep table, evaluated for the whole
+    batch by one _table_values call.  Each coefficient N_m(n, k) / D(n, k)
+    is then one division of two exact integers, in float64 or as int true
+    division, and both are correctly rounded: it is the double nearest the
+    rational coefficient, in either route.  D is positive, so a zero
+    coefficient is +0.0.  The padding is trimmed to the widest nonzero
+    column, so a window's rows are the same bit for bit in any batch.
     """
-    domain, extrema = _batch_polys(windows)
-    polys = domain + extrema
-    coeffs = np.zeros((len(windows), len(polys), max(len(c) for c, _ in polys)))
-    for i, (c, d) in enumerate(polys):
-        coeffs[:, i, : len(c)] = (c / d).T
+    t, polys = _TABLE, len(_TABLE.starts) - 1
+    values = _table_values(*zip(*windows))
+    coeffs = np.zeros((len(windows), polys, t.power.max() + 1))
+    coeffs[:, t.poly, t.power] = (values[polys:] / values[t.poly]).T
 
     def exact(w, i):
-        return domain[i][0][:, w], domain[i][1][w]
+        return [int(c) for c in values[polys + t.starts[i] : polys + t.starts[i + 1], w].tolist()]
 
     width = np.flatnonzero(coeffs.any(axis=(0, 1)))[-1] + 1  # the widest nonzero column
-    return coeffs[:, :, :width], len(domain), exact
+    return coeffs[:, :, :width], _sweep_table.DOMAIN_ROWS, exact
 
 
-def _candidate_points(windows: list, lo, hi, k) -> tuple[np.ndarray, ...]:
+def _candidate_points(windows: list, lo, hi) -> tuple[np.ndarray, ...]:
     """Domain flips and interior extremum candidates of every window.
 
     Returns (flips, flip_window, extrema, extremum_window): the a where some
     candidate can enter or leave its domain, and the a where one candidate
     has a critical point or two candidates cross, each with the index of
-    its window; lo, hi and k are float arrays, one entry per window.  Every
+    its window; lo and hi are float arrays, one entry per window.  Every
     polynomial of every window goes to one _real_roots call, as it comes:
     a polynomial that appears twice in a window gives the same roots twice,
     which _sweep merges into one point.
@@ -470,12 +297,16 @@ def _candidate_points(windows: list, lo, hi, k) -> tuple[np.ndarray, ...]:
     coeffs, domain, exact = _float_polys(windows)
     polys = coeffs.shape[1]
     window, index = np.divmod(np.arange(len(windows) * polys), polys)
-    lo, hi, k = lo[window], hi[window], k[window]
+    ends = [_exact_ends(k) for _, k in windows]
+
+    def vanishes_at(j, side):
+        w = window[j]
+        return _vanishes(exact(w, index[j]), *ends[w][side])
+
+    lo, hi = lo[window], hi[window]
     roots, owner = _real_roots(coeffs.reshape(window.size, -1), lo, hi)
     flip = index[owner] < domain
-    flips, flip_owner = _flip_roots(
-        roots[flip], owner[flip], lambda j: exact(window[j], index[j]), lo, hi, k
-    )
+    flips, flip_owner = _flip_roots(roots[flip], owner[flip], vanishes_at, lo, hi)
     return flips, window[flip_owner], roots[~flip], window[owner[~flip]]
 
 
@@ -524,7 +355,9 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
     the pieces it touches, so a sliver can only raise it or make its window
     inconclusive, never lower phi.
 
-    The batch is held in flat arrays: one lexsort by (window, a) gives the
+    The flips and extremum candidates of the whole batch come from one
+    evaluation of the sweep table (_candidate_points).  The batch is held
+    in flat arrays: one lexsort by (window, a) gives the
     edges, points and piece midpoints of every window, equal values of one
     window becoming one point; the closed forms are evaluated in one float
     pass, the pieces each point touches come from a cumsum of edge flags,
@@ -539,7 +372,7 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
     ids = np.arange(len(windows))
     n, k = np.array(windows, dtype=float).T
     lo, hi = (2.0 - k) / k, 1.0 / (2.0 * k - 1.0)  # interval(k), one entry per window
-    flips, flip_window, extrema, extremum_window = _candidate_points(windows, lo, hi, k)
+    flips, flip_window, extrema, extremum_window = _candidate_points(windows, lo, hi)
     # Ends and flips are edges; equal values of one window are one point, an
     # edge if any of them is, since the stable lexsort keeps the edges first.
     a = np.concatenate((lo, hi, flips, extrema))
@@ -588,10 +421,10 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
 def k_slice(n: int, k: int) -> KSlice:
     """Maximize Q over the closed window for (n, k) and floor the result.
 
-    A batch of one window for _sweep, built on _RatFns as every batch is;
-    omega_hat and table sweep their windows as one batch and do not go
-    through this cache.  The cache is typed, so a float n or k raises
-    TypeError on a warm cache too.
+    A batch of one window for _sweep, whose polynomials come from one
+    evaluation of the sweep table as in every batch; omega_hat and table
+    sweep their windows as one batch and do not go through this cache.  The
+    cache is typed, so a float n or k raises TypeError on a warm cache too.
     """
     return _sweep(((n, k),))[0]
 

@@ -1,4 +1,4 @@
-"""An exact reference for the sweep's polynomial engine: lrs._RatFns for one
+"""An exact reference for the sweep's polynomials: ratfns._RatFns for one
 window, with each polynomial a tuple of Fraction coefficients.
 
 FractionFns overrides only the polynomial primitives of _RatFns and
@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import zip_longest
 
-import twodist.lrs as lrs
+import ratfns
 
 
 def trimmed(coeffs) -> tuple:
@@ -23,7 +23,7 @@ def trimmed(coeffs) -> tuple:
     return tuple(c)
 
 
-class FractionFns(lrs._RatFns):
+class FractionFns(ratfns._RatFns):
     """num(a) / den(a) of one window, on tuples of Fraction."""
 
     __slots__ = ()
@@ -62,6 +62,6 @@ class FractionFns(lrs._RatFns):
 
 @lru_cache(maxsize=None)
 def window_polys(n: int, k: int) -> tuple[list, list]:
-    """The exact polynomials of the (n, k) window, as lrs._exact_polys lists
-    them, from one pass of the closed forms on FractionFns."""
-    return lrs._exact_polys(FractionFns.of([0, 1]), Fraction(n), k)
+    """The exact polynomials of the (n, k) window, as ratfns._exact_polys
+    lists them, from one pass of the closed forms on FractionFns."""
+    return ratfns._exact_polys(FractionFns.of([0, 1]), Fraction(n), k)

@@ -83,7 +83,7 @@ def test_known_set_is_exactly_two_distance_in_its_window(build, size, n, k, a, b
     assert products == {a, b}
     assert _rank(points) == n
     assert (1 - b) / (a - b) == k
-    lo, hi = lrs._exact_interval(k)
+    lo, hi = (Fraction(*end) for end in lrs._exact_ends(k))
     assert lo <= a < hi and b == (k * a - 1) / (k - 1)
 
 

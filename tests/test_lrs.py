@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
+import ratfns
 import twodist.bound_polys as bound_polys
 import twodist.lrs as lrs
 from fraction_fns import FractionFns, trimmed, window_polys
@@ -404,15 +405,28 @@ def test_sweep_takes_no_tolerance():
     # A sweep decides its domain at tol 0 (f0 > 0, fj >= 0): no stage of it
     # takes a tol.
     sweep = [k_slice, phi, omega_hat_nk, omega_hat, g_upper, table, lrs._sweep,
-             lrs._candidate_points, lrs._float_polys, lrs._batch_polys, lrs._exact_polys]
+             lrs._candidate_points, lrs._float_polys, lrs._table_values]
     assert [f.__name__ for f in sweep if "tol" in inspect.signature(f).parameters] == []
+
+
+def _recording_table_values(monkeypatch) -> list:
+    """Record (batch size, dtype) of every evaluation of the sweep table."""
+    table_values, calls = lrs._table_values, []
+
+    def recording(n, k):
+        values = table_values(n, k)
+        calls.append((len(n), values.dtype))
+        return values
+
+    monkeypatch.setattr(lrs, "_table_values", recording)
+    return calls
 
 
 def test_one_batch_equals_the_golden_windows(monkeypatch):
     # Every window of n = 7..60 in one _sweep, in order and shuffled, must
-    # give each window the record it has when swept alone (k_slice).
-    batch_polys, batched = lrs._batch_polys, []
-    monkeypatch.setattr(lrs, "_batch_polys", lambda ws: batched.append(len(ws)) or batch_polys(ws))
+    # give each window the record it has when swept alone (k_slice), from
+    # one evaluation of the sweep table per batch.
+    evaluations = _recording_table_values(monkeypatch)
     want = {(w["n"], w["k"]): w for w in load_golden_windows()}
     windows = list(want)
     shuffled = [windows[i] for i in np.random.default_rng(10).permutation(len(windows))]
@@ -421,7 +435,7 @@ def test_one_batch_equals_the_golden_windows(monkeypatch):
         assert [(sl.n, sl.k) for sl in slices] == batch
         for sl in slices:
             assert record(sl) == want[(sl.n, sl.k)]
-    assert batched == [158, 158]
+    assert evaluations == [(158, np.float64)] * 2
     assert any(w["inf_ranges"] for w in want.values())
 
 
@@ -467,17 +481,17 @@ def test_batch_polys_equal_the_window_polys():
     # The same operators on Fraction tuples, window by window, are the
     # reference: same domain and extremum lists, in order, of the same
     # rational polynomials (each batch column reduced), for every window.
-    domain, extrema = ([_columns(p) for p in polys] for polys in lrs._batch_polys(WINDOWS))
+    domain, extrema = ([_columns(p) for p in polys] for polys in ratfns._batch_polys(WINDOWS))
     got = [(list(d), list(e)) for d, e in zip(zip(*domain), zip(*extrema))]
     assert got == [window_polys(n, k) for n, k in WINDOWS]
 
 
 def test_float_rows_of_both_routes_are_bit_identical():
     # The two routes are a window swept alone and the same window among the
-    # 158 of 7..60.  Each divides its unreduced integers by their
-    # denominator, and int true division is correctly rounded, so the rows
-    # and the exact domain conditions must be the same whatever the batch;
-    # the padding may only be wider in the larger batch.
+    # 158 of 7..60.  Each divides the table's integers at (n, k) by their
+    # denominator, and the division is correctly rounded, so the rows and
+    # the exact domain conditions must be the same whatever the batch; the
+    # padding may only be wider in the larger batch.
     batch, domain, batch_exact = lrs._float_polys(WINDOWS)
     assert batch.dtype == np.float64 and domain == 24
     for w, window in enumerate(WINDOWS):
@@ -486,7 +500,86 @@ def test_float_rows_of_both_routes_are_bit_identical():
         assert single_domain == domain and not batch[w, :, width:].any()
         assert batch[w, :, :width].tobytes() == single[0].tobytes(), window
         for i in range(domain):
-            assert _column(*batch_exact(w, i)) == _column(*single_exact(0, i))
+            assert batch_exact(w, i) == single_exact(0, i)
+
+
+def _int_route(monkeypatch):
+    """Make every evaluation of the sweep table run in Python ints."""
+    monkeypatch.setattr(lrs, "_EXACT_FLOAT_LIMIT", 0.0)
+
+
+def _numerators(values, i):
+    """Rows of the coefficient numerators of sweep polynomial i in _table_values output."""
+    starts, polys = lrs._TABLE.starts, len(lrs._TABLE.starts) - 1
+    return values[polys + starts[i] : polys + starts[i + 1]]
+
+
+# Every window of 4..139 and item 16's family ((2k - 1)^2 - 3, k), k = 2..30.
+# Each k = 2..8 comes with every n = 113..139 here: more values of n and of
+# k than the table's degrees in n (5) and in k (6).
+_IDENTITY_WINDOWS = [(n, k) for n in range(4, 140) for k in range(2, k_max(n) + 1)]
+_IDENTITY_WINDOWS += [((2 * k - 1) ** 2 - 3, k) for k in range(2, 31)]
+
+
+def test_sweep_table_equals_the_reference_polys(monkeypatch):
+    # The sweep table (twodist/_sweep_table.py) is a second statement of the
+    # closed forms, and this test is its only tie to _forms: every row of
+    # every window must be the polynomial of the reference pass (ratfns,
+    # _forms on _RatFns) as exact rationals, coefficient by coefficient, and
+    # its denominator positive.  Never loosen it.
+    _int_route(monkeypatch)
+    windows = _IDENTITY_WINDOWS
+    assert len(set(windows)) > 600
+    domain, extrema = ratfns._batch_polys(windows)
+    values = lrs._table_values(*zip(*windows))
+    assert values.dtype == object
+    for i, (c, d) in enumerate(domain + extrema):
+        den, num = values[i], _numerators(values, i)
+        assert all(x > 0 for x in den), i
+        width = max(len(c), len(num))
+        c, num = (np.concatenate((p, np.zeros((width - len(p), len(windows)), dtype=object))) for p in (c, num))
+        assert (num * d == c * den).all(), i
+    assert (len(domain), len(domain + extrema)) == (lrs._sweep_table.DOMAIN_ROWS, len(lrs._TABLE.starts) - 1)
+
+
+def test_table_routes_give_the_same_rows(monkeypatch):
+    # Over 7..60 the table is evaluated in float64, every integer exact;
+    # in Python ints it must give the same rows byte for byte, the same
+    # exact domain conditions, and no -0.0 in either route.
+    evaluations = _recording_table_values(monkeypatch)
+    floats, domain, float_exact = lrs._float_polys(WINDOWS)
+    _int_route(monkeypatch)
+    ints, int_domain, int_exact = lrs._float_polys(WINDOWS)
+    assert evaluations == [(158, np.float64), (158, object)]
+    assert ints.shape == floats.shape and ints.tobytes() == floats.tobytes()
+    assert not np.signbit(floats[floats == 0]).any()
+    assert int_domain == domain
+    for w in range(len(WINDOWS)):
+        for i in range(domain):
+            got, want = float_exact(w, i), int_exact(w, i)
+            assert got == want and all(type(x) is int for x in got), (WINDOWS[w], i)
+
+
+def test_a_batch_beyond_float_range_takes_the_int_route(monkeypatch):
+    # (838, 15) puts the table's terms far beyond 2^53, so a batch holding
+    # it evaluates in Python ints; (60, 5) beside it still gets the rows and
+    # the window record it has alone, and both get the rows of the Fraction
+    # reference.
+    evaluations = _recording_table_values(monkeypatch)
+    batch = [(60, 5), (838, 15)]
+    rows, _, _ = lrs._float_polys(batch)
+    alone = [lrs._float_polys([w])[0][0] for w in batch]
+    assert evaluations == [(2, object), (1, np.float64), (1, object)]
+    assert not np.signbit(rows[rows == 0]).any()
+    width = rows.shape[2]
+    for w, (n, k) in enumerate(batch):
+        domain, extrema = window_polys(n, k)
+        assert rows[w].tobytes() == _padded_rows(domain + extrema, width).tobytes()
+        assert rows[w].tobytes() == np.pad(alone[w], ((0, 0), (0, width - alone[w].shape[1]))).tobytes()
+    slices = lrs._sweep(batch)
+    assert slices == [lrs._sweep([w])[0] for w in batch]
+    golden = {(w["n"], w["k"]): w for w in load_golden_windows()}
+    assert record(slices[0]) == golden[(60, 5)]
 
 
 def test_flip_guard_drops_the_roots_of_conditions_that_vanish_at_an_end(monkeypatch):
@@ -510,7 +603,7 @@ def test_flip_guard_drops_the_roots_of_conditions_that_vanish_at_an_end(monkeypa
         (n, k), i = WINDOWS[j // polys], j % polys
         return any(
             abs(root - end) <= lrs.WINDOW_SLACK and _at(window_polys(n, k)[0][i], end) == 0
-            for end in lrs._exact_interval(k)
+            for end in (Fraction(*e) for e in lrs._exact_ends(k))
         )
 
     kept_pairs = set(zip(kept.tolist(), kept_owner.tolist()))
@@ -524,8 +617,8 @@ def test_batch_same_denominator_shortcut_fails_closed():
     # denominators agree in both windows (f, f), in neither (f, h) or in one
     # only (f, g), where no single branch is right for the whole batch.
     shifts = {"f": (1, 1), "g": (1, 2), "h": (2, 2)}
-    x, one = lrs._RatFns.variable(2), FractionFns.of([0, 1])
-    batch = {name: x / (x + lrs._Rationals.of(c)) for name, c in shifts.items()}
+    x, one = ratfns._RatFns.variable(2), FractionFns.of([0, 1])
+    batch = {name: x / (x + ratfns._Rationals.of(c)) for name, c in shifts.items()}
     for op in (operator.add, operator.sub, operator.truediv):
         with pytest.raises(ValueError, match="1 of 2 windows"):
             op(batch["f"], batch["g"])
@@ -536,7 +629,7 @@ def test_batch_same_denominator_shortcut_fails_closed():
                 assert (_columns(got._num)[w], _columns(got._den)[w]) == (want._num, want._den)
     # Equality is of rational polynomials, not of arrays: 2(a + c) / 2 is a + c.
     num, den = batch["f"]._den
-    assert lrs._RatFns._same((num, den), (2 * num, 2 * den))
+    assert ratfns._RatFns._same((num, den), (2 * num, 2 * den))
 
 
 _WINDOW_VALUES = [Fraction(v) for v in ("3/4", "-5/12", 0, 7, "-1/3", -2)]
@@ -552,7 +645,7 @@ def test_rationals_match_fractions_window_by_window():
     # Each window's rational is the Fraction arithmetic gives, in both
     # operand orders, with ints, Fractions and _Rationals, the denominator
     # kept positive (negative divisors included).
-    x, y = lrs._Rationals.of(_WINDOW_VALUES), lrs._Rationals.of(_DIVISORS)
+    x, y = ratfns._Rationals.of(_WINDOW_VALUES), ratfns._Rationals.of(_DIVISORS)
     for op in (operator.add, operator.sub, operator.mul, operator.truediv):
         assert _per_window(op(x, y)) == [op(u, v) for u, v in zip(_WINDOW_VALUES, _DIVISORS)]
         for c in (0, 5, -3, Fraction(4, 7), Fraction(-9, 2)):
@@ -565,7 +658,7 @@ def test_rationals_match_fractions_window_by_window():
     with pytest.raises(ZeroDivisionError):
         1 / x
     # A _RatFns operand is left to _RatFns, which reads x as a scalar operand.
-    batch = lrs._RatFns.variable(len(_WINDOW_VALUES))
+    batch = ratfns._RatFns.variable(len(_WINDOW_VALUES))
     for name in ("add", "radd", "sub", "rsub", "mul", "rmul", "truediv", "rtruediv"):
         for other in (FractionFns.of([0, 1]), batch):
             assert getattr(x, f"__{name}__")(other) is NotImplemented
@@ -575,28 +668,28 @@ def test_rationals_match_fractions_window_by_window():
 def test_batch_scale_reads_a_fraction_and_rationals_alike(f):
     # The same f in every window, as a Fraction, as _Rationals and as
     # _Rationals holding it unreduced (6f / 6) scales to the same columns.
-    x = lrs._RatFns.variable(3)
-    poly = (x * x - lrs._Rationals.of([2, -3, Fraction(5, 2)]) * x + Fraction(1, 3))._num
+    x = ratfns._RatFns.variable(3)
+    poly = (x * x - ratfns._Rationals.of([2, -3, Fraction(5, 2)]) * x + Fraction(1, 3))._num
     unreduced = (np.array([6 * part] * 3, dtype=object) for part in (f.numerator, f.denominator))
-    held = [lrs._Rationals.of([f] * 3), lrs._Rationals(*unreduced)]
-    want = _columns(lrs._RatFns._scale(poly, f))
+    held = [ratfns._Rationals.of([f] * 3), ratfns._Rationals(*unreduced)]
+    want = _columns(ratfns._RatFns._scale(poly, f))
     for r in held:
-        assert _columns(lrs._RatFns._scale(poly, r)) == want
+        assert _columns(ratfns._RatFns._scale(poly, r)) == want
 
 
 def test_batch_products_take_reduced_operands(monkeypatch):
     # The value polynomials are reduced before the extremum products, so no
     # operand coefficient of a batch product over 7..40 reaches 64 bits
     # (50 at most); unreduced, they reached 104.
-    mul, widest = lrs._RatFns._mul, [0]
+    mul, widest = ratfns._RatFns._mul, [0]
 
     def measuring(p, q):
         for c, d in (p, q):
             widest[0] = max(widest[0], *(abs(v).bit_length() for v in [*c.ravel(), *d.ravel()]))
         return mul(p, q)
 
-    monkeypatch.setattr(lrs._RatFns, "_mul", staticmethod(measuring))
-    lrs._batch_polys([w for n in range(7, 41) for w in lrs._windows(n)])
+    monkeypatch.setattr(ratfns._RatFns, "_mul", staticmethod(measuring))
+    ratfns._batch_polys([w for n in range(7, 41) for w in lrs._windows(n)])
     assert 0 < widest[0] < 64
 
 
@@ -820,36 +913,34 @@ def test_cold_table_solves_each_degree_once_per_batch(monkeypatch, n_min, n_max)
     ids=["one window", "one n", "7..40"],
 )
 def test_sweep_evaluates_the_float_forms_once(monkeypatch, windows):
-    # Both names of _forms are counted: lrs imports it for the exact
-    # rational functions, and bound_polys evaluates it on floats.  Every
-    # sweep, one window included, builds its exact polynomials in one
-    # _RatFns pass.
-    operands = []
-    for module in (lrs, bound_polys):
+    # Every sweep, one window included, evaluates the closed forms once, on
+    # float arrays, and reads its exact polynomials from one evaluation of
+    # the sweep table: no pass of the closed forms on exact operands, which
+    # the reference (ratfns, with its own name for _forms) would make.
+    operands, evaluations = [], _recording_table_values(monkeypatch)
+    for module in (bound_polys, ratfns):
         monkeypatch.setattr(module, "_forms", lambda n, a, b: operands.append(type(a)) or _forms(n, a, b))
     lrs._sweep(windows)
-    assert [t for t in operands if t is not np.ndarray] == [lrs._RatFns]
-    assert operands.count(np.ndarray) == 1
+    assert operands == [np.ndarray]
+    assert evaluations == [(len(windows), np.float64)]
+    assert not hasattr(lrs, "_forms")
 
 
 def test_cold_table_stays_cold(monkeypatch):
-    # A memo of roots or of exact polynomials that outlived a call would make
-    # the second table solve smaller stacks or multiply fewer polynomials.
-    # table(7, 40), a batch of 78 windows, and table(40, 40), one of three,
-    # each make one _RatFns pass.
+    # A memo of roots or of table values that outlived a call would make the
+    # second table solve smaller stacks or skip its evaluation.  table(7, 40),
+    # a batch of 78 windows, and table(40, 40), one of three, each evaluate
+    # the sweep table once.
     shapes = _count_eigvals(monkeypatch)
-    products, passes = [], []
-    mul, exact_polys = lrs._RatFns._mul, lrs._exact_polys
-    monkeypatch.setattr(lrs._RatFns, "_mul", staticmethod(lambda p, q: products.append(p) or mul(p, q)))
-    monkeypatch.setattr(lrs, "_exact_polys", lambda x, *args: passes.append(type(x)) or exact_polys(x, *args))
+    evaluations = _recording_table_values(monkeypatch)
     runs = []
     for _ in range(2):
         k_slice.cache_clear()
-        del shapes[:], products[:], passes[:]
+        del shapes[:], evaluations[:]
         tables = table(7, 40), table(40, 40)
-        runs.append((tables, list(shapes), len(products), list(passes)))
+        runs.append((tables, list(shapes), list(evaluations)))
     assert runs[0] == runs[1]
-    assert runs[0][1] and runs[0][2] and runs[0][3] == [lrs._RatFns] * 2
+    assert runs[0][1] and runs[0][2] == [(78, np.float64), (3, np.float64)]
 
 
 def test_sweep_leaves_out_numpy_ma():
