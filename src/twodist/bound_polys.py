@@ -20,8 +20,8 @@ closed form in n, a and b, one builder per candidate (_forms), and every
 route evaluates those forms: candidates and best_bound on one pair's
 Python floats, candidate_values on arrays of pairs, and the window sweep
 in lrs on arrays.  The sweep's exact polynomials are these forms on rational
-functions of a with n and k symbolic, written once into a table
-(twodist._sweep_table, by tools/make_sweep_table.py).  A candidate holds
+functions of a with n and k symbolic, factored and written once into a
+table (twodist._sweep_table, by tools/make_sweep_table.py).  A candidate holds
 its certificate only as that expansion, read from the forms (P is never
 multiplied out), so the f_0 and f_j it shows are the numbers the domain
 verdict tests.  The i=2 multiplier is undefined when a + b = 0 and the
@@ -172,11 +172,12 @@ def _forms(n, a, b) -> tuple[_Form | None, ...]:
     """The five candidates in closed form, written with + - * / only: one
     builder each, on the shared s, p and at_one.  Evaluated on float arrays
     by _float_forms (for candidate_values and the window sweep in lrs, which
-    passes n as an array), on Python floats by candidates, and on exact
-    rational functions of a by tools/make_sweep_table.py, which writes the
-    sweep's polynomials into twodist._sweep_table, and by the tests' exact
-    reference; all routes rely on the operations and their order here being
-    the only definition.  A builder that divides
+    passes n as an array), on Python floats by candidates, on Fractions by
+    the sweep's exact witness (lrs._witness), and on exact rational
+    functions of a by tools/make_sweep_table.py, which writes the factors of
+    the sweep's polynomials into twodist._sweep_table, and by the tests'
+    exact reference; all routes rely on the operations and their order here
+    being the only definition.  A builder that divides
     by an exact zero (i=2 at s = 0, i=4 at det = 0, on Python floats or
     exact operands) gives None for its own candidate only."""
     s = a + b
@@ -365,7 +366,9 @@ def floor_nudged(x: float) -> int:
 
     Window maxima that sit exactly on an integer (three certificates
     crossing at 275 for n = 22) come out of floating point a few ulps on
-    either side of it; the nudge keeps them from flooring one too low.  It
-    stays until such points are evaluated in exact rational arithmetic.
+    either side of it; the nudge keeps them from flooring one too low.  The
+    window sweep evaluates a rational maximum exactly (lrs._witness), but
+    the nudge stays on the safe side for the rest: an irrational maximum
+    and the user's floats of delsarte_check.
     """
     return math.floor(x + FLOOR_NUDGE)

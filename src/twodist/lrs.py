@@ -22,19 +22,20 @@ tol 0: its flips are the roots of the unshifted conditions.
 
 Windows are swept in batches by one engine, _sweep: k_slice sweeps one
 window, omega_hat the windows of one n and table every window of its
-range.  The polynomials of a window are rows of a checked-in table
-(_sweep_table) whose coefficients are integer polynomials in n and k over
-one integer polynomial per row, made once from the closed forms by
-tools/make_sweep_table.py.  Every batch, one window included, evaluates the
-table in one matmul by the monomials n^i k^j of its windows: in float64,
-exact while every term and partial sum is an integer below 2^53, else in
-Python ints.  Each coefficient is then one correctly rounded division of
-two integers, so it is the double nearest the rational in either route.
-The roots of all rows, equal rows included, come from one stacked eigvals
-call per degree, and the edges, points and maxima of every window from
-sorts, cumulative sums and reductions over the whole batch, with the closed
-forms evaluated in one float pass; a window's result does not depend on
-its batch.
+range.  The polynomials of a window are products of 23 distinct
+irreducible factors in Z[n, k][a], checked in as a table (_sweep_table) made once from the
+closed forms by tools/make_sweep_table.py.  Every batch, one window
+included, evaluates the factors in one matmul by the monomials n^i k^j of
+its windows: in float64, exact while every term and partial sum is an
+integer below 2^53, else in Python ints, so each coefficient is the double
+nearest its integer in either route.  The roots of every factor of every
+window come from one stacked eigvals call per degree, each factor rooted
+once; the edges, points and maxima of every window come from sorts,
+cumulative sums and reductions over the whole batch, with the closed forms
+evaluated in one float pass.  Where the float maximum lies a hair below an
+integer, an exact witness on Fractions (a rational root of a factor near
+a*, and Q there) can lift the floor to that integer.  A window's result
+does not depend on its batch.
 """
 from __future__ import annotations
 
@@ -53,6 +54,7 @@ from .bound_polys import (
     DEFAULT_TOL,
     InnerProductPair,
     _float_forms,
+    _forms,
     best_bound,
     best_of_samples,
     candidate_values,
@@ -67,6 +69,12 @@ WINDOW_SLACK = 1e-12
 # near sqrt(machine epsilon).  Keeping every root this close to the real
 # axis is safe: each kept point only adds a true value of the bound.
 ROOT_IMAG_TOL = 1e-6
+# A conclusive window whose float phi lies below an integer M by at most
+# this relative margin may reach M exactly, so _sweep looks for an exact
+# witness there (_witness), among the rationals this close to a*.  Over the
+# conclusive windows of 4..60 and the family ((2k - 1)^2 - 3, k), the float
+# phi lies within 1e-12 relative of an integer or farther than 1e-6 from one.
+WITNESS_MARGIN = 1e-9
 
 
 def b_k(k: int, a: float) -> float:
@@ -168,18 +176,18 @@ def _exact_ends(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
 
 
 def _flip_roots(roots, owner, vanishes_at, lo, hi):
-    """The roots of domain conditions, less those that are an end of their
+    """The roots of flip factors, less those that are an end of their
     window; returns (roots, owner) for the roots kept.
 
-    owner indexes the polynomials of the batch, lo and hi hold the window
-    ends of each polynomial, and vanishes_at(j, side) tells whether
-    polynomial j is exactly zero at the exact lower (side 0) or upper
-    (side 1) end of its window.  A domain condition can vanish exactly at an
-    end (a + b = 0 at a = 1/(2k - 1)), and its float root may land an ulp
+    owner indexes the factors of the batch, lo and hi hold the window ends
+    of each factor, and vanishes_at(j, side) tells whether factor j is
+    exactly zero at the exact lower (side 0) or upper (side 1) end of its
+    window.  A domain condition can vanish exactly at an end (a + b = 0 at
+    a = 1/(2k - 1)), and the float root of its factor may land an ulp
     inside.  Kept, it would cut off a sliver piece whose candidate set is
     read at the degenerate point itself.  Only roots within WINDOW_SLACK of
-    an end are checked, each against its own polynomial in exact
-    arithmetic, so that the check costs next to nothing.
+    an end are checked, each against its factor's own integers, so that the
+    check costs next to nothing.
     """
     drop = np.zeros(roots.size, dtype=bool)
     for side, ends in enumerate((lo, hi)):
@@ -189,40 +197,33 @@ def _flip_roots(roots, owner, vanishes_at, lo, hi):
 
 
 class _Table(NamedTuple):
-    """The sweep table (_sweep_table) as arrays.
+    """The factors of the sweep table (_sweep_table) as arrays.
 
-    coeffs has one row per polynomial in n and k of the table, the
-    denominator D of each sweep polynomial first, in order, then the
-    numerators N_m of the coefficients of each sweep polynomial, in order;
-    and one column per monomial n^i k^j that occurs, with i = n_power and
-    j = k_power.  Its entries are integers below 2^14, held in float64.
-    poly and power give the sweep polynomial and the power of a of each
-    numerator row, starts[i] the first numerator row of sweep polynomial i,
-    counted from the first numerator row."""
+    coeffs has one row per coefficient of a factor, factor by factor and
+    lowest power of a first, and one column per monomial n^i k^j that
+    occurs, with i = n_power and j = k_power; its entries are integers
+    below 2^12, held in float64.  factor and power give the factor and the
+    power of a of each row, starts[f] the first row of factor f."""
 
     coeffs: np.ndarray
     n_power: np.ndarray
     k_power: np.ndarray
-    poly: np.ndarray
+    factor: np.ndarray
     power: np.ndarray
     starts: np.ndarray
 
 
 def _load_table() -> _Table:
-    den = np.fromstring(_sweep_table.DENOMINATORS, dtype=np.int64, sep=" ").reshape(-1, 4)
-    num = np.fromstring(_sweep_table.NUMERATORS, dtype=np.int64, sep=" ").reshape(-1, 5)
-    polys = den[-1, 0] + 1
-    lengths = np.zeros(polys, dtype=np.int64)
-    np.maximum.at(lengths, num[:, 0], num[:, 1] + 1)  # a row's top coefficient is nonzero
+    f, m, i, j, c = np.fromstring(_sweep_table.FACTORS, dtype=np.int64, sep=" ").reshape(-1, 5).T
+    lengths = np.zeros(f[-1] + 1, dtype=np.int64)
+    np.maximum.at(lengths, f, m + 1)  # a factor's leading coefficient is nonzero
     starts = np.concatenate(([0], np.cumsum(lengths)))
-    row = np.concatenate((den[:, 0], polys + starts[num[:, 0]] + num[:, 1]))
-    i, j, c = np.concatenate((den[:, 1:], num[:, 2:])).T
     width = j.max() + 1
-    coeffs = np.zeros((polys + starts[-1], (i.max() + 1) * width))
-    coeffs[row, i * width + j] = c
+    coeffs = np.zeros((starts[-1], (i.max() + 1) * width))
+    coeffs[starts[f] + m, i * width + j] = c
     used = np.flatnonzero(coeffs.any(axis=0))
-    poly = np.repeat(np.arange(polys), lengths)
-    return _Table(coeffs[:, used], *np.divmod(used, width), poly, np.arange(starts[-1]) - starts[poly], starts)
+    factor = np.repeat(np.arange(lengths.size), lengths)
+    return _Table(coeffs[:, used], *np.divmod(used, width), factor, np.arange(starts[-1]) - starts[factor], starts)
 
 
 _TABLE = _load_table()
@@ -234,7 +235,7 @@ _EXACT_FLOAT_LIMIT = 2.0**52
 
 
 def _table_values(n, k) -> np.ndarray:
-    """Every polynomial in n and k of the sweep table at the windows
+    """Every coefficient of every factor of the sweep table at the windows
     (n[w], k[w]): an (R, W) array of exact integers, in the row order of
     _TABLE.coeffs.
 
@@ -255,59 +256,92 @@ def _table_values(n, k) -> np.ndarray:
 
 
 def _float_polys(windows: list):
-    """The exact polynomials of every window as rows of floats.
+    """The factors of every window as rows of floats.
 
-    Returns (coeffs, domain, exact): coeffs[w, i] holds polynomial i of
-    window w, lowest power first and zero-padded to the longest one, the
-    `domain` domain conditions before the extremum polynomials; exact(w, i)
-    reads back domain condition i of window w as the integers N_m(n, k), its
-    coefficients times their common denominator D(n, k) > 0.
+    Returns (coeffs, flip, exact): coeffs[w, f] holds factor f of window w,
+    lowest power first and zero-padded to the table's highest power, the
+    `flip` factors of the domain conditions first; exact(w, f) reads back
+    factor f of window w as its integer coefficients.
 
-    The polynomials are the rows of the sweep table, evaluated for the whole
-    batch by one _table_values call.  Each coefficient N_m(n, k) / D(n, k)
-    is then one division of two exact integers, in float64 or as int true
-    division, and both are correctly rounded: it is the double nearest the
-    rational coefficient, in either route.  D is positive, so a zero
-    coefficient is +0.0.  The padding is trimmed to the widest nonzero
-    column, so a window's rows are the same bit for bit in any batch.
+    The factors are those of the sweep table, evaluated for the whole batch
+    by one _table_values call.  Their coefficients are integers, and each
+    float is the double nearest its integer in either route: exact in
+    float64, correctly rounded from a Python int.  A zero coefficient is
+    +0.0, and a window's rows are the same bit for bit in any batch.
     """
-    t, polys = _TABLE, len(_TABLE.starts) - 1
+    t = _TABLE
     values = _table_values(*zip(*windows))
-    coeffs = np.zeros((len(windows), polys, t.power.max() + 1))
-    coeffs[:, t.poly, t.power] = (values[polys:] / values[t.poly]).T
+    coeffs = np.zeros((len(windows), len(t.starts) - 1, t.power.max() + 1))
+    coeffs[:, t.factor, t.power] = values.T
 
-    def exact(w, i):
-        return [int(c) for c in values[polys + t.starts[i] : polys + t.starts[i + 1], w].tolist()]
+    def exact(w, f):
+        return [int(c) for c in values[t.starts[f] : t.starts[f + 1], w].tolist()]
 
-    width = np.flatnonzero(coeffs.any(axis=(0, 1)))[-1] + 1  # the widest nonzero column
-    return coeffs[:, :, :width], _sweep_table.DOMAIN_ROWS, exact
+    return coeffs, _sweep_table.FLIP_FACTORS, exact
 
 
-def _candidate_points(windows: list, lo, hi) -> tuple[np.ndarray, ...]:
+def _candidate_points(windows: list, lo, hi) -> tuple:
     """Domain flips and interior extremum candidates of every window.
 
-    Returns (flips, flip_window, extrema, extremum_window): the a where some
-    candidate can enter or leave its domain, and the a where one candidate
-    has a critical point or two candidates cross, each with the index of
-    its window; lo and hi are float arrays, one entry per window.  Every
-    polynomial of every window goes to one _real_roots call, as it comes:
-    a polynomial that appears twice in a window gives the same roots twice,
-    which _sweep merges into one point.
+    Returns (flips, flip_window, extrema, extremum_window, exact): the a
+    where some candidate can enter or leave its domain, the roots of the
+    flip factors, and the a where one candidate has a critical point or two
+    candidates cross, the roots of the other factors, each with the index of
+    its window; lo and hi are float arrays, one entry per window, and exact
+    is _float_polys's.  Every factor of every window goes to one _real_roots
+    call, once: the polynomials the factors divide are never rooted.
     """
-    coeffs, domain, exact = _float_polys(windows)
-    polys = coeffs.shape[1]
-    window, index = np.divmod(np.arange(len(windows) * polys), polys)
+    coeffs, flip_factors, exact = _float_polys(windows)
+    factors = coeffs.shape[1]
+    window, factor = np.divmod(np.arange(len(windows) * factors), factors)
     ends = [_exact_ends(k) for _, k in windows]
 
     def vanishes_at(j, side):
         w = window[j]
-        return _vanishes(exact(w, index[j]), *ends[w][side])
+        return _vanishes(exact(w, factor[j]), *ends[w][side])
 
     lo, hi = lo[window], hi[window]
     roots, owner = _real_roots(coeffs.reshape(window.size, -1), lo, hi)
-    flip = index[owner] < domain
+    flip = factor[owner] < flip_factors
     flips, flip_owner = _flip_roots(roots[flip], owner[flip], vanishes_at, lo, hi)
-    return flips, window[flip_owner], roots[~flip], window[owner[~flip]]
+    return flips, window[flip_owner], roots[~flip], window[owner[~flip]], exact
+
+
+def _convergents(x):
+    """The continued-fraction convergents (p, q) of the Fraction x, q > 0, in order; the last is x."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = x.numerator, x.denominator
+    while den:
+        c, rem = divmod(num, den)
+        p0, q0, p1, q1 = p1, q1, c * p1 + p0, c * q1 + q0
+        yield p1, q1
+        num, den = den, rem
+
+
+def _witness(n: int, k: int, a_star: float, factors: list):
+    """An exact lower witness for the maximum of Q over the (n, k) window:
+    (a, Q(a)) as Fractions, or None.
+
+    a is the first continued-fraction convergent of a_star that lies within
+    WITNESS_MARGIN of it, inside the exact window, and at which one of
+    factors (the window's, as integer coefficients) vanishes exactly: a
+    rational root of a flip, critical-point or crossing polynomial, where
+    the maximum of Q sits when it is rational.  Q(a) is one evaluation of
+    the closed forms on Fractions with Delsarte's domain at tol 0 (f0 > 0,
+    fj >= 0; a builder that divides by zero is out of domain).  None if no
+    convergent qualifies or no candidate is in domain at a.
+    """
+    from fractions import Fraction
+
+    x = Fraction(a_star)
+    lo, hi = (Fraction(*end) for end in _exact_ends(k))
+    for p, q in _convergents(x):
+        a = Fraction(p, q)
+        if abs(a - x) <= WITNESS_MARGIN and lo <= a <= hi and any(_vanishes(f, p, q) for f in factors):
+            forms = _forms(Fraction(n), a, (k * a - 1) / (k - 1))
+            values = [f.value for f in forms if f is not None and f.f0 > 0 and f.fj >= 0]
+            return (a, min(values)) if values else None
+    return None
 
 
 @dataclass(frozen=True)
@@ -349,15 +383,24 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
     the largest of these values is phi.  If some piece has no candidate in
     domain the slice is inconclusive: the LP machinery has no finite bound
     for this (n, k), and the stretches of a without one are recorded.
-    A factor shared by two conditions (D = fj3 = det4, say) gives float
-    roots some ulps apart, and the sliver piece between them gets a verdict
-    of float noise.  Slivers are safe: a point's value is the largest over
-    the pieces it touches, so a sliver can only raise it or make its window
+    Each distinct factor of the domain conditions is rooted once, so a
+    factor shared by two conditions (D = fj3 = det4, say) gives one edge,
+    not two float roots some ulps apart with a sliver piece between them;
+    over 7..60 no two edges of a window lie closer than 1e-12.  A sliver
+    would be safe in any case: a point's value is the largest over the
+    pieces it touches, so a sliver can only raise it or make its window
     inconclusive, never lower phi.
 
+    A conclusive window whose phi lies below an integer M by at most
+    WITNESS_MARGIN relative gets one exact lower witness (_witness): if Q
+    at a rational root of the window's factors near a* is exactly M or
+    more, the floor is M, phi is that exact Q rounded and a* that root
+    rounded.  The witness only ever raises a floor, and only by an exact
+    value of Q; FLOOR_NUDGE still guards every other floor.
+
     The flips and extremum candidates of the whole batch come from one
-    evaluation of the sweep table (_candidate_points).  The batch is held
-    in flat arrays: one lexsort by (window, a) gives the
+    evaluation of the sweep table's factors (_candidate_points).  The batch
+    is held in flat arrays: one lexsort by (window, a) gives the
     edges, points and piece midpoints of every window, equal values of one
     window becoming one point; the closed forms are evaluated in one float
     pass, the pieces each point touches come from a cumsum of edge flags,
@@ -372,7 +415,7 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
     ids = np.arange(len(windows))
     n, k = np.array(windows, dtype=float).T
     lo, hi = (2.0 - k) / k, 1.0 / (2.0 * k - 1.0)  # interval(k), one entry per window
-    flips, flip_window, extrema, extremum_window = _candidate_points(windows, lo, hi)
+    flips, flip_window, extrema, extremum_window, exact = _candidate_points(windows, lo, hi)
     # Ends and flips are edges; equal values of one window are one point, an
     # edge if any of them is, since the stable lexsort keeps the edges first.
     a = np.concatenate((lo, hi, flips, extrema))
@@ -412,8 +455,14 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
         if inconclusive[i] or math.isinf(p):  # or the only candidate of a touching piece is singular
             ranges = _stretches(ea[ew == i], empty[mw == i]) if inconclusive[i] else ()
             slices.append(KSlice(wn, wk, *interval(wk), math.inf, math.nan, math.inf, False, ranges))
-        else:  # floored, but never below 2n + 3: small windows never beat the trivial bound
-            slices.append(KSlice(wn, wk, *interval(wk), p, a_star, max(floor_nudged(p), 2 * wn + 3), True))
+            continue
+        floor, m = floor_nudged(p), math.floor(p) + 1
+        if m - p <= WITNESS_MARGIN * m:  # a knife edge: Q may reach m exactly
+            found = _witness(wn, wk, a_star, [exact(i, f) for f in range(len(_TABLE.starts) - 1)])
+            if found is not None and found[1] >= m:
+                floor, p, a_star = max(floor, m), max(p, float(found[1])), float(found[0])
+        # floored, but never below 2n + 3: small windows never beat the trivial bound
+        slices.append(KSlice(wn, wk, *interval(wk), p, a_star, max(floor, 2 * wn + 3), True))
     return slices
 
 

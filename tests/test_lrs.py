@@ -1,4 +1,5 @@
 import inspect
+import itertools
 import json
 import math
 import operator
@@ -15,6 +16,7 @@ import ratfns
 import twodist.bound_polys as bound_polys
 import twodist.lrs as lrs
 from fraction_fns import FractionFns, trimmed, window_polys
+from golden_floors import WINDOWS as FLOOR_WINDOWS, floor_record, load as load_floors
 from test_acceptance import EXPECTED
 from test_golden_windows import WINDOWS, load as load_golden_windows, record
 from twodist.bound_polys import (
@@ -138,21 +140,75 @@ def test_window_maxima_on_three_way_crossings():
     assert sl.phi == 1127.0
 
 
-_TIGHT_FAMILY_DEFECT = (15, 20, 25, 27, 29, 30)  # ROADMAP item 16
+_FAMILY = [((2 * k - 1) ** 2 - 3, k) for k in range(2, 31)]
 
 
-@pytest.mark.parametrize("k", [
-    pytest.param(k, marks=pytest.mark.xfail(
-        strict=True, reason="ROADMAP item 16: the float phi lands below n(n + 3)/2 by more than FLOOR_NUDGE"))
-    if k in _TIGHT_FAMILY_DEFECT else k
-    for k in range(2, 31)
-])
+@pytest.mark.parametrize("k", range(2, 31))
 def test_tight_family_floors_to_the_absolute_bound(k):
     # At n = (2k - 1)^2 - 3, a = 1/(2k) lies in the window and candidates 1, 3
     # and 4 all equal the absolute bound n(n + 3)/2 there, so the window's
-    # floor can be no lower.
+    # floor can be no lower (ROADMAP item 16).  The float phi can land below
+    # that integer by more than FLOOR_NUDGE; the exact witness lifts it.
     n = (2 * k - 1) ** 2 - 3
     assert omega_hat_nk(n, k) == n * (n + 3) // 2
+
+
+def _window_factors(n, k) -> list[list[int]]:
+    _, _, exact = lrs._float_polys([(n, k)])
+    return [exact(0, f) for f in range(len(lrs._TABLE.starts) - 1)]
+
+
+def _witnessless_sweep(monkeypatch, windows) -> list:
+    """The sweep of windows with the witness turned off, then restored."""
+    with monkeypatch.context() as m:
+        m.setattr(lrs, "_witness", lambda *args: None)
+        return lrs._sweep(windows)
+
+
+def test_witness_lifts_the_rational_knife_edges(monkeypatch):
+    # In the family, (22, 3) and (46, 4) among it, Q reaches its maximum
+    # n(n + 3)/2 at a = 1/(2k), and the float a* lies within 1e-9 of it.  The
+    # witness finds that a among the convergents of a* and Q there exactly;
+    # wherever the float phi falls below the integer, the sweep then reports
+    # phi as that integer, at the double nearest 1/(2k).
+    lifted = 0
+    for (n, k), sl, bare in zip(_FAMILY, lrs._sweep(_FAMILY), _witnessless_sweep(monkeypatch, _FAMILY)):
+        a, top = Fraction(1, 2 * k), n * (n + 3) // 2
+        assert lrs._witness(n, k, bare.a_star, _window_factors(n, k)) == (a, top), (n, k)
+        assert sl.omega_hat_nk == top and sl.phi >= top
+        if bare.phi < top:
+            assert (sl.phi, sl.a_star) == (float(top), float(a)), (n, k)
+            lifted += 1
+    assert lifted >= 6
+    assert k_slice(46, 4).phi == 1127.0 and k_slice(46, 4).a_star == 0.125
+
+
+def test_witness_fires_only_inside_its_margin_and_never_lowers_a_floor(monkeypatch):
+    # Over 4..139 and the family, the witness is sought only where the float
+    # phi lies below an integer M by at most WITNESS_MARGIN relative, and
+    # every floor is at least the floor without it.  The floors, conclusive
+    # flags and inf-stretch counts are those of tests/golden/floors.json:
+    # the ones the sweep gave when it rooted the product polynomials, but
+    # for six family windows that it floored one too low.
+    witness, calls = lrs._witness, []
+
+    def recording(n, k, a_star, factors):
+        calls.append((n, k))
+        return witness(n, k, a_star, factors)
+
+    windows = FLOOR_WINDOWS
+    bare = {(sl.n, sl.k): sl for sl in _witnessless_sweep(monkeypatch, windows)}
+    monkeypatch.setattr(lrs, "_witness", recording)
+    slices = lrs._sweep(windows)
+    for n, k in calls:
+        phi = bare[n, k].phi
+        top = math.floor(phi) + 1
+        assert 0 < top - phi <= lrs.WITNESS_MARGIN * top, (n, k)
+    for sl in slices:
+        assert sl.conclusive == bare[sl.n, sl.k].conclusive
+        assert not sl.conclusive or sl.omega_hat_nk >= bare[sl.n, sl.k].omega_hat_nk
+    assert [floor_record(sl) for sl in slices] == load_floors()
+    assert 0 < len(calls) < 60
 
 
 def _exact_forms(n, k):
@@ -405,7 +461,7 @@ def test_sweep_takes_no_tolerance():
     # A sweep decides its domain at tol 0 (f0 > 0, fj >= 0): no stage of it
     # takes a tol.
     sweep = [k_slice, phi, omega_hat_nk, omega_hat, g_upper, table, lrs._sweep,
-             lrs._candidate_points, lrs._float_polys, lrs._table_values]
+             lrs._candidate_points, lrs._float_polys, lrs._table_values, lrs._witness]
     assert [f.__name__ for f in sweep if "tol" in inspect.signature(f).parameters] == []
 
 
@@ -488,19 +544,18 @@ def test_batch_polys_equal_the_window_polys():
 
 def test_float_rows_of_both_routes_are_bit_identical():
     # The two routes are a window swept alone and the same window among the
-    # 158 of 7..60.  Each divides the table's integers at (n, k) by their
-    # denominator, and the division is correctly rounded, so the rows and
-    # the exact domain conditions must be the same whatever the batch; the
-    # padding may only be wider in the larger batch.
-    batch, domain, batch_exact = lrs._float_polys(WINDOWS)
-    assert batch.dtype == np.float64 and domain == 24
+    # 158 of 7..60.  Each reads the factors' integers at (n, k), and a float
+    # is the double nearest its integer, so the rows and the exact factors
+    # must be the same whatever the batch, padding included.
+    batch, flip, batch_exact = lrs._float_polys(WINDOWS)
+    factors = batch.shape[1]
+    assert batch.dtype == np.float64 and (flip, factors) == (9, 23)
     for w, window in enumerate(WINDOWS):
-        single, single_domain, single_exact = lrs._float_polys([window])
-        width = single.shape[2]
-        assert single_domain == domain and not batch[w, :, width:].any()
-        assert batch[w, :, :width].tobytes() == single[0].tobytes(), window
-        for i in range(domain):
-            assert batch_exact(w, i) == single_exact(0, i)
+        single, single_flip, single_exact = lrs._float_polys([window])
+        assert single_flip == flip and single.shape[1:] == batch.shape[1:]
+        assert batch[w].tobytes() == single[0].tobytes(), window
+        for f in range(factors):
+            assert batch_exact(w, f) == single_exact(0, f)
 
 
 def _int_route(monkeypatch):
@@ -508,74 +563,129 @@ def _int_route(monkeypatch):
     monkeypatch.setattr(lrs, "_EXACT_FLOAT_LIMIT", 0.0)
 
 
-def _numerators(values, i):
-    """Rows of the coefficient numerators of sweep polynomial i in _table_values output."""
-    starts, polys = lrs._TABLE.starts, len(lrs._TABLE.starts) - 1
-    return values[polys + starts[i] : polys + starts[i + 1]]
+def _table_lines(text: str) -> list[tuple[int, ...]]:
+    return [tuple(map(int, line.split())) for line in text.splitlines()]
+
+
+def _at_window(terms, n, k) -> int:
+    """sum c n^i k^j over terms (i, j, c), in Python ints."""
+    return sum(c * n**i * k**j for i, j, c in terms)
+
+
+def _table_factors(n: int, k: int) -> list[list[int]]:
+    """The integer coefficients of every factor of the sweep table at (n, k),
+    lowest power of a first, read from its text in Python ints: the
+    reference for lrs._table_values."""
+    factors = {}
+    for f, m, i, j, c in _table_lines(lrs._sweep_table.FACTORS):
+        coeffs = factors.setdefault(f, [])
+        coeffs += [0] * (m + 1 - len(coeffs))
+        coeffs[m] += c * n**i * k**j
+    return [factors[f] for f in sorted(factors)]
+
+
+def _polymul(p, q):
+    """The product of two polynomials held as (L, W) object arrays, one
+    column per window, lowest power first."""
+    out = np.zeros((len(p) + len(q) - 1, p.shape[1]), dtype=object)
+    for i, row in enumerate(p):
+        out[i : i + len(q)] += row * q
+    return out
+
+
+def _padded(p, length):
+    return np.concatenate((p, np.zeros((length - len(p), p.shape[1]), dtype=object)))
 
 
 # Every window of 4..139 and item 16's family ((2k - 1)^2 - 3, k), k = 2..30.
 # Each k = 2..8 comes with every n = 113..139 here: more values of n and of
-# k than the table's degrees in n (5) and in k (6).
-_IDENTITY_WINDOWS = [(n, k) for n in range(4, 140) for k in range(2, k_max(n) + 1)]
-_IDENTITY_WINDOWS += [((2 * k - 1) ** 2 - 3, k) for k in range(2, 31)]
+# k than the degrees in n and in k of any row.
+_IDENTITY_WINDOWS = FLOOR_WINDOWS
 
 
-def test_sweep_table_equals_the_reference_polys(monkeypatch):
+def test_sweep_table_factors_the_reference_polys(monkeypatch):
     # The sweep table (twodist/_sweep_table.py) is a second statement of the
-    # closed forms, and this test is its only tie to _forms: every row of
-    # every window must be the polynomial of the reference pass (ratfns,
-    # _forms on _RatFns) as exact rationals, coefficient by coefficient, and
-    # its denominator positive.  Never loosen it.
+    # closed forms, and this test is its only tie to _forms: at every window,
+    # each polynomial of the reference pass (ratfns, _forms on _RatFns) must
+    # be exactly its a-free content C/D times the product of its factors to
+    # their multiplicities, with the factors as the sweep evaluates them.
+    # No two factors may be proportional, and no content and no factor's
+    # leading coefficient may vanish on a window.  Never loosen it.
     _int_route(monkeypatch)
     windows = _IDENTITY_WINDOWS
     assert len(set(windows)) > 600
-    domain, extrema = ratfns._batch_polys(windows)
-    values = lrs._table_values(*zip(*windows))
+    n, k = zip(*windows)
+    values = lrs._table_values(n, k)
     assert values.dtype == object
-    for i, (c, d) in enumerate(domain + extrema):
-        den, num = values[i], _numerators(values, i)
-        assert all(x > 0 for x in den), i
-        width = max(len(c), len(num))
-        c, num = (np.concatenate((p, np.zeros((width - len(p), len(windows)), dtype=object))) for p in (c, num))
-        assert (num * d == c * den).all(), i
-    assert (len(domain), len(domain + extrema)) == (lrs._sweep_table.DOMAIN_ROWS, len(lrs._TABLE.starts) - 1)
+    starts = lrs._TABLE.starts
+    factors = [values[starts[f] : starts[f + 1]] for f in range(len(starts) - 1)]
+    assert all((f[-1] != 0).all() for f in factors)  # no leading coefficient vanishes
+    parts = {}
+    for r, s, i, j, c in _table_lines(lrs._sweep_table.CONTENTS):
+        parts.setdefault((r, s), []).append((i, j, c))
+    multiplicities = {}
+    for r, f, e in _table_lines(lrs._sweep_table.MULTIPLICITIES):
+        multiplicities.setdefault(r, []).append((f, e))
+    domain, extrema = ratfns._batch_polys(windows)
+    assert len(domain) == lrs._sweep_table.DOMAIN_ROWS
+    for r, (c, d) in enumerate(domain + extrema):
+        content, den = (np.array([_at_window(parts[r, s], *w) for w in windows], dtype=object) for s in (0, 1))
+        assert (content != 0).all() and (den > 0).all(), r
+        product = content[None]
+        for f, e in multiplicities.get(r, []):
+            for _ in range(e):
+                product = _polymul(product, factors[f])
+        length = max(len(c), len(product))
+        assert (_padded(c, length) * den == _padded(product, length) * d).all(), r
+    # The flip factors are those of the domain rows, and every factor is in some row.
+    used = {f for pairs in multiplicities.values() for f, _ in pairs}
+    flips = {f for r, pairs in multiplicities.items() if r < len(domain) for f, _ in pairs}
+    assert used == set(range(len(factors))) and flips == set(range(lrs._sweep_table.FLIP_FACTORS))
+    terms = {}
+    for f, m, i, j, c in _table_lines(lrs._sweep_table.FACTORS):
+        terms.setdefault(f, {})[m, i, j] = c
+    for f, g in itertools.combinations(terms.values(), 2):  # no two factors proportional
+        x, y = next(iter(f)), next(iter(g))
+        assert f.keys() != g.keys() or any(f[t] * g[x] != g[t] * f[x] for t in f), (f, g)
 
 
 def test_table_routes_give_the_same_rows(monkeypatch):
     # Over 7..60 the table is evaluated in float64, every integer exact;
     # in Python ints it must give the same rows byte for byte, the same
-    # exact domain conditions, and no -0.0 in either route.
+    # exact factors, and no -0.0 in either route.
     evaluations = _recording_table_values(monkeypatch)
-    floats, domain, float_exact = lrs._float_polys(WINDOWS)
+    floats, flip, float_exact = lrs._float_polys(WINDOWS)
     _int_route(monkeypatch)
-    ints, int_domain, int_exact = lrs._float_polys(WINDOWS)
+    ints, int_flip, int_exact = lrs._float_polys(WINDOWS)
     assert evaluations == [(158, np.float64), (158, object)]
     assert ints.shape == floats.shape and ints.tobytes() == floats.tobytes()
     assert not np.signbit(floats[floats == 0]).any()
-    assert int_domain == domain
+    assert int_flip == flip
     for w in range(len(WINDOWS)):
-        for i in range(domain):
-            got, want = float_exact(w, i), int_exact(w, i)
-            assert got == want and all(type(x) is int for x in got), (WINDOWS[w], i)
+        for f in range(floats.shape[1]):
+            got, want = float_exact(w, f), int_exact(w, f)
+            assert got == want and all(type(x) is int for x in got), (WINDOWS[w], f)
 
 
 def test_a_batch_beyond_float_range_takes_the_int_route(monkeypatch):
-    # (838, 15) puts the table's terms far beyond 2^53, so a batch holding
-    # it evaluates in Python ints; (60, 5) beside it still gets the rows and
-    # the window record it has alone, and both get the rows of the Fraction
-    # reference.
+    # (838, 15) puts the table's terms beyond 2^53, so a batch holding it
+    # evaluates in Python ints; (60, 5) beside it still gets the rows and the
+    # window record it has alone, and both get the correctly rounded floats
+    # of the factors' integers, read from the table's text.
     evaluations = _recording_table_values(monkeypatch)
     batch = [(60, 5), (838, 15)]
-    rows, _, _ = lrs._float_polys(batch)
+    rows, _, exact = lrs._float_polys(batch)
     alone = [lrs._float_polys([w])[0][0] for w in batch]
     assert evaluations == [(2, object), (1, np.float64), (1, object)]
     assert not np.signbit(rows[rows == 0]).any()
-    width = rows.shape[2]
+    big = 0
     for w, (n, k) in enumerate(batch):
-        domain, extrema = window_polys(n, k)
-        assert rows[w].tobytes() == _padded_rows(domain + extrema, width).tobytes()
-        assert rows[w].tobytes() == np.pad(alone[w], ((0, 0), (0, width - alone[w].shape[1]))).tobytes()
+        factors = _table_factors(n, k)
+        assert [exact(w, f) for f in range(len(factors))] == factors
+        assert rows[w].tobytes() == _padded_rows(factors, rows.shape[2]).tobytes()
+        assert rows[w].tobytes() == alone[w].tobytes()
+        big += any(abs(c) >= 2**53 for f in factors for c in f)
+    assert big == 1  # the integers of (838, 15) exceed float64's exact range
     slices = lrs._sweep(batch)
     assert slices == [lrs._sweep([w])[0] for w in batch]
     golden = {(w["n"], w["k"]): w for w in load_golden_windows()}
@@ -584,9 +694,10 @@ def test_a_batch_beyond_float_range_takes_the_int_route(monkeypatch):
 
 def test_flip_guard_drops_the_roots_of_conditions_that_vanish_at_an_end(monkeypatch):
     # A domain condition can vanish exactly at a window end (a + b = 0 at
-    # a = 1/(2k - 1)), and its float root can land just inside.  Over 7..60 the
-    # guard drops such roots, each checked against the Fraction reference
-    # polynomial of its condition, and keeps none.
+    # a = 1/(2k - 1)), and the float root of its factor can land just
+    # inside.  Over 7..60 the guard drops such roots, each checked against
+    # the factor's integers read from the table's text, and keeps none; and
+    # every reference domain condition that the factor divides vanishes there.
     guard, calls = lrs._flip_roots, []
 
     def recording(roots, owner, *args):
@@ -597,19 +708,42 @@ def test_flip_guard_drops_the_roots_of_conditions_that_vanish_at_an_end(monkeypa
     monkeypatch.setattr(lrs, "_flip_roots", recording)
     lrs._sweep(WINDOWS)
     ((roots, owner, kept, kept_owner),) = calls
-    polys = sum(map(len, window_polys(*WINDOWS[0])))  # rows per window
+    factors = len(lrs._TABLE.starts) - 1
+    divides = {}
+    for r, f, _ in _table_lines(lrs._sweep_table.MULTIPLICITIES):
+        divides.setdefault(f, []).append(r)
 
-    def at_a_vanishing_end(root, j):
-        (n, k), i = WINDOWS[j // polys], j % polys
-        return any(
-            abs(root - end) <= lrs.WINDOW_SLACK and _at(window_polys(n, k)[0][i], end) == 0
-            for end in (Fraction(*e) for e in lrs._exact_ends(k))
-        )
+    def vanishing_end(root, j):
+        (n, k), f = WINDOWS[j // factors], j % factors
+        for end in (Fraction(*e) for e in lrs._exact_ends(k)):
+            if abs(root - end) <= lrs.WINDOW_SLACK and _at(_table_factors(n, k)[f], end) == 0:
+                return end, [window_polys(n, k)[0][r] for r in divides[f] if r < lrs._sweep_table.DOMAIN_ROWS]
+        return None
 
     kept_pairs = set(zip(kept.tolist(), kept_owner.tolist()))
     dropped = [pair for pair in zip(roots.tolist(), owner.tolist()) if pair not in kept_pairs]
-    assert dropped and all(at_a_vanishing_end(*pair) for pair in dropped)
-    assert not any(at_a_vanishing_end(*pair) for pair in kept_pairs)
+    assert dropped
+    for pair in dropped:
+        end, conditions = vanishing_end(*pair)
+        assert conditions and all(_at(c, end) == 0 for c in conditions), pair
+    assert not any(vanishing_end(*pair) for pair in kept_pairs)
+
+
+def test_no_two_edges_of_a_window_are_closer_than_1e_12(monkeypatch):
+    # Each flip factor is rooted once per window (ROADMAP item 14), so
+    # shared factors no longer give float roots some ulps apart: over 7..60
+    # no piece is narrower than 1e-12.  Rooted in the product polynomials,
+    # 118 pieces were, down to 1.4e-17.
+    points, calls = lrs._candidate_points, []
+    monkeypatch.setattr(lrs, "_candidate_points", lambda *args: calls.append(points(*args)) or calls[-1])
+    lrs._sweep(WINDOWS)
+    ((flips, flip_window, *_),) = calls
+    closest = math.inf
+    for w, (_, k) in enumerate(WINDOWS):
+        edges = np.unique(np.concatenate((interval(k), flips[flip_window == w])))
+        closest = min(closest, np.diff(edges).min())
+    assert closest >= 1e-12
+    assert flips.size > 100
 
 
 def test_batch_same_denominator_shortcut_fails_closed():
@@ -908,39 +1042,46 @@ def test_cold_table_solves_each_degree_once_per_batch(monkeypatch, n_min, n_max)
 
 
 @pytest.mark.parametrize(
-    "windows",
-    [[(23, 3)], lrs._windows(60), [w for n in range(7, 41) for w in lrs._windows(n)]],
+    "windows, witnesses",
+    [([(23, 3)], 0), (lrs._windows(60), 1), ([w for n in range(7, 41) for w in lrs._windows(n)], 2)],
     ids=["one window", "one n", "7..40"],
 )
-def test_sweep_evaluates_the_float_forms_once(monkeypatch, windows):
+def test_sweep_evaluates_the_float_forms_once(monkeypatch, windows, witnesses):
     # Every sweep, one window included, evaluates the closed forms once, on
-    # float arrays, and reads its exact polynomials from one evaluation of
-    # the sweep table: no pass of the closed forms on exact operands, which
-    # the reference (ratfns, with its own name for _forms) would make.
-    operands, evaluations = [], _recording_table_values(monkeypatch)
-    for module in (bound_polys, ratfns):
+    # float arrays, and reads its exact factors from one evaluation of the
+    # sweep table.  On exact operands it evaluates them only at its
+    # witnesses, once each, on Fractions: never a pass of the reference
+    # (ratfns, with its own name for _forms).
+    operands, evaluations, found = [], _recording_table_values(monkeypatch), []
+    for module in (bound_polys, lrs, ratfns):
         monkeypatch.setattr(module, "_forms", lambda n, a, b: operands.append(type(a)) or _forms(n, a, b))
+    witness = lrs._witness
+    monkeypatch.setattr(lrs, "_witness", lambda *args: found.append(witness(*args)) or found[-1])
     lrs._sweep(windows)
-    assert operands == [np.ndarray]
+    assert operands == [np.ndarray] + [Fraction] * sum(w is not None for w in found)
     assert evaluations == [(len(windows), np.float64)]
-    assert not hasattr(lrs, "_forms")
+    assert len(found) == witnesses  # (60, 5); (22, 3) and (40, 4)
 
 
 def test_cold_table_stays_cold(monkeypatch):
-    # A memo of roots or of table values that outlived a call would make the
-    # second table solve smaller stacks or skip its evaluation.  table(7, 40),
-    # a batch of 78 windows, and table(40, 40), one of three, each evaluate
-    # the sweep table once.
+    # A memo of roots, of table values or of witnesses that outlived a call
+    # would make the second table solve smaller stacks, skip its evaluation
+    # or its exact points.  table(7, 40), a batch of 78 windows, and
+    # table(40, 40), one of three, each evaluate the sweep table once, and
+    # they seek witnesses at (22, 3), (40, 4) and (40, 4) again.
     shapes = _count_eigvals(monkeypatch)
     evaluations = _recording_table_values(monkeypatch)
+    witness, found = lrs._witness, []
+    monkeypatch.setattr(lrs, "_witness", lambda *args: found.append(args[:2]) or witness(*args))
     runs = []
     for _ in range(2):
         k_slice.cache_clear()
-        del shapes[:], evaluations[:]
+        del shapes[:], evaluations[:], found[:]
         tables = table(7, 40), table(40, 40)
-        runs.append((tables, list(shapes), list(evaluations)))
+        runs.append((tables, list(shapes), list(evaluations), list(found)))
     assert runs[0] == runs[1]
     assert runs[0][1] and runs[0][2] == [(78, np.float64), (3, np.float64)]
+    assert runs[0][3] == [(22, 3), (40, 4), (40, 4)]
 
 
 def test_sweep_leaves_out_numpy_ma():
