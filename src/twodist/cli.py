@@ -377,8 +377,14 @@ def cmd_independence(args: argparse.Namespace) -> _Report:
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
+    """Comma-separated reals.  Empty fields at the end (a trailing comma) are
+    ignored; an empty field with a value after it is an error, as 1,,2 would
+    otherwise read as 1,2 and not as the 1,0,2 it looks like."""
+    fields = text.split(",")
+    while fields and not fields[-1].strip():
+        fields.pop()
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        values = [float(tok) for tok in fields]
     except ValueError as exc:
         raise UsageError(f"could not parse {what} as comma-separated reals: {text!r}") from exc
     if not all(math.isfinite(x) for x in values):

@@ -21,21 +21,21 @@ domain is Delsarte's, f0 > 0 and fj >= 0 with a regular divisor, tested at
 tol 0: its flips are the roots of the unshifted conditions.
 
 Windows are swept in batches by one engine, _sweep: k_slice sweeps one
-window, omega_hat the windows of one n and table every window of its
-range.  The polynomials of a window are products of 23 distinct
-irreducible factors in Z[n, k][a], checked in as a table (_sweep_table) made once from the
-closed forms by tools/make_sweep_table.py.  Every batch, one window
-included, evaluates the factors in one matmul by the monomials n^i k^j of
-its windows: in float64, exact while every term and partial sum is an
-integer below 2^53, else in Python ints, so each coefficient is the double
-nearest its integer in either route.  The roots of every factor of every
-window come from one stacked eigvals call per degree, each factor rooted
-once; the edges, points and maxima of every window come from sorts,
-cumulative sums and reductions over the whole batch, with the closed forms
-evaluated in one float pass.  Where the float maximum lies a hair below an
-integer, an exact witness on Fractions (a rational root of a factor near
-a*, and Q there) can lift the floor to that integer.  A window's result
-does not depend on its batch.
+window, omega_hat the windows of one n and table every window of its range.
+The polynomials of a window are products of 23 distinct irreducible factors
+in Z[n, k][a], checked in as a table (_sweep_table) made once from the
+closed forms by tools/make_sweep_table.py.  One stage, _candidate_points,
+evaluates the factors of the whole batch in one matmul by the monomials
+n^i k^j of its windows (in float64, exact while every term and partial sum
+is an integer below 2^53, else in Python ints, so each coefficient is the
+double nearest its integer in either route), roots each once in one stacked
+eigvals call per degree, and drops the flip roots that are a window end.
+The edges, points and maxima of every window come from sorts, cumulative
+sums and reductions over the whole batch, with the closed forms evaluated
+in one float pass.  Where the float maximum lies a hair below an integer,
+an exact witness on Fractions (a rational root of a factor near a*, and Q
+there) can lift the floor to that integer.  A window's result does not
+depend on its batch.
 """
 from __future__ import annotations
 
@@ -99,7 +99,14 @@ def interval(k: int) -> tuple[float, float]:
     k = operator.index(k)
     if k < 2:
         raise ValueError(f"ratio index must satisfy k >= 2, got {k}")
-    return (2.0 - k) / k, 1.0 / (2.0 * k - 1.0)
+    return tuple(p / q for p, q in _exact_ends(k))
+
+
+def _exact_ends(k) -> tuple[tuple[int, int], tuple[int, int]]:
+    """The ends of interval(k) as exact fractions (numerator, denominator);
+    k may be an array of integer-valued floats, one per window.  Each
+    quotient p / q is then the same correctly rounded double as for an int k."""
+    return (2 - k, k), (1, 2 * k - 1)
 
 
 def q_bound(n: int, k: int, a: float, tol: float = DEFAULT_TOL) -> float:
@@ -170,32 +177,6 @@ def _real_roots(rows, lo, hi) -> tuple[np.ndarray, np.ndarray]:
     return x[keep], owner[keep]
 
 
-def _exact_ends(k: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """The ends of interval(k) as exact fractions (numerator, denominator)."""
-    return (2 - k, k), (1, 2 * k - 1)
-
-
-def _flip_roots(roots, owner, vanishes_at, lo, hi):
-    """The roots of flip factors, less those that are an end of their
-    window; returns (roots, owner) for the roots kept.
-
-    owner indexes the factors of the batch, lo and hi hold the window ends
-    of each factor, and vanishes_at(j, side) tells whether factor j is
-    exactly zero at the exact lower (side 0) or upper (side 1) end of its
-    window.  A domain condition can vanish exactly at an end (a + b = 0 at
-    a = 1/(2k - 1)), and the float root of its factor may land an ulp
-    inside.  Kept, it would cut off a sliver piece whose candidate set is
-    read at the degenerate point itself.  Only roots within WINDOW_SLACK of
-    an end are checked, each against its factor's own integers, so that the
-    check costs next to nothing.
-    """
-    drop = np.zeros(roots.size, dtype=bool)
-    for side, ends in enumerate((lo, hi)):
-        for i in np.flatnonzero(np.abs(roots - ends[owner]) <= WINDOW_SLACK):
-            drop[i] = vanishes_at(owner[i], side)
-    return roots[~drop], owner[~drop]
-
-
 class _Table(NamedTuple):
     """The factors of the sweep table (_sweep_table) as arrays.
 
@@ -255,56 +236,50 @@ def _table_values(n, k) -> np.ndarray:
     return t.coeffs.astype(np.int64).astype(object) @ monomials
 
 
-def _float_polys(windows: list):
-    """The factors of every window as rows of floats.
-
-    Returns (coeffs, flip, exact): coeffs[w, f] holds factor f of window w,
-    lowest power first and zero-padded to the table's highest power, the
-    `flip` factors of the domain conditions first; exact(w, f) reads back
-    factor f of window w as its integer coefficients.
-
-    The factors are those of the sweep table, evaluated for the whole batch
-    by one _table_values call.  Their coefficients are integers, and each
-    float is the double nearest its integer in either route: exact in
-    float64, correctly rounded from a Python int.  A zero coefficient is
-    +0.0, and a window's rows are the same bit for bit in any batch.
-    """
-    t = _TABLE
-    values = _table_values(*zip(*windows))
-    coeffs = np.zeros((len(windows), len(t.starts) - 1, t.power.max() + 1))
-    coeffs[:, t.factor, t.power] = values.T
-
-    def exact(w, f):
-        return [int(c) for c in values[t.starts[f] : t.starts[f + 1], w].tolist()]
-
-    return coeffs, _sweep_table.FLIP_FACTORS, exact
+def _factor(values, w: int, f: int) -> list[int]:
+    """Factor f of window w as its integer coefficients, lowest power first,
+    read from the _table_values array values of its batch."""
+    return [int(c) for c in values[_TABLE.starts[f] : _TABLE.starts[f + 1], w].tolist()]
 
 
 def _candidate_points(windows: list, lo, hi) -> tuple:
-    """Domain flips and interior extremum candidates of every window.
+    """Domain flips and interior extremum candidates of every window, from
+    one evaluation of the sweep table.
 
-    Returns (flips, flip_window, extrema, extremum_window, exact): the a
-    where some candidate can enter or leave its domain, the roots of the
-    flip factors, and the a where one candidate has a critical point or two
-    candidates cross, the roots of the other factors, each with the index of
-    its window; lo and hi are float arrays, one entry per window, and exact
-    is _float_polys's.  Every factor of every window goes to one _real_roots
-    call, once: the polynomials the factors divide are never rooted.
+    Returns (flips, flip_window, extrema, extremum_window, values): the roots
+    of the flip factors, where some candidate can enter or leave its domain,
+    and those of the other factors, where one candidate has a critical point
+    or two cross, each with the index of its window; values is the batch's
+    _table_values array, for _factor.  lo and hi hold the float ends of each
+    window.
+
+    Every factor of every window is laid out as a zero-padded float row,
+    lowest power first, and rooted once in one _real_roots call; the
+    polynomials it divides never are.  Each float is the double nearest its
+    integer in either route of _table_values, a zero is +0.0, and a window's
+    rows and roots are the same bit for bit in any batch.
+
+    A domain condition can vanish exactly at a window end (a + b = 0 at
+    a = 1/(2k - 1)), and the float root of its factor may land an ulp inside,
+    where it would cut off a sliver piece whose candidate set is read at the
+    degenerate point itself.  A flip root within WINDOW_SLACK of an end is
+    dropped when its factor's integers vanish exactly there.
     """
-    coeffs, flip_factors, exact = _float_polys(windows)
-    factors = coeffs.shape[1]
+    t = _TABLE
+    values = _table_values(*zip(*windows))
+    factors = len(t.starts) - 1
+    rows = np.zeros((len(windows), factors, t.power.max() + 1))
+    rows[:, t.factor, t.power] = values.T
     window, factor = np.divmod(np.arange(len(windows) * factors), factors)
-    ends = [_exact_ends(k) for _, k in windows]
-
-    def vanishes_at(j, side):
-        w = window[j]
-        return _vanishes(exact(w, factor[j]), *ends[w][side])
-
     lo, hi = lo[window], hi[window]
-    roots, owner = _real_roots(coeffs.reshape(window.size, -1), lo, hi)
-    flip = factor[owner] < flip_factors
-    flips, flip_owner = _flip_roots(roots[flip], owner[flip], vanishes_at, lo, hi)
-    return flips, window[flip_owner], roots[~flip], window[owner[~flip]], exact
+    roots, owner = _real_roots(rows.reshape(window.size, -1), lo, hi)
+    flip = factor[owner] < _sweep_table.FLIP_FACTORS
+    keep = flip.copy()
+    for side, ends in enumerate((lo, hi)):
+        for i in np.flatnonzero(flip & (np.abs(roots - ends[owner]) <= WINDOW_SLACK)):
+            w, f = window[owner[i]], factor[owner[i]]
+            keep[i] = not _vanishes(_factor(values, w, f), *_exact_ends(windows[w][1])[side])
+    return roots[keep], window[owner[keep]], roots[~flip], window[owner[~flip]], values
 
 
 def _convergents(x):
@@ -398,9 +373,9 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
     rounded.  The witness only ever raises a floor, and only by an exact
     value of Q; FLOOR_NUDGE still guards every other floor.
 
-    The flips and extremum candidates of the whole batch come from one
-    evaluation of the sweep table's factors (_candidate_points).  The batch
-    is held in flat arrays: one lexsort by (window, a) gives the
+    The flips and extremum candidates of the whole batch, and the integers
+    of its factors for _witness, come from one _candidate_points call.  The
+    batch is held in flat arrays: one lexsort by (window, a) gives the
     edges, points and piece midpoints of every window, equal values of one
     window becoming one point; the closed forms are evaluated in one float
     pass, the pieces each point touches come from a cumsum of edge flags,
@@ -414,8 +389,8 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
         _check_window(n, k)
     ids = np.arange(len(windows))
     n, k = np.array(windows, dtype=float).T
-    lo, hi = (2.0 - k) / k, 1.0 / (2.0 * k - 1.0)  # interval(k), one entry per window
-    flips, flip_window, extrema, extremum_window, exact = _candidate_points(windows, lo, hi)
+    lo, hi = (p / q for p, q in _exact_ends(k))  # interval(k), one entry per window
+    flips, flip_window, extrema, extremum_window, values = _candidate_points(windows, lo, hi)
     # Ends and flips are edges; equal values of one window are one point, an
     # edge if any of them is, since the stable lexsort keeps the edges first.
     a = np.concatenate((lo, hi, flips, extrema))
@@ -458,7 +433,7 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
             continue
         floor, m = floor_nudged(p), math.floor(p) + 1
         if m - p <= WITNESS_MARGIN * m:  # a knife edge: Q may reach m exactly
-            found = _witness(wn, wk, a_star, [exact(i, f) for f in range(len(_TABLE.starts) - 1)])
+            found = _witness(wn, wk, a_star, [_factor(values, i, f) for f in range(len(_TABLE.starts) - 1)])
             if found is not None and found[1] >= m:
                 floor, p, a_star = max(floor, m), max(p, float(found[1])), float(found[0])
         # floored, but never below 2n + 3: small windows never beat the trivial bound

@@ -311,6 +311,13 @@ def test_delsarte_check_parses_inputs(capsys):
     )
     assert code == 1
     assert "comma-separated" in err
+    # An empty field with a value after it is an error in either list: 1,,2
+    # once read as 1,2 and printed an accepted certificate for f = (1, 2).
+    for coeffs, t_values in [("1,,2", "-0.5,-0.75"), (",1", "0"), ("1", "-0.5,,-0.75"), ("1", ",0")]:
+        argv = ["delsarte-check", "--n", "7", f"--coeffs={coeffs}", f"--t-values={t_values}"]
+        code, out, err = run(capsys, argv)
+        assert code == 1 and out == "", (coeffs, t_values)
+        assert "comma-separated reals" in err
     code, out, err = run(capsys, ["delsarte-check", "--n", "7", "--coeffs", ",", "--t-values", "0"])
     assert code == 1 and out == ""
     assert "at least one coefficient" in err

@@ -77,6 +77,17 @@ def test_cli_edge_output_is_byte_identical(name, fmt):
         assert text == fh.read()
 
 
+def test_table_7_40_csv_is_the_benchmark_reference():
+    # bench/run.py hashes exactly this stdout, the "#" line included, and
+    # marks a run incorrect when it differs from bench/table_7_40.csv.  The
+    # "#" line holds grid=20001 tol=1e-09 seed=42, so table keeps those options.
+    code, text = _run("table", "csv", ["table", "--n-min", "7", "--n-max", "40"])
+    assert code == 0
+    reference = os.path.join(GOLDEN, os.pardir, os.pardir, "bench", "table_7_40.csv")
+    with open(reference, encoding="utf-8", newline="") as fh:
+        assert text == fh.read()
+
+
 # SHA-256 of the stdout of profiles larger than the golden one, recorded
 # from the per-sample route that the array route replaced.
 LARGE_PROFILES = {

@@ -6,6 +6,7 @@ import operator
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -153,9 +154,12 @@ def test_tight_family_floors_to_the_absolute_bound(k):
     assert omega_hat_nk(n, k) == n * (n + 3) // 2
 
 
+_FACTORS = len(lrs._TABLE.starts) - 1
+
+
 def _window_factors(n, k) -> list[list[int]]:
-    _, _, exact = lrs._float_polys([(n, k)])
-    return [exact(0, f) for f in range(len(lrs._TABLE.starts) - 1)]
+    values = lrs._table_values([n], [k])
+    return [lrs._factor(values, 0, f) for f in range(_FACTORS)]
 
 
 def _witnessless_sweep(monkeypatch, windows) -> list:
@@ -461,7 +465,7 @@ def test_sweep_takes_no_tolerance():
     # A sweep decides its domain at tol 0 (f0 > 0, fj >= 0): no stage of it
     # takes a tol.
     sweep = [k_slice, phi, omega_hat_nk, omega_hat, g_upper, table, lrs._sweep,
-             lrs._candidate_points, lrs._float_polys, lrs._table_values, lrs._witness]
+             lrs._candidate_points, lrs._table_values, lrs._real_roots, lrs._factor, lrs._witness]
     assert [f.__name__ for f in sweep if "tol" in inspect.signature(f).parameters] == []
 
 
@@ -542,20 +546,42 @@ def test_batch_polys_equal_the_window_polys():
     assert got == [window_polys(n, k) for n, k in WINDOWS]
 
 
-def test_float_rows_of_both_routes_are_bit_identical():
+def _candidate_stage(monkeypatch, windows) -> tuple:
+    """_candidate_points over windows, with its one _real_roots call
+    recorded: (rows, roots, owner, points), rows[w, f] holding factor f of
+    window w as the floats it roots, roots and owner what _real_roots gave
+    back, and points what _candidate_points returned."""
+    real_roots, calls = lrs._real_roots, []
+
+    def recording(rows, lo, hi):
+        roots, owner = real_roots(rows, lo, hi)
+        calls.append((rows, roots, owner))
+        return roots, owner
+
+    with monkeypatch.context() as m:
+        m.setattr(lrs, "_real_roots", recording)
+        lo, hi = np.array([interval(k) for _, k in windows]).T
+        points = lrs._candidate_points(windows, lo, hi)
+    ((rows, roots, owner),) = calls
+    return rows.reshape(len(windows), _FACTORS, -1), roots, owner, points
+
+
+def test_float_rows_of_both_routes_are_bit_identical(monkeypatch):
     # The two routes are a window swept alone and the same window among the
     # 158 of 7..60.  Each reads the factors' integers at (n, k), and a float
-    # is the double nearest its integer, so the rows and the exact factors
-    # must be the same whatever the batch, padding included.
-    batch, flip, batch_exact = lrs._float_polys(WINDOWS)
-    factors = batch.shape[1]
-    assert batch.dtype == np.float64 and (flip, factors) == (9, 23)
+    # is the double nearest its integer, so the rows, the exact factors and
+    # the roots must be the same whatever the batch, padding included.
+    rows, _, _, (flips, flip_window, extrema, extremum_window, values) = _candidate_stage(monkeypatch, WINDOWS)
+    assert rows.dtype == np.float64 and (lrs._sweep_table.FLIP_FACTORS, rows.shape[1]) == (9, 23)
     for w, window in enumerate(WINDOWS):
-        single, single_flip, single_exact = lrs._float_polys([window])
-        assert single_flip == flip and single.shape[1:] == batch.shape[1:]
-        assert batch[w].tobytes() == single[0].tobytes(), window
-        for f in range(factors):
-            assert batch_exact(w, f) == single_exact(0, f)
+        single_rows, _, _, single = _candidate_stage(monkeypatch, [window])
+        assert single_rows.shape[1:] == rows.shape[1:]
+        assert rows[w].tobytes() == single_rows[0].tobytes(), window
+        assert flips[flip_window == w].tobytes() == single[0].tobytes(), window
+        assert extrema[extremum_window == w].tobytes() == single[2].tobytes(), window
+        for f in range(_FACTORS):
+            assert lrs._factor(values, w, f) == lrs._factor(single[4], 0, f)
+        assert not single[1].any() and not single[3].any()
 
 
 def _int_route(monkeypatch):
@@ -651,19 +677,20 @@ def test_sweep_table_factors_the_reference_polys(monkeypatch):
 
 def test_table_routes_give_the_same_rows(monkeypatch):
     # Over 7..60 the table is evaluated in float64, every integer exact;
-    # in Python ints it must give the same rows byte for byte, the same
-    # exact factors, and no -0.0 in either route.
+    # in Python ints it must give the same rows and roots byte for byte, the
+    # same exact factors, and no -0.0 in either route.
     evaluations = _recording_table_values(monkeypatch)
-    floats, flip, float_exact = lrs._float_polys(WINDOWS)
+    floats, _, _, float_points = _candidate_stage(monkeypatch, WINDOWS)
     _int_route(monkeypatch)
-    ints, int_flip, int_exact = lrs._float_polys(WINDOWS)
+    ints, _, _, int_points = _candidate_stage(monkeypatch, WINDOWS)
     assert evaluations == [(158, np.float64), (158, object)]
     assert ints.shape == floats.shape and ints.tobytes() == floats.tobytes()
     assert not np.signbit(floats[floats == 0]).any()
-    assert int_flip == flip
+    for got, want in zip(int_points[:4], float_points[:4]):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     for w in range(len(WINDOWS)):
-        for f in range(floats.shape[1]):
-            got, want = float_exact(w, f), int_exact(w, f)
+        for f in range(_FACTORS):
+            got, want = lrs._factor(int_points[4], w, f), lrs._factor(float_points[4], w, f)
             assert got == want and all(type(x) is int for x in got), (WINDOWS[w], f)
 
 
@@ -674,14 +701,14 @@ def test_a_batch_beyond_float_range_takes_the_int_route(monkeypatch):
     # of the factors' integers, read from the table's text.
     evaluations = _recording_table_values(monkeypatch)
     batch = [(60, 5), (838, 15)]
-    rows, _, exact = lrs._float_polys(batch)
-    alone = [lrs._float_polys([w])[0][0] for w in batch]
+    rows, _, _, points = _candidate_stage(monkeypatch, batch)
+    alone = [_candidate_stage(monkeypatch, [w])[0][0] for w in batch]
     assert evaluations == [(2, object), (1, np.float64), (1, object)]
     assert not np.signbit(rows[rows == 0]).any()
     big = 0
     for w, (n, k) in enumerate(batch):
         factors = _table_factors(n, k)
-        assert [exact(w, f) for f in range(len(factors))] == factors
+        assert [lrs._factor(points[4], w, f) for f in range(len(factors))] == factors
         assert rows[w].tobytes() == _padded_rows(factors, rows.shape[2]).tobytes()
         assert rows[w].tobytes() == alone[w].tobytes()
         big += any(abs(c) >= 2**53 for f in factors for c in f)
@@ -695,38 +722,41 @@ def test_a_batch_beyond_float_range_takes_the_int_route(monkeypatch):
 def test_flip_guard_drops_the_roots_of_conditions_that_vanish_at_an_end(monkeypatch):
     # A domain condition can vanish exactly at a window end (a + b = 0 at
     # a = 1/(2k - 1)), and the float root of its factor can land just
-    # inside.  Over 7..60 the guard drops such roots, each checked against
+    # inside.  Over 7..60 the sweep drops such roots, each checked against
     # the factor's integers read from the table's text, and keeps none; and
     # every reference domain condition that the factor divides vanishes there.
-    guard, calls = lrs._flip_roots, []
-
-    def recording(roots, owner, *args):
-        kept = guard(roots, owner, *args)
-        calls.append((roots, owner, *kept))
-        return kept
-
-    monkeypatch.setattr(lrs, "_flip_roots", recording)
-    lrs._sweep(WINDOWS)
-    ((roots, owner, kept, kept_owner),) = calls
-    factors = len(lrs._TABLE.starts) - 1
+    # The roots of the other factors are all kept.
+    _, roots, owner, (flips, flip_window, extrema, extremum_window, _) = _candidate_stage(monkeypatch, WINDOWS)
+    flip = owner % _FACTORS < lrs._sweep_table.FLIP_FACTORS
+    assert extrema.tobytes() == roots[~flip].tobytes()
+    assert extremum_window.tobytes() == (owner[~flip] // _FACTORS).tobytes()
+    # A flip root is known by its value and window, and the factors it is a
+    # root of: a near-double root comes back twice, and distinct factors can
+    # share a root (a = 0 at (25, 4), say).
+    rooted = list(zip(roots[flip].tolist(), (owner[flip] // _FACTORS).tolist()))
+    factors_at = {}
+    for key, j in zip(rooted, owner[flip].tolist()):
+        factors_at.setdefault(key, set()).add(j)
+    kept = Counter(zip(flips.tolist(), flip_window.tolist()))
+    dropped = Counter(rooted) - kept
+    assert kept + dropped == Counter(rooted)
     divides = {}
     for r, f, _ in _table_lines(lrs._sweep_table.MULTIPLICITIES):
         divides.setdefault(f, []).append(r)
 
     def vanishing_end(root, j):
-        (n, k), f = WINDOWS[j // factors], j % factors
+        (n, k), f = WINDOWS[j // _FACTORS], j % _FACTORS
         for end in (Fraction(*e) for e in lrs._exact_ends(k)):
             if abs(root - end) <= lrs.WINDOW_SLACK and _at(_table_factors(n, k)[f], end) == 0:
                 return end, [window_polys(n, k)[0][r] for r in divides[f] if r < lrs._sweep_table.DOMAIN_ROWS]
         return None
 
-    kept_pairs = set(zip(kept.tolist(), kept_owner.tolist()))
-    dropped = [pair for pair in zip(roots.tolist(), owner.tolist()) if pair not in kept_pairs]
     assert dropped
-    for pair in dropped:
-        end, conditions = vanishing_end(*pair)
-        assert conditions and all(_at(c, end) == 0 for c in conditions), pair
-    assert not any(vanishing_end(*pair) for pair in kept_pairs)
+    for r, w in dropped:
+        (j,) = factors_at[r, w]
+        end, conditions = vanishing_end(r, j)
+        assert conditions and all(_at(c, end) == 0 for c in conditions), (r, w)
+    assert not any(vanishing_end(r, j) for r, w in kept for j in factors_at[r, w])
 
 
 def test_no_two_edges_of_a_window_are_closer_than_1e_12(monkeypatch):

@@ -1,5 +1,6 @@
 """The package root: its lazy namespace and the README's library quick start."""
 import importlib
+import importlib.util
 import re
 import subprocess
 import sys
@@ -20,6 +21,7 @@ PUBLIC = {
                      "lambda_set verify_two_distance",
 }
 README = Path(__file__).resolve().parent.parent / "README.md"
+TRACER = README.parent / "bench" / "tracer.py"
 
 
 def test_all_names_every_export_once():
@@ -81,3 +83,18 @@ def test_readme_library_quick_start_runs():
     assert namespace["value"] == pytest.approx(276.0) and namespace["winners"] == (1, 4, 5)
     assert [row.n for row in namespace["rows"]] == list(range(7, 41))
     assert namespace["cert"].valid
+
+
+def test_benchmark_hooks_resolve():
+    # bench/tracer.py wraps each (module, function) of its TARGETS, and
+    # bench/run.py calls k_slice.cache_clear and copies cache_info onto its
+    # checkpoint hook: a library change that removes one of them makes a
+    # traced benchmark run exit 1.
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    assert tracer.TARGETS
+    for module, name in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(f"twodist.{module}"), name, None)), (module, name)
+    k_slice = importlib.import_module("twodist.lrs").k_slice
+    assert callable(k_slice.cache_clear) and callable(k_slice.cache_info)
