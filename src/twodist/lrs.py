@@ -236,20 +236,20 @@ def _table_values(n, k) -> np.ndarray:
     return t.coeffs.astype(np.int64).astype(object) @ monomials
 
 
-def _factor(values, w: int, f: int) -> list[int]:
+def _factor(ints, w: int, f: int) -> list[int]:
     """Factor f of window w as its integer coefficients, lowest power first,
-    read from the _table_values array values of its batch."""
-    return [int(c) for c in values[_TABLE.starts[f] : _TABLE.starts[f + 1], w].tolist()]
+    read from the _table_values array ints of its batch."""
+    return [int(c) for c in ints[_TABLE.starts[f] : _TABLE.starts[f + 1], w].tolist()]
 
 
 def _candidate_points(windows: list, lo, hi) -> tuple:
     """Domain flips and interior extremum candidates of every window, from
     one evaluation of the sweep table.
 
-    Returns (flips, flip_window, extrema, extremum_window, values): the roots
+    Returns (flips, flip_window, extrema, extremum_window, ints): the roots
     of the flip factors, where some candidate can enter or leave its domain,
     and those of the other factors, where one candidate has a critical point
-    or two cross, each with the index of its window; values is the batch's
+    or two cross, each with the index of its window; ints is the batch's
     _table_values array, for _factor.  lo and hi hold the float ends of each
     window.
 
@@ -266,10 +266,10 @@ def _candidate_points(windows: list, lo, hi) -> tuple:
     dropped when its factor's integers vanish exactly there.
     """
     t = _TABLE
-    values = _table_values(*zip(*windows))
+    ints = _table_values(*zip(*windows))
     factors = len(t.starts) - 1
     rows = np.zeros((len(windows), factors, t.power.max() + 1))
-    rows[:, t.factor, t.power] = values.T
+    rows[:, t.factor, t.power] = ints.T
     window, factor = np.divmod(np.arange(len(windows) * factors), factors)
     lo, hi = lo[window], hi[window]
     roots, owner = _real_roots(rows.reshape(window.size, -1), lo, hi)
@@ -278,8 +278,8 @@ def _candidate_points(windows: list, lo, hi) -> tuple:
     for side, ends in enumerate((lo, hi)):
         for i in np.flatnonzero(flip & (np.abs(roots - ends[owner]) <= WINDOW_SLACK)):
             w, f = window[owner[i]], factor[owner[i]]
-            keep[i] = not _vanishes(_factor(values, w, f), *_exact_ends(windows[w][1])[side])
-    return roots[keep], window[owner[keep]], roots[~flip], window[owner[~flip]], values
+            keep[i] = not _vanishes(_factor(ints, w, f), *_exact_ends(windows[w][1])[side])
+    return roots[keep], window[owner[keep]], roots[~flip], window[owner[~flip]], ints
 
 
 def _convergents(x):
@@ -390,7 +390,7 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
     ids = np.arange(len(windows))
     n, k = np.array(windows, dtype=float).T
     lo, hi = (p / q for p, q in _exact_ends(k))  # interval(k), one entry per window
-    flips, flip_window, extrema, extremum_window, values = _candidate_points(windows, lo, hi)
+    flips, flip_window, extrema, extremum_window, ints = _candidate_points(windows, lo, hi)
     # Ends and flips are edges; equal values of one window are one point, an
     # edge if any of them is, since the stable lexsort keeps the edges first.
     a = np.concatenate((lo, hi, flips, extrema))
@@ -433,7 +433,7 @@ def _sweep(windows: Sequence[tuple[int, int]]) -> list[KSlice]:
             continue
         floor, m = floor_nudged(p), math.floor(p) + 1
         if m - p <= WITNESS_MARGIN * m:  # a knife edge: Q may reach m exactly
-            found = _witness(wn, wk, a_star, [_factor(values, i, f) for f in range(len(_TABLE.starts) - 1)])
+            found = _witness(wn, wk, a_star, [_factor(ints, i, f) for f in range(len(_TABLE.starts) - 1)])
             if found is not None and found[1] >= m:
                 floor, p, a_star = max(floor, m), max(p, float(found[1])), float(found[0])
         # floored, but never below 2n + 3: small windows never beat the trivial bound

@@ -158,8 +158,8 @@ _FACTORS = len(lrs._TABLE.starts) - 1
 
 
 def _window_factors(n, k) -> list[list[int]]:
-    values = lrs._table_values([n], [k])
-    return [lrs._factor(values, 0, f) for f in range(_FACTORS)]
+    ints = lrs._table_values([n], [k])
+    return [lrs._factor(ints, 0, f) for f in range(_FACTORS)]
 
 
 def _witnessless_sweep(monkeypatch, windows) -> list:
@@ -189,14 +189,16 @@ def test_witness_lifts_the_rational_knife_edges(monkeypatch):
 
 def test_witness_fires_only_inside_its_margin_and_never_lowers_a_floor(monkeypatch):
     # Over 4..139 and the family, the witness is sought only where the float
-    # phi lies below an integer M by at most WITNESS_MARGIN relative, and
-    # every floor is at least the floor without it.  The floors, conclusive
+    # phi lies below an integer M by at most WITNESS_MARGIN relative, with
+    # the window's own factor integers, and every floor is at least the
+    # floor without it.  The floors, conclusive
     # flags and inf-stretch counts are those of tests/golden/floors.json:
     # the ones the sweep gave when it rooted the product polynomials, but
     # for six family windows that it floored one too low.
     witness, calls = lrs._witness, []
 
     def recording(n, k, a_star, factors):
+        assert factors == _window_factors(n, k), (n, k)
         calls.append((n, k))
         return witness(n, k, a_star, factors)
 
