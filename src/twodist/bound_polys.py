@@ -251,14 +251,19 @@ def candidate_values(n: int, a, b, tol: float = DEFAULT_TOL) -> np.ndarray:
     Returns an array of shape (5, len(a)); entry [i-1, j] is the value of
     candidate i at (a[j], b[j]), +inf when out of domain.  Every value
     comes from the closed forms of _forms, as do those of candidates (the
-    route for one pair), so the two agree bit for bit.  tol must satisfy
-    0 <= tol <= MAX_TOL.
+    route for one pair), so the two agree bit for bit.  n is taken as a
+    Python int (operator.index), as in candidates: a float raises TypeError.
+    a and b are scalars or 1-D arrays of one length, else ValueError; tol
+    must satisfy 0 <= tol <= MAX_TOL.
     """
+    n = operator.index(n)
     if n < 2:
         raise ValueError(f"dimension must satisfy n >= 2, got {n}")
     check_tol(tol)
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"a and b must be 1-D arrays of one length, got shapes {a.shape} and {b.shape}")
     values, in_domain = _float_forms(n, a, b, tol)
     return np.where(in_domain, values, np.inf)
 

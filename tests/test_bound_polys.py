@@ -280,6 +280,23 @@ def test_candidate_values_rejects_dimension_below_two():
         candidate_values(1, [0.2], [-0.2])
 
 
+def test_candidate_values_takes_an_integer_dimension_as_candidates_does():
+    # 10.5 once gave numbers where candidates raises; a numpy integer is an int.
+    for n in (10.5, 10.0):
+        with pytest.raises(TypeError):
+            candidate_values(n, [0.2], [-0.2])
+        with pytest.raises(TypeError):
+            candidates(InnerProductPair(n, 0.2, -0.2))
+    assert candidate_values(np.int64(10), [0.2], [-0.2]).tolist() == candidate_values(10, [0.2], [-0.2]).tolist()
+
+
+@pytest.mark.parametrize("a, b", [([0.1], [0.2, 0.3]), ([0.1, 0.2], [-0.3]), ([[0.1]], [[-0.3]])])
+def test_candidate_values_rejects_pairs_of_unequal_length(a, b):
+    # ([0.1], [0.2, 0.3]) once broadcast to shape (5, 2), not (5, len(a)).
+    with pytest.raises(ValueError, match="1-D arrays of one length"):
+        candidate_values(10, a, b)
+
+
 def _slack_edge(best: float) -> tuple[float, float]:
     """The largest value that best_of counts as tied with best, and the next double."""
     slack = WINNER_REL_TOL * max(1.0, abs(best))

@@ -8,6 +8,7 @@ import pytest
 
 import twodist.bound_polys
 import twodist.cli
+import twodist.lrs
 from test_golden_cli import GOLDEN
 from twodist.cli import console_entry, main
 
@@ -155,6 +156,28 @@ def test_dimension_too_large_for_a_float_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, argv + ["--n", "1" + "0" * 400])
     assert code == 1 and out == ""
     assert err.startswith("error:") and len(err.strip().splitlines()) == 1
+
+
+# numpy's message for profile --n 7 --k 2 --samples 100000000000.
+_NO_MEMORY = "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type float64"
+
+
+@pytest.mark.parametrize("module, name, argv", [
+    (twodist.lrs, "profile", ["profile", "--n", "7", "--k", "2", "--samples", "100000000000"]),
+    (twodist.cli, "lambda_set", ["verify-lambda", "--n", "100000"]),
+    (twodist.cli, "lambda_set", ["independence", "--n", "100000"]),
+], ids=["profile", "verify-lambda", "independence"])
+def test_input_too_large_for_memory_is_a_usage_error(capsys, monkeypatch, module, name, argv):
+    # These inputs ask numpy for more memory than there is.  Its MemoryError
+    # must end in the one-line error, not a traceback; the library raises it
+    # here as numpy would, so nothing is allocated.
+    def too_large(*args, **kwargs):
+        raise MemoryError(_NO_MEMORY)
+
+    monkeypatch.setattr(module, name, too_large)
+    code, out, err = run(capsys, argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {_NO_MEMORY}\n"
 
 
 def test_profile_csv(capsys):
@@ -409,7 +432,7 @@ ACCEPTED = {
                 ["n", "k", "samples", "tol", "precision", "strict"]),
     "bound": (["bound", "--n", "23", "--a", "0.2", "--b", "-0.2"], ["n", "a", "b", "tol", "precision", "strict"]),
     "verify-lambda": (["verify-lambda", "--n", "7"], ["n", "precision"]),
-    "independence": (["independence", "--n", "7"], ["n", "seed", "precision"]),
+    "independence": (["independence", "--n", "7"], ["n", "precision"]),
     "delsarte-check": (["delsarte-check", "--n", "7", "--coeffs", "1,0,1", "--t-values", "0.5"],
                        ["n", "coeffs", "t_values", "tol", "precision"]),
 }
@@ -599,8 +622,8 @@ def test_main_reuses_one_parser_without_leaking_state(capsys, monkeypatch):
 
 def test_importing_the_cli_leaves_the_window_sweep_unloaded():
     # table and profile import lrs when they run, so the commands that do not
-    # sweep a window never pay for its import; constructions is loaded,
-    # since the parser reads its DEFAULT_SEED.
+    # sweep a window never pay for its import; constructions is loaded, as
+    # cli imports its certificates at the top.
     probe = "\n".join([
         "import contextlib, io, sys, twodist.cli",
         "print(sorted(m for m in sys.modules if m.startswith('twodist.')))",

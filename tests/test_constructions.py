@@ -9,7 +9,6 @@ import twodist.constructions as constructions
 from twodist.constructions import (
     CLUSTER_DIAMETER_TOL,
     CLUSTER_GAP_TOL,
-    DEFAULT_SEED,
     EIG_TOL,
     GRAM_BLOCK_ROWS,
     RANK_REL_TOL,
@@ -266,11 +265,12 @@ def test_independence_rank_examples():
         assert expected == n * (n + 1) // 2 + n
 
 
-def _independence_rank_by_definition(s, a, b, seed=DEFAULT_SEED, rel_tol=RANK_REL_TOL):
-    """Numerical rank of the whole (m + n) x (m + n + 20) evaluation matrix."""
+def _independence_rank_by_definition(s, a, b, rel_tol=RANK_REL_TOL):
+    """Numerical rank of the whole (m + n) x (m + n + 20) evaluation matrix,
+    at the same test points as independence_rank."""
     x = s.points
     n = x.shape[1]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(constructions.TEST_POINT_SEED)
     extra = rng.standard_normal((n + 20, n))
     extra /= np.linalg.norm(extra, axis=1, keepdims=True)
     eval_pts = np.vstack([x, extra])
@@ -288,18 +288,22 @@ def test_independence_rank_matches_definition_on_midpoint_sets():
         assert rank == _independence_rank_by_definition(s, a, b) == len(s) + n, n
 
 
-def test_independence_rank_matches_definition_on_midpoint_subsets():
-    # Any subset of a midpoint set is two-distance with the same (a, b).
+def test_independence_rank_matches_definition_on_midpoint_subsets(monkeypatch):
+    # Any subset of a midpoint set is two-distance with the same (a, b); the
+    # test points of two seeds, the fixed one and another, give the same
+    # rank as the definition at those points.
     rng = np.random.default_rng(1977)
+    seeds = (constructions.TEST_POINT_SEED, 5)
     for n in (7, 9, 12, 16, 20):
         s = lambda_set(n)
         a, b = lambda_params(n)
         for size in (1, 3, n, len(s) // 2, len(s) - 1):
             rows = np.sort(rng.choice(len(s), size=size, replace=False))
             sub = UnitPointSet(n, s.points[rows])
-            for seed in (DEFAULT_SEED, 5):
-                rank = independence_rank(sub, a, b, seed=seed)
-                assert rank == _independence_rank_by_definition(sub, a, b, seed=seed), (n, size)
+            for seed in seeds:
+                monkeypatch.setattr(constructions, "TEST_POINT_SEED", seed)
+                rank = independence_rank(sub, a, b)
+                assert rank == _independence_rank_by_definition(sub, a, b), (n, size, seed)
 
 
 def test_independence_rank_rejects_sets_that_are_not_two_distance_with_a_b():
@@ -325,10 +329,12 @@ def test_independence_rank_rejects_negative_sum():
         independence_rank(s, a, b)
 
 
-def test_independence_rank_is_seed_stable():
+def test_independence_rank_is_seed_stable(monkeypatch):
+    # The seed of the test points is fixed because it changes no rank.
     s = lambda_set(7)
     a, b = lambda_params(7)
-    r1 = independence_rank(s, a, b, seed=123)
-    r2 = independence_rank(s, a, b, seed=123)
-    r3 = independence_rank(s, a, b, seed=987)
-    assert r1 == r2 == r3 == 35
+    ranks = []
+    for seed in (123, 123, 987):
+        monkeypatch.setattr(constructions, "TEST_POINT_SEED", seed)
+        ranks.append(independence_rank(s, a, b))
+    assert ranks == [35, 35, 35]

@@ -5,8 +5,11 @@ halved 5-cube (16 points in R^5, inner products 1/5 and -3/5) and the
 Schlaefli set (27 points in R^6, inner products 1/4 and -1/2; the absolute
 bound n(n + 3)/2) are largest two-distance sets (Lisonek, JCTA 1997), and
 each lies in a window, (5, 2) and (6, 2), whose float maximum sits a few
-ulps under its size: knife edges of the floor.  Both sets are built and
-checked in integers.
+ulps under its size: knife edges of the floor.  The McLaughlin set (275
+points in R^22, inner products 1/6 and -1/4, cut from the minimal vectors
+of the Leech lattice) is the paper's tight case, g(22) = 275 (Musin, 2008),
+in the window (22, 3), where three certificates cross at exactly 275.
+Every set is built and checked in integers.
 """
 import itertools
 from fractions import Fraction
@@ -49,6 +52,50 @@ def _schlaefli() -> list[tuple]:
     return [tuple(3 * p - q - r for p, q, r in zip(x, v, w)) for x in roots if _dot(x, v) == _dot(x, w) == 4]
 
 
+def _golay_words() -> np.ndarray:
+    """The 4096 words of the extended binary Golay code as 0/1 rows of length
+    24: the GF(2) span of the 23 cyclic shifts of the quadratic-residue
+    indicator mod 23, each word with a parity bit."""
+    residues = {i * i % 23 for i in range(1, 23)}
+    words = {0}
+    for s in range(23):
+        shift = sum(1 << (r + s) % 23 for r in residues)
+        words |= {w ^ shift for w in words}
+    bits = (np.array(sorted(words))[:, None] >> np.arange(23)) & 1
+    return np.hstack([bits, bits.sum(axis=1, keepdims=True) % 2])
+
+
+def _leech_minimal_vectors() -> np.ndarray:
+    """The 196560 minimal vectors of the Leech lattice, scaled by sqrt(8) to
+    integers of squared norm 32: (+-4, +-4, 0^22) in every placement, +-2 on
+    an octad with an even number of minus signs, and (-3, 1^23) in every
+    placement with the signs flipped on a codeword."""
+    words = _golay_words()
+    pairs = [
+        [4 * si if j == i0 else 4 * sj if j == j0 else 0 for j in range(24)]
+        for i0, j0 in itertools.combinations(range(24), 2)
+        for si, sj in itertools.product((1, -1), repeat=2)
+    ]
+    signs = 2 * np.array([p for p in itertools.product((1, -1), repeat=8) if p.count(-1) % 2 == 0])
+    octads = words[words.sum(axis=1) == 8].astype(bool)
+    on_octads = np.zeros((len(octads), len(signs), 24), dtype=np.int16)
+    for block, octad in zip(on_octads, octads):
+        block[:, octad] = signs
+    odd = (1 - 4 * np.eye(24, dtype=np.int16))[:, None, :] * (1 - 2 * words.astype(np.int16))
+    return np.vstack([np.array(pairs, dtype=np.int16), on_octads.reshape(-1, 24), odd.reshape(-1, 24)])
+
+
+def _mclaughlin() -> list[tuple]:
+    """The Leech minimal vectors x with <x, v> = <x, w> = 16 for two with
+    <v, w> = 8, projected off span(v, w): 5x - 2v - 2w, of squared norm 480,
+    in R^24 of rank 22."""
+    vecs = _leech_minimal_vectors()
+    v = vecs[0]
+    w = vecs[np.flatnonzero(vecs @ v == 8)[0]]
+    kept = vecs[(vecs @ v == 16) & (vecs @ w == 16)]
+    return list(map(tuple, (5 * kept - 2 * v - 2 * w).tolist()))
+
+
 def _rank(rows) -> int:
     """Rank over the rationals, by Gaussian elimination in Fraction."""
     m = [[Fraction(x) for x in row] for row in rows]
@@ -70,8 +117,9 @@ def _rank(rows) -> int:
 SETS = [
     (_halved_cube, 16, 5, 2, Fraction(1, 5), Fraction(-3, 5)),
     (_schlaefli, 27, 6, 2, Fraction(1, 4), Fraction(-1, 2)),
+    (_mclaughlin, 275, 22, 3, Fraction(1, 6), Fraction(-1, 4)),
 ]
-IDS = ["halved 5-cube", "Schlaefli"]
+IDS = ["halved 5-cube", "Schlaefli", "McLaughlin"]
 
 
 @pytest.mark.parametrize("build, size, n, k, a, b", SETS, ids=IDS)

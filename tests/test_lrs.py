@@ -217,6 +217,25 @@ def test_witness_fires_only_inside_its_margin_and_never_lowers_a_floor(monkeypat
     assert 0 < len(calls) < 60
 
 
+def test_every_floor_holds_without_the_nudge(monkeypatch):
+    # Over 4..139 and the family the exact witness decides every knife edge
+    # below an integer, so the floors, conclusive flags and inf-stretch
+    # counts are those of tests/golden/floors.json with FLOOR_NUDGE = 0 too;
+    # the nudge stays only as a net for irrational knife edges.
+    monkeypatch.setattr(bound_polys, "FLOOR_NUDGE", 0.0)
+    assert [floor_record(sl) for sl in lrs._sweep(FLOOR_WINDOWS)] == load_floors()
+
+
+def test_witness_is_none_where_no_factor_vanishes():
+    # At (22, 3) the convergent 1/6 of a* is a root of the window's factors
+    # and Q = 275 there; a factor list with no root at any convergent gives
+    # no witness.
+    a_star = 1.0 / 6
+    assert lrs._witness(22, 3, a_star, _window_factors(22, 3)) == (Fraction(1, 6), 275)
+    for factors in ([], [[1]], [[-1, 7]]):  # no factor, a constant, 7a - 1
+        assert lrs._witness(22, 3, a_star, factors) is None, factors
+
+
 def _exact_forms(n, k):
     x = FractionFns.of([0, 1])
     return _forms(Fraction(n), x, (k * x - 1) / (k - 1))
