@@ -307,8 +307,11 @@ _WINNERS = np.empty(1 << len(CANDIDATE_INDICES), dtype=object)
 _WINNERS[:] = [tuple(i for i in CANDIDATE_INDICES if m >> (i - 1) & 1) for m in range(len(_WINNERS))]
 
 
-def best_of_samples(values: np.ndarray) -> tuple[list[float], list[tuple[int, ...]]]:
-    """best_of of every column of the (5, S) array values, in array operations.
+def best_of_samples(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """best_of of every column of the (5, S) array values, in array
+    operations: the minima, and the winners of each column as a mask whose
+    bit i - 1 is set when candidate i wins (_WINNERS[mask] is best_of's
+    tuple).
 
     The minimum is taken in the order of Python's min, one row after the
     other, so that a NaN acts as it does in best_of: in row 0 it is the
@@ -321,8 +324,7 @@ def best_of_samples(values: np.ndarray) -> tuple[list[float], list[tuple[int, ..
     slack = WINNER_REL_TOL * np.maximum(1.0, np.abs(best))
     with np.errstate(invalid="ignore"):  # inf - inf where a column holds no finite value
         wins = (values - best <= slack) & finite
-    masks = (1 << np.arange(len(values))) @ wins
-    return np.where(finite, best, np.inf).tolist(), _WINNERS[masks].tolist()
+    return np.where(finite, best, np.inf), (1 << np.arange(len(values))) @ wins
 
 
 @dataclass(frozen=True)

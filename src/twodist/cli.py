@@ -23,7 +23,12 @@ parser, so namespaces, usage errors and help read as they would there.
 
 Each command computes its result once and returns a _Report that holds its
 records as columns; _render turns it into the one format asked for, column
-by column.
+by column.  A column of reals long enough to matter (profile's a and q) is a
+float array, written in one %-format pass; numpy picks out the few values
+whose text that pass would get wrong (whole, non-finite and, in JSON, those
+whose repr differs from their rounded text), and only those go value by
+value (_texts).  Each CSV row is then one join of its texts, and each
+pretty line and JSON object one template filled with them.
 """
 from __future__ import annotations
 
@@ -37,11 +42,13 @@ import shlex
 import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import chain, compress, count, islice, repeat
+from itertools import chain, islice, repeat
+
+import numpy as np
 
 from . import __version__
 from .bound_polys import (
-    DEFAULT_TOL, MAX_TOL, InnerProductPair, best_of, candidates, check_tol, delsarte_check,
+    _WINNERS, DEFAULT_TOL, MAX_TOL, InnerProductPair, best_of, candidates, check_tol, delsarte_check,
 )
 from .gegenbauer import GegenbauerExpansion
 from .constructions import gram_check, independence_rank, lambda_params, lambda_set, verify_two_distance
@@ -61,12 +68,14 @@ CENTER_TOL = 1e-9
 # Namespace entries left out of provenance: the subcommand's name, and the
 # options that only direct the output.
 _NOT_ECHOED = ("command", "format", "out")
-# Kinds of column that _texts converts in one pass: reals, ints with None and,
-# in JSON, lists with None.
-_REALS = frozenset((float,))
+# Kinds of list column that _texts converts in one pass: ints with None and,
+# in JSON, lists with None.  A column of reals comes as a float array.
 _NONE = type(None)
 _INTS = frozenset((int, _NONE))
 _LISTS = frozenset((list, _NONE))
+# The smallest normal double: below it a double holds fewer than 15 digits,
+# so a text of p <= 15 digits need not be the repr of the double it reads as.
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 class UsageError(Exception):
@@ -119,7 +128,7 @@ def _json_text(x, p: int, indent: int) -> str:
             return str(int(x))
         return '"inf"' if math.isinf(x) else _json_scalar(float(f"{x:.{p}g}"))
     if isinstance(x, list):
-        return _texts([x], p, indent)[0]
+        return _json_lists([x], p, indent)[0]
     return _json_scalar(x)
 
 
@@ -138,66 +147,109 @@ def _json_scalar(x) -> str:
 
 def _texts(values: Sequence, p: int, indent: int | None = None) -> list[str]:
     """Each value of a column as _fmt prints it or, given a JSON indent, as
-    _json_text writes it.  A column of reals, or of ints and None, is
-    converted in one pass; only what that pass does not cover goes value by
-    value: whole reals, reals that are or round to a non-number, and None.
-    In JSON, the items of a column of lists (and None) go through one call
-    for all the lists."""
+    _json_text writes it.
+
+    A float array (profile's a and q) takes _real_texts' one %-format
+    pass.  A column of one value (every column of a one-record command)
+    goes straight to _fmt or _json_text, with no type scan and no list
+    built.  A column of ints is converted by str in one pass, and one of
+    ints and None once per distinct value.  In JSON, the items of a column
+    of lists (and None) go through one call for all the lists.  Any other
+    column goes value by value: the ones that reach here are short (bound's
+    five candidates, table's rows), where a value costs less than numpy's
+    fixed cost per array."""
+    if isinstance(values, np.ndarray):
+        return _real_texts(values, p, indent)
+    if len(values) == 1:
+        return [_fmt(values[0], p) if indent is None else _json_text(values[0], p, indent)]
     kinds = set(map(type, values))
-    if kinds == _REALS:
-        texts = list(map(float.__format__, values, repeat(f".{p}g")))
-        checked = values
-        if indent is not None:
-            checked = list(map(float, texts))
-            texts = list(map(float.__repr__, checked))
-        non_finite = map(operator.not_, map(math.isfinite, checked))
-        odd = map(operator.or_, map(float.is_integer, values), non_finite)
-    elif kinds <= _INTS:
-        texts = list(map(str, values))
+    if kinds <= _INTS:
         if _NONE not in kinds:
-            return texts
-        odd = map(operator.is_, values, repeat(None))
-    elif indent is not None and kinds <= _LISTS:
-        items = iter(_texts([*chain.from_iterable(filter(None, values))], p, indent + 2))
-        pad = "\n" + " " * (indent + 2)
-        return [
-            "null" if v is None else "[]" if not v
-            else "[" + pad + ("," + pad).join(islice(items, len(v))) + "\n" + " " * indent + "]"
-            for v in values
-        ]
-    elif indent is None:
+            return list(map(str, values))
+        text = {v: _fmt(v, p) if indent is None else _json_scalar(v) for v in set(values)}
+        return list(map(text.__getitem__, values))
+    if indent is None:
         return [_fmt(v, p) for v in values]
-    else:
-        return [_json_text(v, p, indent) for v in values]
-    for i in compress(count(), odd):
-        texts[i] = _fmt(values[i], p) if indent is None else _json_text(values[i], p, indent)
+    if kinds <= _LISTS:
+        return _json_lists(values, p, indent)
+    return [_json_text(v, p, indent) for v in values]
+
+
+def _real_texts(values: np.ndarray, p: int, indent: int | None) -> list[str]:
+    """_texts of a float array, from one %.{p}g pass over all values.
+
+    That text is what _fmt prints for a finite real that is not whole.  In
+    JSON at p <= 15 it is also what _json_text writes, repr(float(text)),
+    for a normal double whose text holds a "." or an "e" and no "e+": a
+    decimal of at most 15 digits reads back from the double nearest it,
+    and repr switches to exponents at 1e16, where %g does at 10^p.  numpy
+    finds the values for which that fails, and only those go value by
+    value, through _fmt or _json_text:
+    - whole reals (-0.0 among them), printed bare, and non-finite ones
+      (-inf prints as "inf");
+    - in JSON, every value at a precision above 15, and subnormal values;
+    - in JSON, values whose text has no "." and no "e" (a real that rounds
+      to a whole number, where repr adds ".0") or has "e+".  Those texts
+      are read only for values near enough to a whole number for rounding
+      to p digits to make them one; numpy picks those out."""
+    floats = values.tolist()
+    if indent is not None and p > 15:
+        return [_json_text(v, p, indent) for v in floats]
+    texts = list(map(f"%.{p}g".__mod__, floats))
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and 10 * 1.7e308 at p = 0
+        odd = (values == np.trunc(values)) | ~np.isfinite(values)
+        if indent is not None:
+            size = np.abs(values)
+            odd |= size < _SMALLEST_NORMAL
+            # Rounding v to p digits moves it by at most 0.5 * 10^(1 - p) * |v|.
+            near = np.abs(values - np.rint(values)) <= 10.0 ** (1 - p) * size
+            for i in np.flatnonzero(near & ~odd).tolist():
+                t = texts[i]
+                odd[i] = "e+" in t or "." not in t and "e" not in t
+    for i in np.flatnonzero(odd).tolist():
+        texts[i] = _fmt(floats[i], p) if indent is None else _json_text(floats[i], p, indent)
     return texts
 
 
+def _json_lists(values: Sequence, p: int, indent: int) -> list[str]:
+    """Each value of a column of lists and None as json.dumps(payload,
+    indent=2) writes it at the given indent; the items of all the lists go
+    through one _texts call."""
+    items = iter(_texts([*chain.from_iterable(filter(None, values))], p, indent + 2))
+    pad = "\n" + " " * (indent + 2)
+    return [
+        "null" if v is None else "[]" if not v
+        else "[" + pad + ("," + pad).join(islice(items, len(v))) + "\n" + " " * indent + "]"
+        for v in values
+    ]
+
+
 @functools.lru_cache(maxsize=64)
-def _object_template(keys: tuple[str, ...], indent: int) -> str:
+def _object_template(keys: tuple[str, ...], indent: int) -> tuple[str, ...]:
     """A JSON object with these keys as json.dumps(payload, indent=2) writes
-    it, its closing brace at the given indent, as a str.format template with
-    one {} slot per value.  The keys are fixed by the code, so each
+    it, its closing brace at the given indent, as the len(keys) + 1 pieces
+    of text around its values.  The keys are fixed by the code, so each
     command's templates are built once."""
     pad = "\n" + " " * (indent + 2)
-    fields = ",".join(pad + json.dumps(k).replace("{", "{{").replace("}", "}}") + ": {}" for k in keys)
-    return "{{" + fields + "\n" + " " * indent + "}}"
+    heads = ["{" + pad, *repeat("," + pad, len(keys) - 1)]
+    return (*(h + json.dumps(k) + ": " for h, k in zip(heads, keys)), "\n" + " " * indent + "}")
 
 
 def _json_object(fields: dict[str, str], indent: int) -> str:
     """An object of encoded values as json.dumps(payload, indent=2) writes
     it, its closing brace at the given indent."""
-    return _object_template(tuple(fields), indent).format(*fields.values())
+    pieces = _object_template(tuple(fields), indent)
+    return "".join([*chain.from_iterable(zip(pieces, fields.values())), pieces[-1]])
 
 
 def _json_objects(columns: dict[str, Sequence], p: int, indent: int) -> list[str]:
     """Each record of the columns as json.dumps(payload, indent=2) writes an
     object whose closing brace sits at the given indent; every value is
-    encoded once, column by column, and the records are filled into one
-    template."""
-    template = _object_template(tuple(columns), indent)
-    return list(map(template.format, *(_texts(v, p, indent + 2) for v in columns.values())))
+    encoded once, column by column, and each record is its template's
+    pieces joined with its values."""
+    *heads, tail = map(repeat, _object_template(tuple(columns), indent))
+    texts = [_texts(v, p, indent + 2) for v in columns.values()]
+    return list(map("".join, zip(*chain.from_iterable(zip(heads, texts)), tail)))
 
 
 def _render(args: argparse.Namespace, report: _Report) -> str:
@@ -205,7 +257,10 @@ def _render(args: argparse.Namespace, report: _Report) -> str:
     json.dumps(payload, indent=2) of the payload {meta, records, best},
     with reals rounded as _json_text says; it is written without the
     json encoder, from templates of its objects and values encoded column
-    by column."""
+    by column.  Each column is converted once by _texts (one pass for a
+    float array, with only its odd values going value by value; a column
+    of one value straight through _fmt or _json_text), and each record is
+    one CSV join or one JSON object template filled with its texts."""
     p = args.precision
     # The namespace holds exactly the options the subcommand declares, in
     # declaration order.
@@ -216,7 +271,8 @@ def _render(args: argparse.Namespace, report: _Report) -> str:
         meta["options"] = _json_object({k: _json_scalar(v) for k, v in options.items()}, 4)
         payload = {"meta": _json_object(meta, 2)}
         if report.key == "result":
-            payload["result"] = _json_objects(report.columns(), p, 2)[0]
+            record = {k: _json_text(v[0], p, 4) for k, v in report.columns().items()}
+            payload["result"] = _json_object(record, 2)
         else:
             payload[report.key] = "[\n    " + ",\n    ".join(_json_objects(report.columns(), p, 4)) + "\n  ]"
         if report.best is not None:
@@ -262,20 +318,22 @@ def cmd_table(args: argparse.Namespace) -> _Report:
 
 
 def cmd_profile(args: argparse.Namespace) -> _Report:
-    from .lrs import profile
+    from .lrs import _profile_columns
 
-    a, q, winning = zip(*profile(args.n, args.k, args.samples, tol=args.tol))
+    a, q, masks = _profile_columns(args.n, args.k, args.samples, args.tol)
     p = args.precision
+    # The first winner of each winner mask, None (pretty "-") where none wins.
+    first = [w[0] if w else None for w in _WINNERS]
 
     def columns():
-        return {"a": a, "q": q, "winning_i": [w[0] if w else None for w in winning]}
+        return {"a": a, "q": q, "winning_i": np.array(first, dtype=object)[masks].tolist()}
 
     def pretty():
-        win = [str(w[0]) if w else "-" for w in winning]
-        rows = map("{:>22} {:>18} {}".format, _texts(a, p), _texts(q, p), win)
+        win = np.array(["-" if w is None else str(w) for w in first], dtype=object)[masks].tolist()
+        rows = map("%22s %18s %s".__mod__, zip(_texts(a, p), _texts(q, p), win))
         return [f"{'a':>22} {'q':>18} winner", *rows]
 
-    code = 3 if args.strict and any(map(math.isinf, q)) else 0
+    code = 3 if args.strict and np.isinf(q).any() else 0
     return _Report("samples", columns, pretty, code)
 
 

@@ -53,6 +53,7 @@ from . import _sweep_table
 from .bound_polys import (
     DEFAULT_TOL,
     InnerProductPair,
+    _WINNERS,
     _float_forms,
     _forms,
     best_bound,
@@ -529,10 +530,19 @@ def profile(n: int, k: int, samples: int, tol: float = DEFAULT_TOL) -> list[Prof
     """Uniform samples of Q over the closed window, with the attaining
     candidates.  n and k are taken as Python ints (operator.index), as in
     _sweep."""
+    xs, q, masks = _profile_columns(n, k, samples, tol)
+    rows = zip(xs.tolist(), q.tolist(), _WINNERS[masks].tolist())
+    return list(map(tuple.__new__, repeat(ProfileSample), rows))
+
+
+def _profile_columns(n: int, k: int, samples: int, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """profile's samples as three arrays: the a values, Q at each and the
+    winners of each as a bit mask (bit i - 1 set when candidate i attains Q,
+    0 where none does; an index into bound_polys._WINNERS).  The CLI reads
+    these columns as they are."""
     if samples < 2:
         raise ValueError(f"need at least 2 samples, got {samples}")
     n, k = operator.index(n), operator.index(k)
     _check_window(n, k)
     xs = np.linspace(*interval(k), samples)
-    q, winning = best_of_samples(candidate_values(n, xs, _b_line(k, xs), tol))
-    return list(map(tuple.__new__, repeat(ProfileSample), zip(xs.tolist(), q, winning)))
+    return xs, *best_of_samples(candidate_values(n, xs, _b_line(k, xs), tol))

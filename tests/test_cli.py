@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shlex
 import subprocess
@@ -210,6 +211,38 @@ def test_profile_inf_rendering(capsys):
     qs = [s["q"] for s in payload["samples"]]
     assert "inf" in qs
     assert payload["samples"][-1]["winning_i"] is None
+
+
+@pytest.mark.parametrize("n,k,samples", [(25, 3, 41), (45, 2, 101), (22, 3, 2), (40, 4, 257), (7, 2, 2)])
+def test_profile_columns_are_the_library_samples(capsys, n, k, samples):
+    # cmd_profile reads lrs._profile_columns, not lrs.profile: every format
+    # must still show profile's samples.  At 17 digits a real reads back as
+    # the double it was written from, so a and q are compared bit for bit.
+    want = twodist.lrs.profile(n, k, samples)
+    first = ["" if not s.winning else str(s.winning[0]) for s in want]
+    argv = ["profile", "--n", str(n), "--k", str(k), "--samples", str(samples), "--precision", "17"]
+    if (n, k) == (45, 2):  # inconclusive: samples with q = inf and no winner
+        assert any(s.q == math.inf and not s.winning for s in want)
+    code, out, _ = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[2:]]
+    assert [(float(a).hex(), float(q).hex(), w) for a, q, w in rows] == [
+        (s.a.hex(), s.q.hex(), w) for s, w in zip(want, first)
+    ]
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["samples"]
+    assert [(float(r["a"]).hex(), float(r["q"]).hex(), r["winning_i"]) for r in rows] == [
+        (s.a.hex(), s.q.hex(), int(w) if w else None) for s, w in zip(want, first)
+    ]
+    code, out, _ = run(capsys, argv + ["--format", "pretty"])
+    assert code == 0
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [(float(a).hex(), float(q).hex(), w) for a, q, w in rows] == [
+        (s.a.hex(), s.q.hex(), w or "-") for s, w in zip(want, first)
+    ]
+    code, _, _ = run(capsys, argv + ["--strict"])
+    assert code == (3 if any(math.isinf(s.q) for s in want) else 0)
 
 
 def test_profile_strict_inconclusive(capsys):

@@ -15,7 +15,10 @@ import io
 import json
 import math
 import os
+import random
+import struct
 
+import numpy as np
 import pytest
 
 from twodist import __version__, cli
@@ -179,6 +182,41 @@ def test_json_writer_on_adversarial_records(key, precision):
 def test_column_texts_equal_fmt_of_each_value(precision):
     for name, values in ODD_COLUMNS.items():
         assert cli._texts(values, precision) == [cli._fmt(v, precision) for v in values], name
+
+
+# Reals at the edges of the one-pass route for float arrays: signed zeros
+# and infinities, small values that %g writes with an exponent, one that
+# rounds up to a new decade at p = 4, one that is whole once rounded to 12
+# digits, values on both sides of the 1e15 limit for bare whole reals and
+# of repr's switch to exponents at 1e16, the largest double, subnormals.
+EDGE_REALS = [
+    0.0, -0.0, math.inf, -math.inf, math.nan, 1e-5, 9.99995e-05, 274.99999999999997, 1.5e12,
+    123456789012345.0, 1e16, 1.7976931348623157e308, 2.5e-320, 5e-324, 0.1, -123456.789,
+]
+
+
+def _near_reals(count: int) -> list[float]:
+    """Seeded reals that rounding to few digits makes whole or carries into
+    a new decade, and random doubles of every exponent."""
+    rng = random.Random(7)
+    values = []
+    for _ in range(count):
+        scale = 10.0 ** rng.randint(-8, 18)
+        values.append(rng.randint(1, 999) * scale * (1 + rng.choice((-1, 1)) * 10.0 ** -rng.randint(3, 17)))
+        values.append(struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0])
+    return values
+
+
+@pytest.mark.parametrize("precision", [0, 1, 3, 4, 12, 15, 16, 17, 30])
+def test_array_texts_equal_the_scalar_rules_value_by_value(precision):
+    for name, values in {"edges": EDGE_REALS, "near": _near_reals(500), **ODD_COLUMNS}.items():
+        if not all(isinstance(v, float) for v in values):
+            continue
+        csv = cli._texts(np.array(values), precision)
+        json_texts = cli._texts(np.array(values), precision, 6)
+        for v, text, json_text in zip(values, csv, json_texts):
+            assert text == cli._fmt(v, precision), (name, v)
+            assert json_text == cli._json_text(v, precision, 6), (name, v)
 
 
 if __name__ == "__main__":
