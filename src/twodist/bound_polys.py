@@ -17,20 +17,22 @@ The five shapes:
 Each multiplier, each domain verdict, each value and the nonzero entries
 of each expansion (f_0, the one free f_j and the top coefficient) have a
 closed form in n, a and b, one builder per candidate (_forms), and every
-route evaluates those forms: candidates and best_bound on one pair's
-Python floats, candidate_values on arrays of pairs, and the window sweep
-in lrs on arrays.  The sweep's exact polynomials are these forms on rational
-functions of a with n and k symbolic, factored and written once into a
-table (twodist._sweep_table, by tools/make_sweep_table.py).  A candidate holds
-its certificate only as that expansion, read from the forms (P is never
-multiplied out), so the f_0 and f_j it shows are the numbers the domain
-verdict tests.  The i=2 multiplier is undefined when a + b = 0 and the
-i=4 one when its 2x2 system is singular; such candidates, like every
-other one outside its domain, carry the value +inf so that minima over
-candidates are always well defined.
+route evaluates those forms: _rows (for candidates, best_bound and the
+CLI's bound) on one pair's Python floats, candidate_values on arrays of
+pairs, and the window sweep in lrs on arrays.  The sweep's exact
+polynomials are these forms on rational functions of a with n and k
+symbolic, factored and written once into a table (twodist._sweep_table,
+by tools/make_sweep_table.py).  A candidate holds its certificate only as
+that expansion, read from the forms (P is never multiplied out), so the
+f_0 and f_j it shows are the numbers the domain verdict tests.  The i=2
+multiplier is undefined when a + b = 0 and the i=4 one when its 2x2
+system is singular; such candidates, like every other one outside its
+domain, carry the value +inf so that minima over candidates are always
+well defined.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -38,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gegenbauer import GegenbauerExpansion, _gegenbauer_coeffs
+from .gegenbauer import GegenbauerExpansion, _gegenbauer_coeffs, _series
 
 DEFAULT_TOL = 1e-9
 # Largest sign-check tolerance accepted.  The tolerance only absorbs rounding
@@ -70,12 +72,16 @@ class InnerProductPair:
     b: float
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"dimension must satisfy n >= 2, got {self.n}")
-        if not (-1.0 <= self.b < self.a < 1.0):
-            raise ValueError(
-                f"inner products must satisfy -1 <= b < a < 1, got a={self.a}, b={self.b}"
-            )
+        _check_pair(self.n, self.a, self.b)
+
+
+def _check_pair(n, a, b) -> None:
+    """Raise ValueError unless n >= 2 and -1 <= b < a < 1: the checks of
+    InnerProductPair, for callers that hold n, a and b without one."""
+    if n < 2:
+        raise ValueError(f"dimension must satisfy n >= 2, got {n}")
+    if not (-1.0 <= b < a < 1.0):
+        raise ValueError(f"inner products must satisfy -1 <= b < a < 1, got a={a}, b={b}")
 
 
 @dataclass(frozen=True)
@@ -106,17 +112,14 @@ def check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must satisfy 0 <= tol <= {MAX_TOL:g}, got {tol}")
 
 
-def _undefined(index: int) -> CandidateBound:
-    return CandidateBound(index, None, None, None, False, math.inf)
-
-
 class _Form(NamedTuple):
     """One candidate in closed form.  P is (t - a)(t - b) times 1, t + c or
     t^2 + c t + d (c and d are None where the shape lacks them), at_one is
     P(1) and fj is the one expansion coefficient besides f_0 and the top
     one that the construction leaves free.  _in_domain holds the domain
-    rule; scale is deferred because it takes absolute values, which only
-    the float routes evaluate."""
+    rule.  scale gives the terms whose maximum with 1 scales the divisor;
+    it is deferred because it takes absolute values, which only the float
+    routes evaluate."""
 
     at_one: object
     f0: object
@@ -140,7 +143,7 @@ def _form2(n, a, b, s, p, at_one) -> _Form:
     # c zeroes f_1; undefined at s = 0
     c2 = ((n + 2) * p + 3) / ((n + 2) * s)
     f0 = p * c2 + (c2 - s) / n
-    return _Form(at_one * (1 + c2), f0, (c2 - s) * (n - 1) / n, s, lambda: abs(a) + abs(b), c=c2)
+    return _Form(at_one * (1 + c2), f0, (c2 - s) * (n - 1) / n, s, lambda: (abs(a) + abs(b),), c=c2)
 
 
 def _form3(n, a, b, s, p, at_one) -> _Form:
@@ -158,7 +161,7 @@ def _form4(n, a, b, s, p, at_one) -> _Form:
     d4 = (alpha * gamma + s * beta) / det
     f0 = p * d4 + (d4 - s * c4 + p) / n + 3 / (n * (n + 2))
     return _Form(at_one * (1 + c4 + d4), f0, (c4 - s) * (n - 1) / (n + 2),
-                 det, lambda: np.maximum(abs(alpha), s * s), c=c4, d=d4)
+                 det, lambda: (abs(alpha), s * s), c=c4, d=d4)
 
 
 def _form5(n, a, b, s, p, at_one) -> _Form:
@@ -172,7 +175,7 @@ def _forms(n, a, b) -> tuple[_Form | None, ...]:
     """The five candidates in closed form, written with + - * / only: one
     builder each, on the shared s, p and at_one.  Evaluated on float arrays
     by _float_forms (for candidate_values and the window sweep in lrs, which
-    passes n as an array), on Python floats by candidates, on Fractions by
+    passes n as an array), on Python floats by _rows, on Fractions by
     the sweep's exact witness (lrs._witness), and on exact rational
     functions of a by tools/make_sweep_table.py, which writes the factors of
     the sweep's polynomials into twodist._sweep_table, and by the tests'
@@ -199,11 +202,23 @@ _SHAPES = {1: (2, 1), 2: (3, 2), 3: (3, 1), 4: (4, 3), 5: (4, 1)}
 
 def _regular(form: _Form):
     """False where the form divides by a singular divisor: one below
-    SINGULAR_REL_TOL * max(1, scale()).  A NaN scale leaves the divisor
-    singular, as np.maximum passes NaN on."""
+    SINGULAR_REL_TOL * max(1, *scale()), on float arrays.  A NaN scale
+    leaves the divisor singular, as np.maximum passes NaN on."""
     if form.divisor is None:
         return True
-    return np.abs(form.divisor) >= SINGULAR_REL_TOL * np.maximum(1.0, form.scale())
+    return np.abs(form.divisor) >= SINGULAR_REL_TOL * functools.reduce(np.maximum, form.scale(), 1.0)
+
+
+def _regular_float(form: _Form) -> bool:
+    """_regular on Python floats, bit for bit.  Rounding is monotone, so
+    SINGULAR_REL_TOL times the maximum is the largest of SINGULAR_REL_TOL
+    times 1 and each term, and the divisor passes when it reaches all of
+    them.  A NaN term or divisor fails its comparison and leaves the
+    divisor singular, as np.maximum's NaN does."""
+    if form.divisor is None:
+        return True
+    size = abs(form.divisor)
+    return size >= SINGULAR_REL_TOL and all(size >= SINGULAR_REL_TOL * x for x in form.scale())
 
 
 def _in_domain(form: _Form, tol: float):
@@ -211,30 +226,42 @@ def _in_domain(form: _Form, tol: float):
     return (form.fj >= -tol) & (form.f0 > tol) & _regular(form)
 
 
-def candidates(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[CandidateBound, ...]:
-    """The five candidates for the pair, in index order, from one evaluation
-    of _forms on the pair's n, a and b as a Python int and floats.  A form
-    that is None or not _regular is undefined, _in_domain decides the rest,
-    and the value is read only in domain: the rules and operations of
-    candidate_values, so each value is bit for bit its entry.  The expansion
-    is read from the form: f_0 and the free f_j are the numbers the domain
-    verdict tests, the top coefficient is 1 over the leading coefficient of
-    G_deg (P is monic), and the entries the construction zeroes are 0.
-    """
+def _rows(n: int, a: float, b: float, tol: float) -> list[tuple]:
+    """The five candidates of a checked pair as rows (index, in_domain, c,
+    d, f, value), in index order, from one evaluation of _forms on n, a and
+    b as a Python int and floats; tol must satisfy 0 <= tol <= MAX_TOL.
+
+    A form that is None or not regular is undefined: (i, False, None, None,
+    None, inf).  _in_domain's rule decides the rest in Python float
+    operations, and the value is read only in domain: the rules and
+    operations of candidate_values, so each value is bit for bit its entry.
+    f is the expansion as a list read from the form: f_0 and the free f_j
+    are the numbers the domain verdict tests, the top coefficient is 1 over
+    the leading coefficient of G_deg (P is monic), and the entries the
+    construction zeroes are 0."""
     check_tol(tol)
-    n = operator.index(pair.n)
-    out = []
-    for i, form in zip(CANDIDATE_INDICES, _forms(n, float(pair.a), float(pair.b))):
-        if form is None or not _regular(form):
-            out.append(_undefined(i))
+    n = operator.index(n)
+    rows = []
+    for i, form in zip(CANDIDATE_INDICES, _forms(n, float(a), float(b))):
+        if form is None or not _regular_float(form):
+            rows.append((i, False, None, None, None, math.inf))
             continue
-        in_domain = bool(_in_domain(form, tol))
+        in_domain = form.fj >= -tol and form.f0 > tol
         deg, slot = _SHAPES[i]
         f = [0.0] * (deg + 1)
         f[0], f[slot], f[deg] = form.f0, form.fj, 1.0 / _gegenbauer_coeffs(n, deg)[deg]
-        value = form.value if in_domain else math.inf
-        out.append(CandidateBound(i, form.c, form.d, GegenbauerExpansion(n, f), in_domain, value))
-    return tuple(out)
+        rows.append((i, in_domain, form.c, form.d, f, form.value if in_domain else math.inf))
+    return rows
+
+
+def candidates(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[CandidateBound, ...]:
+    """The five candidates for the pair, in index order: the rows of _rows,
+    each expansion list held as a GegenbauerExpansion (None where the
+    construction is undefined)."""
+    return tuple(
+        CandidateBound(i, c, d, None if f is None else GegenbauerExpansion(pair.n, f), in_domain, value)
+        for i, in_domain, c, d, f, value in _rows(pair.n, pair.a, pair.b, tol)
+    )
 
 
 def build_candidate(i: int, pair: InnerProductPair, tol: float = DEFAULT_TOL) -> CandidateBound:
@@ -282,11 +309,11 @@ def _float_forms(n, a: np.ndarray, b: np.ndarray, tol: float) -> tuple[np.ndarra
 
 def best_bound(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[float, tuple[int, ...]]:
     """Minimum candidate value for the pair and the indices attaining it,
-    read from candidates.
+    read from the values of _rows, with no expansion built.
 
     Returns (+inf, ()) when no candidate is in domain.
     """
-    return best_of([cand.value for cand in candidates(pair, tol)])
+    return best_of([row[-1] for row in _rows(pair.n, pair.a, pair.b, tol)])
 
 
 def best_of(values) -> tuple[float, tuple[int, ...]]:
@@ -344,7 +371,8 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
 
     On success the integer floor(f(1) / f_0) bounds the size of any spherical
     set in R^n whose pairwise inner products all lie in t_values.  tol
-    must satisfy 0 <= tol <= MAX_TOL.
+    must satisfy 0 <= tol <= MAX_TOL.  The coefficients are read once as a
+    list, and f(t) is expansion(t) evaluated on that list and the float t.
     """
     check_tol(tol)
     f = expansion.coeffs.tolist()
@@ -358,7 +386,7 @@ def delsarte_check(expansion: GegenbauerExpansion, t_values, tol: float = DEFAUL
     if not f[0] > tol:
         return DelsarteCheck(None, f"nonpositive constant coefficient f_0 = {f[0]:.6g}")
     for t in t_values:
-        val = expansion(t)
+        val = _series(expansion.n, f, float(t))
         if not val <= tol:  # a NaN value rejects the certificate
             return DelsarteCheck(None, f"positive value f({t:.6g}) = {val:.6g} on the inner-product set")
     with np.errstate(over="ignore"):

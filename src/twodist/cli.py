@@ -27,8 +27,10 @@ by column.  A column of reals long enough to matter (profile's a and q) is a
 float array, written in one %-format pass; numpy picks out the few values
 whose text that pass would get wrong (whole, non-finite and, in JSON, those
 whose repr differs from their rounded text), and only those go value by
-value (_texts).  Each CSV row is then one join of its texts, and each
-pretty line and JSON object one template filled with them.
+value (_texts).  A column of few distinct values (profile's winners) is
+_Coded: each distinct value is converted once.  Each CSV row is then one
+join of its texts, and each pretty line and JSON object one template filled
+with them.
 """
 from __future__ import annotations
 
@@ -36,7 +38,6 @@ import argparse
 import functools
 import json
 import math
-import operator
 import re
 import shlex
 import sys
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import __version__
 from .bound_polys import (
-    _WINNERS, DEFAULT_TOL, MAX_TOL, InnerProductPair, best_of, candidates, check_tol, delsarte_check,
+    _WINNERS, DEFAULT_TOL, MAX_TOL, _check_pair, _rows, best_of, check_tol, delsarte_check,
 )
 from .gegenbauer import GegenbauerExpansion
 from .constructions import gram_check, independence_rank, lambda_params, lambda_set, verify_two_distance
@@ -107,9 +108,12 @@ def _columns(records: list[dict]) -> dict[str, tuple]:
 def _fmt(x, p: int) -> str:
     """A scalar as CSV or pretty text; reals to p significant digits, whole reals bare."""
     if isinstance(x, float):
-        if x.is_integer() and abs(x) < 1e15:
-            return str(int(x))
-        return "inf" if math.isinf(x) else f"{x:.{p}g}"
+        if x.is_integer():
+            if abs(x) < 1e15:
+                return str(int(x))
+        elif math.isinf(x):
+            return "inf"
+        return "%.*g" % (p, x)
     if isinstance(x, bool):
         return str(x).lower()
     if x is None:
@@ -122,11 +126,19 @@ def _fmt(x, p: int) -> str:
 def _json_text(x, p: int, indent: int) -> str:
     """x as json.dumps(payload, indent=2) writes it at the given indent (in
     spaces), once its reals are rounded as _fmt rounds them: whole reals
-    below 1e15 as integers, others to p significant digits, +-inf as "inf"."""
+    below 1e15 as integers, others to p significant digits, +-inf as "inf".
+
+    A rounded real is written as repr(float(text)) of its %.{p}g text, and
+    that is the text itself where _is_repr says so, which skips the parse
+    and the repr."""
     if isinstance(x, float):
-        if x.is_integer() and abs(x) < 1e15:
-            return str(int(x))
-        return '"inf"' if math.isinf(x) else _json_scalar(float(f"{x:.{p}g}"))
+        if x.is_integer():
+            if abs(x) < 1e15:
+                return str(int(x))
+        elif math.isinf(x):
+            return '"inf"'
+        text = "%.*g" % (p, x)
+        return text if _is_repr(text, x, p) else _json_scalar(float(text))
     if isinstance(x, list):
         return _json_lists([x], p, indent)[0]
     return _json_scalar(x)
@@ -145,14 +157,44 @@ def _json_scalar(x) -> str:
     return json.dumps(x)  # a string, or a real written as NaN, Infinity or -Infinity
 
 
+def _is_repr(text: str, x: float, p: int) -> bool:
+    """Whether the %.{p}g text of the finite real x is repr(float(text)).
+
+    It is at p <= 15 for a normal double whose text holds a "." or an "e"
+    and no "e+": a decimal of at most 15 digits reads back from the double
+    nearest it, and repr switches to exponents at 1e16, where %g does at
+    10^p.  A text with no "." and no "e" (a real that rounds to a whole
+    number, where repr adds ".0") or with "e+" is not."""
+    return p <= 15 and abs(x) >= _SMALLEST_NORMAL and "e+" not in text and ("." in text or "e" in text)
+
+
+class _Coded:
+    """A column of few distinct values, entry j being values[codes[j]]:
+    _texts converts the values once and picks each entry's text by its code.
+    Indexing and iteration give the raw values."""
+
+    def __init__(self, values: Sequence, codes: np.ndarray):
+        self.values, self.codes = values, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, j: int):
+        return self.values[self.codes[j]]
+
+    def __iter__(self):
+        return map(self.values.__getitem__, self.codes.tolist())
+
+
 def _texts(values: Sequence, p: int, indent: int | None = None) -> list[str]:
     """Each value of a column as _fmt prints it or, given a JSON indent, as
     _json_text writes it.
 
     A float array (profile's a and q) takes _real_texts' one %-format
-    pass.  A column of one value (every column of a one-record command)
-    goes straight to _fmt or _json_text, with no type scan and no list
-    built.  A column of ints is converted by str in one pass, and one of
+    pass, and a _Coded column (profile's winners) one conversion of its
+    few values and one pick by code.  A column of one value (every column
+    of a one-record command) goes straight to _fmt or _json_text, with no
+    type scan and no list built.  A column of ints is converted by str in one pass, and one of
     ints and None once per distinct value.  In JSON, the items of a column
     of lists (and None) go through one call for all the lists.  Any other
     column goes value by value: the ones that reach here are short (bound's
@@ -160,6 +202,8 @@ def _texts(values: Sequence, p: int, indent: int | None = None) -> list[str]:
     fixed cost per array."""
     if isinstance(values, np.ndarray):
         return _real_texts(values, p, indent)
+    if isinstance(values, _Coded):
+        return np.array(_texts(values.values, p, indent), dtype=object)[values.codes].tolist()
     if len(values) == 1:
         return [_fmt(values[0], p) if indent is None else _json_text(values[0], p, indent)]
     kinds = set(map(type, values))
@@ -178,20 +222,16 @@ def _texts(values: Sequence, p: int, indent: int | None = None) -> list[str]:
 def _real_texts(values: np.ndarray, p: int, indent: int | None) -> list[str]:
     """_texts of a float array, from one %.{p}g pass over all values.
 
-    That text is what _fmt prints for a finite real that is not whole.  In
-    JSON at p <= 15 it is also what _json_text writes, repr(float(text)),
-    for a normal double whose text holds a "." or an "e" and no "e+": a
-    decimal of at most 15 digits reads back from the double nearest it,
-    and repr switches to exponents at 1e16, where %g does at 10^p.  numpy
-    finds the values for which that fails, and only those go value by
-    value, through _fmt or _json_text:
+    That text is what _fmt prints for a finite real that is not whole, and
+    in JSON what _json_text writes where _is_repr holds.  numpy finds the
+    values for which that fails, and only those go value by value, through
+    _fmt or _json_text:
     - whole reals (-0.0 among them), printed bare, and non-finite ones
       (-inf prints as "inf");
     - in JSON, every value at a precision above 15, and subnormal values;
-    - in JSON, values whose text has no "." and no "e" (a real that rounds
-      to a whole number, where repr adds ".0") or has "e+".  Those texts
-      are read only for values near enough to a whole number for rounding
-      to p digits to make them one; numpy picks those out."""
+    - in JSON, values whose text _is_repr rejects by its "." and "e".
+      Those texts are read only for values near enough to a whole number
+      for rounding to p digits to make them one; numpy picks those out."""
     floats = values.tolist()
     if indent is not None and p > 15:
         return [_json_text(v, p, indent) for v in floats]
@@ -204,8 +244,7 @@ def _real_texts(values: np.ndarray, p: int, indent: int | None) -> list[str]:
             # Rounding v to p digits moves it by at most 0.5 * 10^(1 - p) * |v|.
             near = np.abs(values - np.rint(values)) <= 10.0 ** (1 - p) * size
             for i in np.flatnonzero(near & ~odd).tolist():
-                t = texts[i]
-                odd[i] = "e+" in t or "." not in t and "e" not in t
+                odd[i] = not _is_repr(texts[i], floats[i], p)
     for i in np.flatnonzero(odd).tolist():
         texts[i] = _fmt(floats[i], p) if indent is None else _json_text(floats[i], p, indent)
     return texts
@@ -326,7 +365,7 @@ def cmd_profile(args: argparse.Namespace) -> _Report:
     first = [w[0] if w else None for w in _WINNERS]
 
     def columns():
-        return {"a": a, "q": q, "winning_i": np.array(first, dtype=object)[masks].tolist()}
+        return {"a": a, "q": q, "winning_i": _Coded(first, masks)}
 
     def pretty():
         win = np.array(["-" if w is None else str(w) for w in first], dtype=object)[masks].tolist()
@@ -338,10 +377,9 @@ def cmd_profile(args: argparse.Namespace) -> _Report:
 
 
 def cmd_bound(args: argparse.Namespace) -> _Report:
-    pair = InnerProductPair(args.n, args.a, args.b)
-    cands = candidates(pair, tol=args.tol)
-    i, in_domain, c, d, values = zip(*map(operator.attrgetter("index", "in_domain", "c", "d", "value"), cands))
-    f = [None if cand.expansion is None else cand.expansion.coeffs.tolist() for cand in cands]
+    _check_pair(args.n, args.a, args.b)
+    rows = _rows(args.n, args.a, args.b, args.tol)
+    i, in_domain, c, d, f, values = zip(*rows)
     value, winning = best_of(values)
     p = args.precision
 
@@ -350,22 +388,19 @@ def cmd_bound(args: argparse.Namespace) -> _Report:
 
     def csv():
         # One column per expansion slot, empty past a candidate's degree.
-        rows = [x or [] for x in f]
-        slots = dict(zip(("f0", "f1", "f2", "f3", "f4"), zip(*[x + [None] * (5 - len(x)) for x in rows])))
+        lists = [x or [] for x in f]
+        slots = dict(zip(("f0", "f1", "f2", "f3", "f4"), zip(*[x + [None] * (5 - len(x)) for x in lists])))
         return {"i": i, "in_domain": in_domain, "c": c, "d": d, "value": values, **slots}
 
     def pretty():
         lines = [f"candidate bounds for n={args.n}, a={_fmt(args.a, p)}, b={_fmt(args.b, p)}"]
-        for cand in cands:
-            if cand.expansion is None:
-                lines.append(f"  i={cand.index}: construction undefined")
+        for index, ok, *cd, fk, v in rows:
+            if fk is None:
+                lines.append(f"  i={index}: construction undefined")
                 continue
-            extra = "".join(f" {k}={_fmt(x, p)}" for k, x in zip("cd", (cand.c, cand.d)) if x is not None)
-            fstr = ", ".join(_fmt(x, p) for x in cand.expansion.coeffs)
-            lines.append(
-                f"  i={cand.index}: in_domain={_fmt(cand.in_domain, p)}{extra} "
-                f"f=[{fstr}] value={_fmt(cand.value, p)}"
-            )
+            extra = "".join(f" {k}={_fmt(x, p)}" for k, x in zip("cd", cd) if x is not None)
+            fstr = ", ".join([_fmt(x, p) for x in fk])
+            lines.append(f"  i={index}: in_domain={_fmt(ok, p)}{extra} f=[{fstr}] value={_fmt(v, p)}")
         if winning:
             lines.append(f"best bound: {_fmt(value, p)} attained by i={_fmt(winning, p)}")
         else:

@@ -77,6 +77,17 @@ def _gegenbauer_values(n: int, t, k: int):
         yield cur
 
 
+def _series(n: int, coeffs: list[float], t):
+    """sum_k coeffs[k] * G_k(t), added in index order over the nonzero
+    coeffs, in one pass of the recurrence: a float for a Python float t, an
+    array for a float array t."""
+    total = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
+    for f, g in zip(coeffs, _gegenbauer_values(n, t, len(coeffs) - 1)):
+        if f != 0.0:
+            total = total + f * g
+    return total
+
+
 def gegenbauer_eval(n: int, k: int, t):
     """Evaluate G_k^{(n)} at t (scalar or array) via the recurrence."""
     _check_dimension(n)
@@ -133,15 +144,8 @@ class GegenbauerExpansion:
         return len(self.coeffs) - 1
 
     def __call__(self, t):
-        """sum_k coeffs[k] * G_k(t), added in index order over the nonzero
-        coeffs, in one pass of the recurrence: a float for a scalar t, an
-        array otherwise."""
-        t = _argument(t)
-        total = np.zeros_like(t) if isinstance(t, np.ndarray) else 0.0
-        for f, g in zip(self.coeffs.tolist(), _gegenbauer_values(self.n, t, self.degree)):
-            if f != 0.0:
-                total = total + f * g
-        return total
+        """The series at t (_series): a float for a scalar t, an array otherwise."""
+        return _series(self.n, self.coeffs.tolist(), _argument(t))
 
 
 def to_gegenbauer(n: int, poly) -> GegenbauerExpansion:

@@ -17,6 +17,7 @@ from twodist.bound_polys import (
     _forms,
     _in_domain,
     _regular,
+    _rows,
     best_bound,
     best_of,
     best_of_samples,
@@ -236,17 +237,30 @@ def test_candidates_decide_the_domain_as_numpy_does():
         InnerProductPair(9, 0.0, -0.5), InnerProductPair(9, 0.5, 0.0), InnerProductPair(2, 0.0, -1.0),
         # a + b = 1.1e-12 lies below SINGULAR_REL_TOL * (|a| + |b|) but not below SINGULAR_REL_TOL
         InnerProductPair(9, 0.6, -0.6 + 1.1e-12),
+        # a + b = 8e-13 lies below SINGULAR_REL_TOL but not below SINGULAR_REL_TOL * (|a| + |b|)
+        InnerProductPair(9, 0.3, -0.3 + 8e-13),
         # det4 = 0 with s != 0; s = 0 and det4 = 0 together; p + 1/n = 0
         InnerProductPair(10, 0.5, 0.0), InnerProductPair(10, 0.5, -0.5), InnerProductPair(2, 0.5, -1.0),
     ] + [_random_pair(rng, n_hi=61) for _ in range(1000)]
     for pair in pairs:
         for tol in (DEFAULT_TOL, 0.0, MAX_TOL):
+            want = _numpy_rule_fields(pair, tol)
             got = [
                 (_hex(c.c), _hex(c.d), c.in_domain, _hex(c.value),
                  None if c.expansion is None else [_hex(x) for x in c.expansion.coeffs])
                 for c in candidates(pair, tol)
             ]
-            assert got == _numpy_rule_fields(pair, tol), (pair, tol)
+            assert got == want, (pair, tol)
+            # The row stage that candidates wraps, read as it comes: Python
+            # bools and floats, and the expansion as a list.
+            rows = _rows(pair.n, pair.a, pair.b, tol)
+            assert [i for i, *_ in rows] == list(CANDIDATE_INDICES)
+            assert all(type(ok) is bool and type(v) is float for _, ok, _, _, _, v in rows), (pair, tol)
+            got = [
+                (_hex(c), _hex(d), ok, _hex(v), None if f is None else [_hex(x) for x in f])
+                for _, ok, c, d, f, v in rows
+            ]
+            assert got == want, (pair, tol)
 
 
 @pytest.mark.parametrize("n, a, b, value", [

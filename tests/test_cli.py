@@ -4,13 +4,16 @@ import os
 import shlex
 import subprocess
 import sys
+import types
 
+import numpy as np
 import pytest
 
 import twodist.bound_polys
 import twodist.cli
+import twodist.gegenbauer
 import twodist.lrs
-from test_golden_cli import GOLDEN
+from test_golden_cli import ARGV, EDGE, GOLDEN
 from twodist.cli import console_entry, main
 
 A7 = "0.3333333333333333"
@@ -581,6 +584,30 @@ def test_bound_evaluates_the_closed_forms_once(capsys, monkeypatch):
     code, out, _ = run(capsys, ["bound", "--n", "23", "--a", "0.2", "--b", "-0.2", "--format", "csv"])
     assert code == 0 and out.splitlines()[-1].startswith("# best=276")
     assert len(calls) == 1
+
+
+def test_bound_builds_no_expansion_candidate_or_array(capsys, monkeypatch):
+    # cmd_bound goes from the closed forms to text on Python floats: with
+    # the expansion and candidate classes made to raise, and numpy taken
+    # from the modules on its way, every format still prints the golden bytes.
+    def refuse(*args, **kwargs):
+        raise AssertionError("built on the bound route")
+
+    for name in ("GegenbauerExpansion", "CandidateBound"):
+        monkeypatch.setattr(twodist.bound_polys, name, refuse)
+    with pytest.raises(AssertionError, match="built on the bound route"):
+        twodist.bound_polys.candidates(twodist.bound_polys.InnerProductPair(23, 0.2, -0.2))
+    bare = types.SimpleNamespace(ndarray=np.ndarray)  # isinstance checks only
+    for module in (twodist.bound_polys, twodist.cli, twodist.gegenbauer):
+        monkeypatch.setattr(module, "np", bare)
+    for fmt in ("csv", "json", "pretty"):
+        for name, (argv, expected) in {"bound": (ARGV["bound"], 0), **EDGE}.items():
+            if not name.startswith("bound"):
+                continue
+            code, out, err = run(capsys, argv + ["--format", fmt])
+            assert code == expected and err == "", (name, fmt, err)
+            with open(os.path.join(GOLDEN, f"{name}.{fmt}.txt"), encoding="utf-8", newline="") as fh:
+                assert out == fh.read(), (name, fmt)
 
 
 def test_import_builds_no_parser():

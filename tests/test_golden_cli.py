@@ -114,6 +114,54 @@ def test_large_profile_output_hashes_as_recorded(name, fmt):
     assert hashlib.sha256(text.encode()).hexdigest() == LARGE_PROFILES[name, fmt]
 
 
+# SHA-256 per format of the exit codes and stdout of the bound corpus below,
+# recorded from the route that built a GegenbauerExpansion and a
+# CandidateBound per candidate and rendered every value one by one.
+BOUND_CORPUS = {
+    "csv": "39c4b4ad8cf39c41defc10305fbed2be1d380bdc19ad5cd24eccb71ba8c1cabc",
+    "json": "e57d2f3aca8e7dc810ee123740da3c82e41febd9f5055b530d7b962e59d76a99",
+    "pretty": "5d08b335588ceb656436b020d4a2ae46f6998f51e39043bf1c7d60236a99e7e7",
+}
+# Options the corpus cycles through, one set per random pair.
+BOUND_OPTIONS = [
+    [], ["--precision", "0"], ["--precision", "17"], ["--tol", "0"], ["--tol", "1e-6"], ["--strict"],
+    ["--precision", "3", "--tol", "0", "--strict"],
+]
+# a + b = 0 (no i=2 multiplier), det4 = 0 with and without a + b = 0, no
+# candidate in domain (best=inf), a three-way crossing, b = -1 and f_0 = 0 of i=1.
+BOUND_EDGES = [
+    ("23", "0.2", "-0.2"), ("10", "0.5", "0.0"), ("10", "0.5", "-0.5"), ("7", "0.9", "-0.95"),
+    ("22", repr(1 / 6), "-0.25"), ("9", "0.0", "-1.0"), ("2", "0.5", "-1.0"),
+]
+
+
+def _bound_corpus() -> list[list[str]]:
+    """240 bound queries drawn as the benchmark's query stream draws them
+    (n in 7..60, a and b rounded to 6 digits), each with the next option set
+    of BOUND_OPTIONS, then the edge pairs under every option set."""
+    rng = random.Random(37)
+    queries = []
+    for j in range(240):
+        n = rng.randint(7, 60)
+        a = round(rng.uniform(-0.9, 0.9), 6)
+        b = a
+        while b >= a:
+            b = round(rng.uniform(-1.0, a), 6)
+        queries.append(["bound", "--n", str(n), f"--a={a!r}", f"--b={b!r}", *BOUND_OPTIONS[j % len(BOUND_OPTIONS)]])
+    for n, a, b in BOUND_EDGES:
+        queries += [["bound", "--n", n, f"--a={a}", f"--b={b}", *extra] for extra in BOUND_OPTIONS]
+    return queries
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_bound_corpus_hashes_as_recorded(fmt):
+    digest = hashlib.sha256()
+    for argv in _bound_corpus():
+        code, text = _run("bound", fmt, argv)
+        digest.update(f"{code}\n{text}".encode())
+    assert digest.hexdigest() == BOUND_CORPUS[fmt]
+
+
 def _rounded(x, p: int):
     """The JSON payload's value of x: reals rounded as _fmt rounds them, inf as "inf"."""
     if isinstance(x, float):
@@ -207,6 +255,13 @@ def _near_reals(count: int) -> list[float]:
     return values
 
 
+def _csv_reference(x: float, p: int) -> str:
+    """A real as CSV text by the rule alone: whole below 1e15 bare, +-inf as inf, else format's p digits."""
+    if x.is_integer() and abs(x) < 1e15:
+        return str(int(x))
+    return "inf" if math.isinf(x) else format(x, f".{p}g")
+
+
 @pytest.mark.parametrize("precision", [0, 1, 3, 4, 12, 15, 16, 17, 30])
 def test_array_texts_equal_the_scalar_rules_value_by_value(precision):
     for name, values in {"edges": EDGE_REALS, "near": _near_reals(500), **ODD_COLUMNS}.items():
@@ -217,6 +272,12 @@ def test_array_texts_equal_the_scalar_rules_value_by_value(precision):
         for v, text, json_text in zip(values, csv, json_texts):
             assert text == cli._fmt(v, precision), (name, v)
             assert json_text == cli._json_text(v, precision, 6), (name, v)
+            # The scalar rules against json.dumps of the rounded payload value.
+            assert text == _csv_reference(v, precision), (name, v)
+            assert json_text == json.dumps(_rounded(v, precision)), (name, v)
+        # The value-by-value route of a short list column writes the same texts.
+        assert cli._texts(values, precision) == csv, name
+        assert cli._texts(values, precision, 6) == json_texts, name
 
 
 if __name__ == "__main__":
