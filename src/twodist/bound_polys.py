@@ -32,7 +32,6 @@ well defined.
 """
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -202,23 +201,18 @@ _SHAPES = {1: (2, 1), 2: (3, 2), 3: (3, 1), 4: (4, 3), 5: (4, 1)}
 
 def _regular(form: _Form):
     """False where the form divides by a singular divisor: one below
-    SINGULAR_REL_TOL * max(1, *scale()), on float arrays.  A NaN scale
-    leaves the divisor singular, as np.maximum passes NaN on."""
-    if form.divisor is None:
-        return True
-    return np.abs(form.divisor) >= SINGULAR_REL_TOL * functools.reduce(np.maximum, form.scale(), 1.0)
-
-
-def _regular_float(form: _Form) -> bool:
-    """_regular on Python floats, bit for bit.  Rounding is monotone, so
-    SINGULAR_REL_TOL times the maximum is the largest of SINGULAR_REL_TOL
-    times 1 and each term, and the divisor passes when it reaches all of
-    them.  A NaN term or divisor fails its comparison and leaves the
-    divisor singular, as np.maximum's NaN does."""
+    SINGULAR_REL_TOL * max(1, *scale()).  Rounding is monotone, so that
+    product is the largest of SINGULAR_REL_TOL times 1 and each term, and
+    the divisor passes when it reaches all of them: comparisons joined by
+    &, a Python bool on floats and an array on arrays.  A NaN term or
+    divisor fails its comparison and leaves the divisor singular."""
     if form.divisor is None:
         return True
     size = abs(form.divisor)
-    return size >= SINGULAR_REL_TOL and all(size >= SINGULAR_REL_TOL * x for x in form.scale())
+    ok = size >= SINGULAR_REL_TOL
+    for x in form.scale():
+        ok = ok & (size >= SINGULAR_REL_TOL * x)
+    return ok
 
 
 def _in_domain(form: _Form, tol: float):
@@ -231,9 +225,9 @@ def _rows(n: int, a: float, b: float, tol: float) -> list[tuple]:
     d, f, value), in index order, from one evaluation of _forms on n, a and
     b as a Python int and floats; tol must satisfy 0 <= tol <= MAX_TOL.
 
-    A form that is None or not regular is undefined: (i, False, None, None,
-    None, inf).  _in_domain's rule decides the rest in Python float
-    operations, and the value is read only in domain: the rules and
+    A form that is None or not _regular is undefined: (i, False, None,
+    None, None, inf).  _in_domain decides the rest, a Python bool on these
+    floats, and the value is read only in domain: the rules and
     operations of candidate_values, so each value is bit for bit its entry.
     f is the expansion as a list read from the form: f_0 and the free f_j
     are the numbers the domain verdict tests, the top coefficient is 1 over
@@ -243,10 +237,10 @@ def _rows(n: int, a: float, b: float, tol: float) -> list[tuple]:
     n = operator.index(n)
     rows = []
     for i, form in zip(CANDIDATE_INDICES, _forms(n, float(a), float(b))):
-        if form is None or not _regular_float(form):
+        if form is None or not _regular(form):
             rows.append((i, False, None, None, None, math.inf))
             continue
-        in_domain = form.fj >= -tol and form.f0 > tol
+        in_domain = _in_domain(form, tol)
         deg, slot = _SHAPES[i]
         f = [0.0] * (deg + 1)
         f[0], f[slot], f[deg] = form.f0, form.fj, 1.0 / _gegenbauer_coeffs(n, deg)[deg]
@@ -258,9 +252,10 @@ def candidates(pair: InnerProductPair, tol: float = DEFAULT_TOL) -> tuple[Candid
     """The five candidates for the pair, in index order: the rows of _rows,
     each expansion list held as a GegenbauerExpansion (None where the
     construction is undefined)."""
+    n = operator.index(pair.n)
     return tuple(
-        CandidateBound(i, c, d, None if f is None else GegenbauerExpansion(pair.n, f), in_domain, value)
-        for i, in_domain, c, d, f, value in _rows(pair.n, pair.a, pair.b, tol)
+        CandidateBound(i, c, d, None if f is None else GegenbauerExpansion(n, f), in_domain, value)
+        for i, in_domain, c, d, f, value in _rows(n, pair.a, pair.b, tol)
     )
 
 

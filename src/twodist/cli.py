@@ -171,7 +171,7 @@ def _is_repr(text: str, x: float, p: int) -> bool:
 class _Coded:
     """A column of few distinct values, entry j being values[codes[j]]:
     _texts converts the values once and picks each entry's text by its code.
-    Indexing and iteration give the raw values."""
+    Indexing and iteration give the raw values, and a slice a list of them."""
 
     def __init__(self, values: Sequence, codes: np.ndarray):
         self.values, self.codes = values, codes
@@ -179,8 +179,9 @@ class _Coded:
     def __len__(self) -> int:
         return len(self.codes)
 
-    def __getitem__(self, j: int):
-        return self.values[self.codes[j]]
+    def __getitem__(self, j):
+        codes = self.codes[j]
+        return self.values[codes] if np.ndim(codes) == 0 else list(map(self.values.__getitem__, codes.tolist()))
 
     def __iter__(self):
         return map(self.values.__getitem__, self.codes.tolist())

@@ -10,13 +10,12 @@ from twodist.bound_polys import (
     CANDIDATE_INDICES,
     DEFAULT_TOL,
     MAX_TOL,
+    SINGULAR_REL_TOL,
     WINNER_REL_TOL,
     InnerProductPair,
     _SHAPES,
     _WINNERS,
     _forms,
-    _in_domain,
-    _regular,
     _rows,
     best_bound,
     best_of,
@@ -211,11 +210,17 @@ def _hex(x):
 
 def _numpy_rule_fields(pair, tol):
     """Each candidate's (c, d, in_domain, value, expansion) as float.hex
-    strings, with the domain rule decided by _regular and _in_domain as
-    numpy operations on the np.float64 closed forms."""
+    strings, with the domain rule decided in numpy operations on the
+    np.float64 closed forms: the divisor against SINGULAR_REL_TOL times
+    np.maximum of 1 and the scale terms, and f_0 and fj against tol."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         forms = _forms(pair.n, np.float64(pair.a), np.float64(pair.b))
-        verdicts = [(bool(_regular(f)), bool(_in_domain(f, tol))) for f in forms]
+        verdicts = []
+        for f in forms:
+            regular = f.divisor is None or bool(
+                np.abs(f.divisor) >= SINGULAR_REL_TOL * np.maximum.reduce([1.0, *f.scale()])
+            )
+            verdicts.append((regular, regular and bool((f.fj >= -tol) & (f.f0 > tol))))
     out = []
     for i, form, (regular, in_domain) in zip(CANDIDATE_INDICES, forms, verdicts):
         if not regular:
@@ -288,6 +293,9 @@ def test_a_zero_divisor_ends_only_its_own_candidate():
         warnings.simplefilter("error")
         cands = candidates(InnerProductPair(np.int64(10), np.float64(0.5), np.float64(-0.5)))
     assert [c.expansion is None for c in cands] == [False, True, False, True, False]
+    # The expansions hold n as a Python int, so evaluating one gives a
+    # silent inf on overflow, not a numpy RuntimeWarning.
+    assert all(type(c.expansion.n) is int for c in cands if c.expansion is not None)
 
 
 def test_candidate_values_rejects_dimension_below_two():

@@ -248,6 +248,18 @@ def test_profile_columns_are_the_library_samples(capsys, n, k, samples):
     assert code == (3 if any(math.isinf(s.q) for s in want) else 0)
 
 
+def test_profile_winner_column_reads_as_a_list():
+    # report.columns() gives raw values: the winners column indexes,
+    # slices and iterates as the list of first winners does.
+    want = [s.winning[0] if s.winning else None for s in twodist.lrs.profile(45, 2, 7)]
+    args = twodist.cli._parser().parse_args(["profile", "--n", "45", "--k", "2", "--samples", "7"])
+    column = twodist.cli.cmd_profile(args).columns()["winning_i"]
+    assert None in want and len(column) == len(want) == 7
+    assert list(column) == want
+    assert [column[j] for j in range(-7, 7)] == want + want
+    assert column[:] == want and column[2:5] == want[2:5] and column[::-2] == want[::-2]
+
+
 def test_profile_strict_inconclusive(capsys):
     code, _, _ = run(
         capsys, ["profile", "--n", "45", "--k", "2", "--samples", "3", "--strict"]
