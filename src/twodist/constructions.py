@@ -25,19 +25,24 @@ delta_ij on the set, so the m x m block of F values at the set points is the
 identity, and block elimination leaves only an n x (n + 20) matrix to take
 the rank of.  Its n + 20 test points off the set are random unit vectors
 from one fixed seed (TEST_POINT_SEED), not an argument: the rank is the
-same for any draw outside a measure-zero set.  It first checks every entry
-of that block (within IDENTITY_BLOCK_TOL) and raises ValueError when the
-points are not a two-distance set with the given a and b.
+same for any draw outside a measure-zero set.  It first checks each entry
+on or above the diagonal of that block (within IDENTITY_BLOCK_TOL) and
+raises ValueError when the points are not a two-distance set with the given
+a and b.
 
-Both certificates still read every pair of points once, but never through
-an m x m array: they compute X X^T GRAM_BLOCK_ROWS rows at a time into one
-block allocated per call, not a fresh (page-faulting) array per block.
-verify_two_distance keeps only the m(m-1)/2 entries above the diagonal (one
-buffer, sorted in place); independence_rank evaluates F in place on each
-block and keeps only its largest deviation from the identity.
+Both certificates read each pair of points once, and never through an m x m
+array: one block loop (_gram_blocks) computes X X^T from its diagonal on,
+GRAM_BLOCK_ROWS rows at a time, each block x[start:stop] @ x[start:].T
+written into a contiguous view of one buffer allocated per call, not a fresh
+(page-faulting) array per block.  verify_two_distance copies the m(m-1)/2
+entries above the diagonal into one buffer, two bulk copies per block, and
+sorts it in place; independence_rank evaluates F in place on each block and
+keeps only its largest deviation from the identity on and above the
+diagonal.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -57,11 +62,14 @@ EIG_TOL = 1e-8
 # rounding moves S by under 2e-10 of it (see independence_rank).
 RANK_REL_TOL = 1e-8
 IDENTITY_BLOCK_TOL = 1e-13
-# Rows of X X^T per block in both certificates.  At n = 60 (m = 1830) a block
-# and F's one temporary take 2 * 64 * 1830 * 8 B = 1.9 MB, inside a 2 MB
-# per-core L2; with one BLAS thread on a 2-vCPU Xeon, 64 rows ran both
-# certificates fastest of 16..512 (independence_rank 28 ms against 33 ms with
-# 256 rows and 36 ms with 16; verify_two_distance 23 ms, 25 ms with 256).
+# Rows of X X^T per block in both certificates.  At n = 60 (m = 1830) the
+# first, largest block and F's one temporary take 2 * 64 * 1830 * 8 B =
+# 1.9 MB, inside a 2 MB per-core L2, and later blocks are narrower.  With one
+# BLAS thread on a 2-vCPU Xeon, medians of 15 rounds over 16..256 rows:
+# independence_rank 10.4 ms at n = 60 (10.3 with 48 rows, 10.6 with 32, 12.8
+# with 16, 13.1 with 256) and 3.6 ms at n = 45; verify_two_distance 10.8 ms
+# (10.9 with 48, 13.0 with 16, 12.6 with 256) and 3.4 ms.  48 and 64 rows
+# tie within the run-to-run spread (0.3-0.9 ms) at both sizes.
 GRAM_BLOCK_ROWS = 64
 # Seed of independence_rank's n + 20 random test points, fixed because a
 # setting for it would change no answer: the rank is the same for any draw
@@ -95,11 +103,13 @@ class UnitPointSet:
 
 def _helmert_frame(d: int) -> np.ndarray:
     """(d-1) x d matrix with orthonormal rows spanning the hyperplane sum(x) = 0."""
-    h = np.zeros((d - 1, d))
-    for j in range(1, d):
-        scale = 1.0 / math.sqrt(j * (j + 1))
-        h[j - 1, :j] = scale
-        h[j - 1, j] = -j * scale
+    # Row j - 1 holds 1/sqrt(j(j + 1)) in its first j columns and -j times that
+    # in column j.  j(j + 1) < 2^53 converts exactly and np.sqrt rounds
+    # correctly, as math.sqrt does, so the frame is the same bit for bit.
+    j = np.arange(1, d)
+    scale = 1.0 / np.sqrt(j * (j + 1))
+    h = np.tri(d - 1, d) * scale[:, None]
+    h[j - 1, j] = -j * scale
     return h
 
 
@@ -140,31 +150,68 @@ class TwoDistanceCertificate:
     diagnostic: str | None = None
 
 
+@functools.lru_cache(maxsize=1)
+def _pairs_by_column(rows: int) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j) of the pairs i < j < rows, ordered by j, read-only.
+
+    The pairs of an r x r square, r <= rows, are the first r(r - 1)/2, so one
+    call serves every block.
+    """
+    j, i = np.tril_indices(rows, -1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
+def _gram_blocks(x: np.ndarray, flat: np.ndarray):
+    """X X^T from its diagonal on, GRAM_BLOCK_ROWS rows at a time.
+
+    Yields (block, upper) for each start = 0, GRAM_BLOCK_ROWS, ...: block is
+    x[start:stop] @ x[start:].T, written into a contiguous (r, m - start) view
+    of flat (which holds at least min(GRAM_BLOCK_ROWS, m) * m entries), so
+    column j is point start + j and block[i, i] is the diagonal entry of
+    point start + i.  upper holds the (row, column) indices of the pairs
+    above the diagonal of block[:, :r]; the pairs of row start + i with the
+    points past stop are block[i, r:].  So every pair of points is in
+    exactly one block above its diagonal, and no m x m array is formed.
+    Each block is one GEMM call of this shape: OpenBLAS picks its kernels by
+    shape, so computing a part of a block by a call of its own can move the
+    last bits of entries, and with them verify_two_distance's means.
+    """
+    m = len(x)
+    i, j = _pairs_by_column(GRAM_BLOCK_ROWS)
+    for start in range(0, m, GRAM_BLOCK_ROWS):
+        stop = min(start + GRAM_BLOCK_ROWS, m)
+        r = stop - start
+        pairs = r * (r - 1) // 2
+        block = flat[: r * (m - start)].reshape(r, m - start)
+        yield np.matmul(x[start:stop], x[start:].T, out=block), (i[:pairs], j[:pairs])
+
+
 def verify_two_distance(s: UnitPointSet) -> TwoDistanceCertificate:
     """Split the sorted off-diagonal Gram entries at their first largest gap and test the clusters.
 
     The m(m-1)/2 entries above the diagonal of X X^T, X the m x n array of
-    points, go row by row into one buffer.  Each block of GRAM_BLOCK_ROWS rows
-    is computed from its own diagonal on (x[start:stop] @ x[start:].T) into
-    one block buffer, so no m x m array is formed.  The buffer is sorted in
-    place and split at its first largest gap, its gaps taken in chunks of
-    GRAM_BLOCK_ROWS * m entries written into the block buffer.  a and b are
-    the means of the two sides; the set is two-distance when each side spans
-    less than CLUSTER_DIAMETER_TOL and the gap exceeds CLUSTER_GAP_TOL.
+    points, go into one buffer, two bulk copies per block of _gram_blocks: the
+    triangle above the block's diagonal, then the rectangle right of it.  The
+    buffer is sorted in place and split at its first largest gap, its gaps
+    taken in chunks of GRAM_BLOCK_ROWS * m entries written into the block
+    buffer.  a and b are the means of the two sides; the set is two-distance
+    when each side spans less than CLUSTER_DIAMETER_TOL and the gap exceeds
+    CLUSTER_GAP_TOL.
     """
     x = s.points
     m = len(x)
     if m < 3:
         raise ValueError(f"need at least 3 points to classify, got {m}")
     vals = np.empty(m * (m - 1) // 2)
-    buf = np.empty((min(GRAM_BLOCK_ROWS, m), m))
+    flat = np.empty(min(GRAM_BLOCK_ROWS, m) * m)
     pos = 0
-    for start in range(0, m, GRAM_BLOCK_ROWS):
-        stop = min(start + GRAM_BLOCK_ROWS, m)
-        block = np.matmul(x[start:stop], x[start:].T, out=buf[: stop - start, : m - start])
-        for i, row in enumerate(block):
-            vals[pos : pos + m - start - i - 1] = row[i + 1 :]
-            pos += m - start - i - 1
+    for block, upper in _gram_blocks(x, flat):
+        r, cols = block.shape
+        vals[pos : pos + len(upper[0])] = block[upper]
+        pos += len(upper[0])
+        vals[pos : pos + r * (cols - r)].reshape(r, cols - r)[...] = block[:, r:]
+        pos += r * (cols - r)
     vals.sort()
     if vals[-1] - vals[0] < CLUSTER_DIAMETER_TOL:
         center = float(vals.mean())
@@ -177,7 +224,7 @@ def verify_two_distance(s: UnitPointSet) -> TwoDistanceCertificate:
     chunk = GRAM_BLOCK_ROWS * m
     for lo in range(0, len(vals) - 1, chunk):
         part = vals[lo : lo + chunk + 1]
-        gaps = np.subtract(part[1:], part[:-1], out=buf.reshape(-1)[: len(part) - 1])
+        gaps = np.subtract(part[1:], part[:-1], out=flat[: len(part) - 1])
         i = int(np.argmax(gaps))
         if gaps[i] > gap:
             split, gap = lo + i, float(gaps[i])
@@ -239,8 +286,16 @@ def independence_rank(s: UnitPointSet, a: float, b: float) -> int:
       n = 7..60, ||X||_2 ||B||_2 is at most 1.05 times S's largest singular
       value, so with m <= 1830 the error is below 2e-10 of it, fifty times
       under RANK_REL_TOL; the largest entry of A - I there is 3e-15.
-      Every entry of A is checked, GRAM_BLOCK_ROWS rows at a time, and a
-      NaN entry fails the check; A is never formed whole.
+      Each entry on or above the diagonal of A is checked once, in the
+      blocks of _gram_blocks, and a NaN entry fails the check; A is never
+      formed whole.  The entries below the diagonal need no check of their
+      own: A is symmetric, and its lower triangle holds the same inner
+      products, which a GEMM computes in another block and so gives equal up
+      to rounding far below IDENTITY_BLOCK_TOL (on the midpoint sets of
+      n = 7..60 the blocks of F(X X^T) differ from their transposes by at
+      most 1.1e-16).  A block also holds, below the diagonal of its
+      leading square, pairs it holds above it; those are set to 0 before
+      the block's deviation is read.
 
     F is evaluated in place with one temporary, bit for bit as
     (t - a) * (t - b) / ((1 - a)(1 - b)), on each block of A and on X Y^T.
@@ -261,12 +316,12 @@ def independence_rank(s: UnitPointSet, a: float, b: float) -> int:
         t /= scale
         return t
 
-    buf, tmp = np.empty((2, min(GRAM_BLOCK_ROWS, m), m))
-    for start in range(0, m, GRAM_BLOCK_ROWS):
-        stop = min(start + GRAM_BLOCK_ROWS, m)
-        block = f(np.matmul(x[start:stop], x.T, out=buf[: stop - start]), tmp[: stop - start])
+    flat, tmp = np.empty((2, min(GRAM_BLOCK_ROWS, m) * m))
+    for block, upper in _gram_blocks(x, flat):
+        f(block, tmp[: block.size].reshape(block.shape))
         rows = np.arange(len(block))
-        block[rows, start + rows] -= 1.0
+        block[rows, rows] -= 1.0
+        block[upper[1], upper[0]] = 0.0  # the pairs below the diagonal, read above it
         dev = float(np.abs(block, out=block).max())
         if not dev <= IDENTITY_BLOCK_TOL:
             raise ValueError(

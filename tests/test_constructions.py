@@ -39,6 +39,23 @@ def test_midpoint_set_sizes():
         assert s.n == n
 
 
+def _helmert_frame_by_rows(d):
+    """The frame built one row at a time on Python floats."""
+    h = np.zeros((d - 1, d))
+    for j in range(1, d):
+        scale = 1.0 / math.sqrt(j * (j + 1))
+        h[j - 1, :j] = scale
+        h[j - 1, j] = -j * scale
+    return h
+
+
+def test_helmert_frame_equals_the_row_loop_bit_for_bit():
+    for d in range(3, 62):
+        frame = constructions._helmert_frame(d)
+        assert frame.shape == (d - 1, d) and frame.dtype == np.float64
+        assert frame.tobytes() == _helmert_frame_by_rows(d).tobytes(), d
+
+
 def test_midpoint_parameters_examples():
     assert lambda_params(7) == (1.0 / 3, -1.0 / 3)
     a23, b23 = lambda_params(23)
@@ -319,6 +336,46 @@ def test_independence_rank_rejects_sets_that_are_not_two_distance_with_a_b():
     for bad_a, bad_b in ((math.nan, b), (a, math.nan)):
         with pytest.raises(ValueError, match="not a two-distance set"):
             independence_rank(lambda_set(7), bad_a, bad_b)
+
+
+BLOCK_ROWS = [1, 2, 3, GRAM_BLOCK_ROWS]
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+def test_independence_rank_checks_every_block_position(monkeypatch, block_rows):
+    # lambda_set(12) has m = 78 points.  One point moved off the set breaks its
+    # pairs with every other point; the last point's pairs lie only in the
+    # columns of earlier blocks.  A repeated point breaks one pair only, the
+    # last pair of the set when it repeats point m - 2, inside the last
+    # (partial, with 64 rows) block.
+    monkeypatch.setattr(constructions, "GRAM_BLOCK_ROWS", block_rows)
+    s = lambda_set(12)
+    a, b = lambda_params(12)
+    m = len(s)
+    assert independence_rank(s, a, b) == m + 12
+    for row in (0, block_rows - 1, block_rows, m - 1):
+        pts = s.points.copy()
+        pts[row] += 1e-6 * np.arange(12)
+        pts[row] /= np.linalg.norm(pts[row])
+        with pytest.raises(ValueError, match="not a two-distance set"):
+            independence_rank(UnitPointSet(12, pts), a, b)
+    for row in (block_rows - 1, m - 2):
+        pts = s.points.copy()
+        pts[row + 1] = pts[row]
+        with pytest.raises(ValueError, match=r"F\(<x_i, x_j>\) is 1 off"):
+            independence_rank(UnitPointSet(12, pts), a, b)
+
+
+@pytest.mark.parametrize("block_rows", BLOCK_ROWS)
+def test_independence_rank_matches_definition_across_block_edges(monkeypatch, block_rows):
+    monkeypatch.setattr(constructions, "GRAM_BLOCK_ROWS", block_rows)
+    rng = np.random.default_rng(1988)
+    s = lambda_set(12)
+    a, b = lambda_params(12)
+    for size in (block_rows + 1, 2 * block_rows + 1, GRAM_BLOCK_ROWS + 1, len(s) - 1):
+        rows = np.sort(rng.choice(len(s), size=min(size, len(s)), replace=False))
+        sub = UnitPointSet(12, s.points[rows])
+        assert independence_rank(sub, a, b) == _independence_rank_by_definition(sub, a, b), size
 
 
 def test_independence_rank_rejects_negative_sum():

@@ -162,6 +162,29 @@ def test_bound_corpus_hashes_as_recorded(fmt):
     assert digest.hexdigest() == BOUND_CORPUS[fmt]
 
 
+# SHA-256 per format of the exit codes and stdout of verify-lambda for
+# n = 2..60 and independence for n = 7..60 at the default precision, recorded
+# from the certificates that computed X X^T a whole row block at a time
+# (x[start:stop] @ x.T for independence) and copied the pairs row by row.  The
+# last digits at --precision 17 are those of means of BLAS dot products, which
+# depend on the kernels OpenBLAS picks for the CPU, so they are not pinned.
+CONSTRUCTION_OUTPUTS = {
+    "csv": "f0215c234edbf674f2f553bf768f995880ec809fdd7182f3e2dd4df573a177c6",
+    "json": "3c8731581cf95dda2711882b34e491004905f0c2f8b0dc1d02ed54f94c97f46f",
+    "pretty": "76af69bd0facd7117834b7f0e857f7e82bbf29752220536ad191756b34a02b03",
+}
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_construction_outputs_hash_as_recorded(fmt):
+    digest = hashlib.sha256()
+    for cmd, n_min in (("verify-lambda", 2), ("independence", 7)):
+        for n in range(n_min, 61):
+            code, text = _run(cmd, fmt, [cmd, "--n", str(n)])
+            digest.update(f"{code}\n{text}".encode())
+    assert digest.hexdigest() == CONSTRUCTION_OUTPUTS[fmt]
+
+
 def _rounded(x, p: int):
     """The JSON payload's value of x: reals rounded as _fmt rounds them, inf as "inf"."""
     if isinstance(x, float):
